@@ -17,15 +17,16 @@ from .functionals import (BmEndpoint, Constant, ConstantField, Coordinate,
 from .calculus import (GradientTooSmall, HypothesisReport, KernelField,
                        divergence_mu, h_gradient, hypothesis_diagnostics,
                        kernel_divergence)
-from .density import (DensityCurve, DensityJob, cdf_estimate, default_bandwidth,
-                      density_divergence, density_mollified, estimate_density,
-                      smoothness_check)
+from .density import (DensityCurve, DensityJob, Query, cdf_estimate,
+                      default_bandwidth, density_divergence, density_mollified,
+                      estimate_density, smoothness_check, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
                       SurfaceReport, hausdorff_compare, hyperplane_quadrature,
                       ibp_residual, ibp_residuals, perimeter_identity_check,
                       positivity_scan, sphere_quadrature, surface_integral,
                       surface_report, trace_eval)
-from .disintegration import (ConditionalSurfaceRecord, EmpiricalDisintegration,
+from .disintegration import (BinSums, ConditionalSurfaceRecord,
+                             EmpiricalDisintegration,
                              conditional_vs_surface, disintegrate, support_check,
                              verify_disintegration)
 from .expressions import (ExpressionError, ExpressionFunctional, GRAMMAR,
@@ -47,12 +48,12 @@ __all__ = [
     "h_gradient", "kernel_divergence", "hypothesis_diagnostics",
     "DensityJob", "DensityCurve", "cdf_estimate", "density_divergence",
     "density_mollified", "estimate_density", "default_bandwidth",
-    "smoothness_check",
+    "smoothness_check", "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",
     "surface_integral", "surface_report", "ibp_residual", "ibp_residuals",
     "perimeter_identity_check", "positivity_scan", "trace_eval",
     "hausdorff_compare", "sphere_quadrature", "hyperplane_quadrature",
-    "EmpiricalDisintegration", "ConditionalSurfaceRecord", "disintegrate",
+    "EmpiricalDisintegration", "ConditionalSurfaceRecord", "BinSums", "disintegrate",
     "verify_disintegration", "support_check", "conditional_vs_surface",
     "ExpressionFunctional", "ExpressionError", "parse_expression", "GRAMMAR",
     "RunConfig", "ModelSpec", "JobSpec", "ConfigError", "parse_config",

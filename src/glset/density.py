@@ -16,8 +16,9 @@ For a functional G and weight phi, the engine estimates
       on shared samples; needs only values, carries an O(eps^2) smoothing
       bias.
 
-One sample stream per job is reused for every grid point and both
-estimators (common random numbers), which makes monotonicity in r and
+One sample stream is reused for every grid point, estimator and weight
+(common random numbers): :func:`stream_pass` answers a list of
+:class:`Query` columns in a single pass, which makes monotonicity in r and
 linearity in phi hold sample-exactly.  Per-chunk partial sums are collected
 into arrays indexed by chunk and reduced in fixed order, so results do not
 depend on how many workers ran the chunks.  Standard errors come from batch
@@ -37,6 +38,8 @@ from .functionals import Constant, Functional, check_finite
 from .model import CHUNK_SIZE, GaussianModel, _chunk_generator
 
 VARIANCE_UNRELIABLE = "variance unreliable"
+# smallest gradient norms kept for the Hill tail index of a pass
+HILL_K = 2000
 
 
 def thread_count() -> int:
@@ -103,6 +106,15 @@ def batch_mean_stderr(sums: np.ndarray, counts: np.ndarray):
     return mean, np.sqrt(sigma2 / n)
 
 
+def _grid(r_grid) -> np.ndarray:
+    r = np.asarray(r_grid, dtype=float)
+    if r.size == 0:
+        raise ValueError("r_grid must be nonempty")
+    if np.any(np.diff(r) <= 0):
+        raise ValueError("r_grid must be strictly increasing")
+    return r
+
+
 @dataclass(frozen=True)
 class DensityJob:
     """One density-curve estimation task (model, G, phi, grid, budget)."""
@@ -118,11 +130,7 @@ class DensityJob:
     floor: float = DEFAULT_GRADIENT_FLOOR
 
     def __post_init__(self):
-        if len(self.r_grid) == 0:
-            raise ValueError("r_grid must be nonempty")
-        r = np.asarray(self.r_grid, dtype=float)
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("r_grid must be strictly increasing")
+        _grid(self.r_grid)
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.estimator not in ("divergence", "mollified", "both"):
@@ -171,142 +179,182 @@ def default_bandwidth(model: GaussianModel, G: Functional, n: int, seed: int) ->
     return float(max(0.01, 2.0 * (q75 - q25) * n ** (-1.0 / 3.0)))
 
 
+ROUTES = ("divergence", "mollified", "cdf")
+
+
+@dataclass(frozen=True)
+class Query:
+    """One weight column of a stream pass: ``phi`` reduced along ``route``.
+
+    ``divergence`` and ``mollified`` give the :class:`DensityCurve` of
+    ``phi mu o G^-1`` on the pass grid; ``cdf`` gives the sublevel integrals
+    ``E[phi 1_{G<r}]`` as ``(estimates, stderrs)``.
+    """
+
+    phi: Functional
+    route: str
+
+    def __post_init__(self):
+        if self.route not in ROUTES:
+            raise ValueError(f"unknown query route {self.route!r}")
+
+
+@dataclass
+class PassResult:
+    """What one stream pass measured: query results in query order, plus the
+    sample range of G."""
+
+    results: list
+    g_min: float
+    g_max: float
+
+
 class _ChunkStats:
-    """Per-chunk partial sums for one evaluation pass over a job."""
+    """Per-chunk partial sums of one stream pass, one column per query."""
 
-    __slots__ = ("count", "div_sums", "moll_sums", "moll_counts", "cdf_sums",
-                 "excl", "bottom_g", "inv_sums")
+    __slots__ = ("count", "g_min", "g_max", "columns", "moll_counts", "excl",
+                 "bottom_g")
 
-    def __init__(self):
-        self.count = 0
-        self.div_sums = None
-        self.moll_sums = None
+    def __init__(self, count, g_min, g_max):
+        self.count = count
+        self.g_min = g_min
+        self.g_max = g_max
+        self.columns = []
         self.moll_counts = None
-        self.cdf_sums = None
         self.excl = 0
         self.bottom_g = None
-        self.inv_sums = None
 
 
-def _sorted_partials(values, weights, edges_left):
-    """Sums of ``weights`` over ``{values < edge}`` for each edge.
+def _prefix_sums(weights):
+    """``[0, w_0, w_0 + w_1, ...]``; indexed by ``searchsorted`` positions in
+    the sorted values this gives sums over ``{values < edge}``, exactly
+    monotone in the edge when weights are nonnegative."""
+    return np.concatenate([[0.0], np.cumsum(weights)])
 
-    ``values`` must be pre-sorted with ``weights`` aligned; prefix sums make
-    the result exactly monotone in the edge when weights are nonnegative.
+
+def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
+                queries, epsilon: float | None = None,
+                floor: float = DEFAULT_GRADIENT_FLOOR) -> PassResult:
+    """Answer every query from one pass over the ``(model, n, seed)`` stream.
+
+    Per chunk the work that depends on G alone is done once: its values and
+    their stable sort, and when a divergence query is present the gradient,
+    the kernel divergence with its exclusion mask and the Hill tail sample.
+    Each distinct weight is evaluated once per chunk; each query then builds
+    its own integrand and prefix sums, and its own ``(chunks, grid)`` array
+    is reduced by :func:`batch_mean_stderr`, so a query gives the same bits
+    alone or alongside others.  Mollified queries use ``epsilon``, by default
+    :func:`default_bandwidth`.
     """
-    cs = np.concatenate([[0.0], np.cumsum(weights)])
-    idx = np.searchsorted(values, edges_left, side="left")
-    return cs[idx], idx
-
-
-def _run_pass(job: DensityJob, want_div: bool, want_moll: bool, want_cdf=None,
-              epsilon: float | None = None, hill_k: int = 2000):
-    """Single shared-sample pass computing every requested accumulator."""
-    r = np.asarray(job.r_grid, dtype=float)
-    kernel = KernelField(job.G, job.floor) if want_div else None
-    phi_const = isinstance(job.phi, Constant)
+    r = _grid(r_grid)
+    routes = {q.route for q in queries}
+    want_div = "divergence" in routes
+    if epsilon is not None and epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if "mollified" in routes and epsilon is None:
+        epsilon = default_bandwidth(model, G, n, seed)
+    kernel = KernelField(G, floor) if want_div else None
 
     def worker(index, pts):
-        st = _ChunkStats()
-        st.count = pts.shape[0]
-        gv = check_finite(job.G.value(pts), "G", job.G.name)
-        pv = check_finite(np.broadcast_to(job.phi.value(pts), (pts.shape[0],)),
-                          "phi", job.phi.name)
+        gv = check_finite(G.value(pts), "G", G.name)
         order = np.argsort(gv, kind="stable")
         gs = gv[order]
-        ps = pv[order]
-        if want_div:
-            grad = job.G.gradient(pts)
-            kd, excluded = kernel.divergence(pts, grad=grad)
-            integ = pv * kd
-            if not phi_const:
-                s = np.sum(grad * grad, axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cross = np.sum(job.phi.gradient(pts) * grad, axis=1) / s
-                integ = integ + np.where(excluded, 0.0, cross)
-            integ = np.where(excluded, 0.0, integ)
-            check_finite(integ, "divergence integrand", job.G.name)
-            st.div_sums, _ = _sorted_partials(gs, integ[order], r)
-            st.excl = int(np.count_nonzero(excluded))
-            gnorm = np.sqrt(np.sum(grad * grad, axis=1))
-            live = gnorm[~excluded]
-            keep = min(len(live), hill_k + 1)
-            st.bottom_g = np.partition(live, keep - 1)[:keep] if keep else live
-            with np.errstate(divide="ignore", over="ignore"):
-                st.inv_sums = (float(np.sum(live ** -2.0)), float(np.sum(live ** -4.0)))
-        if want_moll:
-            lo_sums, lo_idx = _sorted_partials(gs, ps, r - epsilon)
-            hi_sums, hi_idx = _sorted_partials(gs, ps, r + epsilon)
-            st.moll_sums = (hi_sums - lo_sums) / (2.0 * epsilon)
+        st = _ChunkStats(pts.shape[0], float(gs[0]), float(gs[-1]))
+        idx = np.searchsorted(gs, r, side="left")
+        if "mollified" in routes:
+            lo_idx = np.searchsorted(gs, r - epsilon, side="left")
+            hi_idx = np.searchsorted(gs, r + epsilon, side="left")
             st.moll_counts = hi_idx - lo_idx
-        if want_cdf is not None:
-            st.cdf_sums, _ = _sorted_partials(gs, ps, np.asarray(want_cdf, dtype=float))
+        if want_div:
+            grad = G.gradient(pts)
+            kd, excluded = kernel.divergence(pts, grad=grad)
+            s = np.sum(grad * grad, axis=1)
+            st.excl = int(np.count_nonzero(excluded))
+            live = np.sqrt(s)[~excluded]
+            keep = min(len(live), HILL_K + 1)
+            st.bottom_g = np.partition(live, keep - 1)[:keep] if keep else live
+        values = {}
+        for q in queries:
+            phi = q.phi
+            if id(phi) not in values:
+                values[id(phi)] = check_finite(
+                    np.broadcast_to(phi.value(pts), (pts.shape[0],)), "phi", phi.name)
+            pv = values[id(phi)]
+            if q.route == "divergence":
+                integ = pv * kd
+                if not isinstance(phi, Constant):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        cross = np.sum(phi.gradient(pts) * grad, axis=1) / s
+                    integ = integ + np.where(excluded, 0.0, cross)
+                integ = np.where(excluded, 0.0, integ)
+                check_finite(integ, "divergence integrand", G.name)
+                st.columns.append(_prefix_sums(integ[order])[idx])
+            else:
+                cs = _prefix_sums(pv[order])
+                if q.route == "cdf":
+                    st.columns.append(cs[idx])
+                else:
+                    st.columns.append((cs[hi_idx] - cs[lo_idx]) / (2.0 * epsilon))
         return st
 
-    stats = map_chunks(job.model, job.n, job.seed, worker)
+    stats = map_chunks(model, n, seed, worker)
     counts = np.array([st.count for st in stats], dtype=float)
-    out = {}
-
     if want_div:
-        sums = np.array([st.div_sums for st in stats])
-        est, se = batch_mean_stderr(sums, counts)
-        excl_total = int(np.sum([st.excl for st in stats]))
-        flags = []
-        if not (job.G.analytic_gradient and job.phi.analytic_gradient):
-            flags.append("approximate-gradient")
-        bottom = np.sort(np.concatenate([st.bottom_g for st in stats]))[: hill_k + 1]
-        alpha = hill_tail_index(bottom, job.n)
-        if moment_diverging(alpha, 4):
-            flags.append(VARIANCE_UNRELIABLE)
-        out["divergence"] = DensityCurve(
-            r=r, estimates=est, stderrs=se, estimator="divergence",
-            excluded_fraction=excl_total / job.n, n=job.n, seed=job.seed,
-            flags=tuple(flags))
-    if want_moll:
-        sums = np.array([st.moll_sums for st in stats])
-        est, se = batch_mean_stderr(sums, counts)
-        wcounts = np.sum([st.moll_counts for st in stats], axis=0)
-        flags = ("unresolved-bins",) if np.any(wcounts == 0) else ()
-        out["mollified"] = DensityCurve(
-            r=r, estimates=est, stderrs=se, estimator="mollified",
-            excluded_fraction=0.0, n=job.n, seed=job.seed, epsilon=epsilon,
-            window_counts=wcounts, flags=flags)
-    if want_cdf is not None:
-        sums = np.array([st.cdf_sums for st in stats])
-        out["cdf"] = batch_mean_stderr(sums, counts)
-    return out
+        excluded_fraction = int(np.sum([st.excl for st in stats])) / n
+        bottom = np.sort(np.concatenate([st.bottom_g for st in stats]))[: HILL_K + 1]
+        unreliable = moment_diverging(hill_tail_index(bottom, n), 4)
+    if "mollified" in routes:
+        window_counts = np.sum([st.moll_counts for st in stats], axis=0)
+    results = []
+    for i, q in enumerate(queries):
+        est, se = batch_mean_stderr(np.array([st.columns[i] for st in stats]), counts)
+        if q.route == "divergence":
+            flags = []
+            if not (G.analytic_gradient and q.phi.analytic_gradient):
+                flags.append("approximate-gradient")
+            if unreliable:
+                flags.append(VARIANCE_UNRELIABLE)
+            results.append(DensityCurve(
+                r=r, estimates=est, stderrs=se, estimator="divergence",
+                excluded_fraction=excluded_fraction, n=n, seed=seed,
+                flags=tuple(flags)))
+        elif q.route == "mollified":
+            results.append(DensityCurve(
+                r=r, estimates=est, stderrs=se, estimator="mollified",
+                excluded_fraction=0.0, n=n, seed=seed, epsilon=epsilon,
+                window_counts=window_counts,
+                flags=("unresolved-bins",) if np.any(window_counts == 0) else ()))
+        else:
+            results.append((est, se))
+    return PassResult(results=results, g_min=min(st.g_min for st in stats),
+                      g_max=max(st.g_max for st in stats))
 
 
 def estimate_density(job: DensityJob) -> dict[str, DensityCurve]:
     """Run the job's estimator(s) on one shared sample stream."""
-    want_div = job.estimator in ("divergence", "both")
-    want_moll = job.estimator in ("mollified", "both")
-    epsilon = job.epsilon
-    if want_moll and epsilon is None:
-        epsilon = default_bandwidth(job.model, job.G, job.n, job.seed)
-    return _run_pass(job, want_div, want_moll, epsilon=epsilon)
+    routes = [route for route in ("divergence", "mollified")
+              if job.estimator in (route, "both")]
+    res = stream_pass(job.model, job.G, job.n, job.seed, job.r_grid,
+                      [Query(job.phi, route) for route in routes],
+                      epsilon=job.epsilon, floor=job.floor)
+    return dict(zip(routes, res.results))
 
 
 def density_divergence(job: DensityJob) -> DensityCurve:
     """Density curve by the divergence-formula estimator."""
-    return _run_pass(replace(job, estimator="divergence"), True, False)["divergence"]
+    return estimate_density(replace(job, estimator="divergence"))["divergence"]
 
 
 def density_mollified(job: DensityJob) -> DensityCurve:
     """Density curve by the symmetric difference quotient of the CDF."""
-    epsilon = job.epsilon
-    if epsilon is None:
-        epsilon = default_bandwidth(job.model, job.G, job.n, job.seed)
-    return _run_pass(replace(job, estimator="mollified"), False, True,
-                     epsilon=epsilon)["mollified"]
+    return estimate_density(replace(job, estimator="mollified"))["mollified"]
 
 
 def cdf_estimate(model: GaussianModel, G: Functional, phi: Functional,
                  r: float, n: int, seed: int):
     """Estimate ``F_phi(r) = E[phi 1_{G<r}]``; returns (value, stderr)."""
-    job = DensityJob(model=model, G=G, phi=phi, r_grid=(float(r),), n=n,
-                     seed=seed, estimator="mollified", epsilon=1.0)
-    value, se = _run_pass(job, False, False, want_cdf=[float(r)])["cdf"]
+    value, se = stream_pass(model, G, n, seed, (float(r),),
+                            [Query(phi, "cdf")]).results[0]
     return float(value[0]), float(se[0])
 
 
@@ -337,11 +385,9 @@ def smoothness_check(model: GaussianModel, G: Functional, phi: Functional,
         raise ValueError("h must be positive")
     if len(r) > 1 and h >= np.min(np.diff(r)):
         raise ValueError("h must be smaller than the grid spacing")
-    job = DensityJob(model=model, G=G, phi=phi, r_grid=tuple(r), n=n, seed=seed,
-                     estimator="both", epsilon=h)
-    out = _run_pass(job, True, True, epsilon=h)
-    div = out["divergence"]
-    fd = out["mollified"]
+    div, fd = stream_pass(model, G, n, seed, r, [Query(phi, "divergence"),
+                                                 Query(phi, "mollified")],
+                          epsilon=h).results
     band = np.sqrt(div.stderrs ** 2 + fd.stderrs ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.abs(fd.estimates - div.estimates) / band

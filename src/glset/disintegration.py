@@ -10,6 +10,11 @@ density value, approximates the surface measure there.
 
 Empty bins are retained with zero weight and flagged, never interpolated:
 conditional measures are only defined where the image measure puts mass.
+
+Binning takes one pass over the stream for the G values;
+:meth:`EmpiricalDisintegration.bin_sums` takes one more for the per-bin sums
+of any number of weights, and every conditional quantity is read off those
+sums.
 """
 
 from __future__ import annotations
@@ -18,9 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import map_chunks
 from .functionals import Constant, Functional, check_finite
-from .model import GaussianModel, iter_sample_chunks
-from .surface import SurfaceMeasureHandle, surface_integral
+from .model import CHUNK_SIZE, GaussianModel
+from .surface import SurfaceMeasureHandle, surface_integrals
+
+
+@dataclass
+class BinSums:
+    """Per-bin sums of a weight phi and of phi^2, and the total of phi over
+    the batch.  Per-chunk sums are reduced in chunk order, so the sums do not
+    depend on how many workers ran the chunks."""
+
+    phi_name: str
+    sums: np.ndarray
+    sumsq: np.ndarray
+    total: float
 
 
 @dataclass
@@ -64,26 +82,39 @@ class EmpiricalDisintegration:
     def bin_indices(self, j: int) -> np.ndarray:
         return self.order[self.start[j]:self.start[j + 1]]
 
-    def evaluate(self, phi: Functional) -> np.ndarray:
-        """phi over the batch, regenerated chunk by chunk (shared stream)."""
-        out = np.empty(self.n)
-        pos = 0
-        for _, pts in iter_sample_chunks(self.model, self.n, self.seed):
-            out[pos:pos + len(pts)] = phi.value(pts)
-            pos += len(pts)
-        return check_finite(out, "phi", phi.name)
+    def bin_sums(self, phis) -> list[BinSums]:
+        """:class:`BinSums` of every phi from one pass over the shared stream.
 
-    def bin_sums(self, values: np.ndarray) -> np.ndarray:
-        assignment = np.empty(self.n, dtype=np.intp)
-        for j in range(self.bins):
-            assignment[self.order[self.start[j]:self.start[j + 1]]] = j
-        return np.bincount(assignment, weights=values, minlength=self.bins)
+        Samples are assigned to bins by their stored G values, so G is not
+        evaluated again.
+        """
+        inner = self.edges[1:-1]
 
-    def conditional_means(self, values: np.ndarray) -> np.ndarray:
+        def worker(index, pts):
+            start = index * CHUNK_SIZE
+            bin_index = np.searchsorted(inner, self.g_values[start:start + len(pts)],
+                                        side="right")
+            out = []
+            for phi in phis:
+                pv = check_finite(np.broadcast_to(phi.value(pts), (len(pts),)),
+                                  "phi", phi.name)
+                out.append((np.bincount(bin_index, weights=pv, minlength=self.bins),
+                            np.bincount(bin_index, weights=pv * pv,
+                                        minlength=self.bins),
+                            float(np.sum(pv))))
+            return out
+
+        chunks = map_chunks(self.model, self.n, self.seed, worker)
+        return [BinSums(phi_name=phi.name,
+                        sums=np.sum([c[i][0] for c in chunks], axis=0),
+                        sumsq=np.sum([c[i][1] for c in chunks], axis=0),
+                        total=float(np.sum([c[i][2] for c in chunks])))
+                for i, phi in enumerate(phis)]
+
+    def conditional_means(self, binned: BinSums) -> np.ndarray:
         """Per-bin means; NaN on empty bins (no conditional measure there)."""
-        sums = self.bin_sums(values)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, sums / self.counts, np.nan)
+            return np.where(self.counts > 0, binned.sums / self.counts, np.nan)
 
 
 def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
@@ -97,11 +128,7 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
         raise ValueError("need at least two bins")
     if n < bins:
         raise ValueError("need at least one sample per bin")
-    g_values = np.empty(n)
-    pos = 0
-    for _, pts in iter_sample_chunks(model, n, seed):
-        g_values[pos:pos + len(pts)] = G.value(pts)
-        pos += len(pts)
+    g_values = np.concatenate(map_chunks(model, n, seed, lambda i, pts: G.value(pts)))
     check_finite(g_values, "G", G.name)
 
     if scheme == "quantile":
@@ -142,14 +169,14 @@ class TowerRecord:
         return self.abs_error / max(1.0, abs(self.plain_mean))
 
 
-def verify_disintegration(D: EmpiricalDisintegration, phi: Functional) -> TowerRecord:
-    """Check ``E[phi] = sum_j weight_j E[phi | bin j]`` on shared samples."""
-    values = D.evaluate(phi)
-    cond = D.conditional_means(values)
+def verify_disintegration(D: EmpiricalDisintegration, binned: BinSums) -> TowerRecord:
+    """Check ``E[phi] = sum_j weight_j E[phi | bin j]`` on shared samples,
+    from the sums of one :meth:`EmpiricalDisintegration.bin_sums` pass."""
+    cond = D.conditional_means(binned)
     occupied = D.counts > 0
     weighted = float(np.sum(D.weights[occupied] * cond[occupied]))
-    plain = float(np.mean(values))
-    return TowerRecord(phi_name=phi.name, weighted_sum=weighted, plain_mean=plain)
+    return TowerRecord(phi_name=binned.phi_name, weighted_sum=weighted,
+                       plain_mean=binned.total / D.n)
 
 
 @dataclass
@@ -211,18 +238,18 @@ def conditional_vs_surface(D: EmpiricalDisintegration, h: SurfaceMeasureHandle,
                            phi: Functional) -> ConditionalSurfaceRecord:
     j = D.bin_of(h.r)
     width = float(D.edges[j + 1] - D.edges[j])
-    values = D.evaluate(phi)
-    cond = D.conditional_means(values)
-    q1, q1_se = surface_integral(h, Constant(1.0))
-    surf, surf_se = surface_integral(h, phi)
+    binned, = D.bin_sums([phi])
+    cond = D.conditional_means(binned)
+    (q1, q1_se), (surf, surf_se) = surface_integrals(h, [Constant(1.0), phi])
     if D.counts[j] == 0:
         return ConditionalSurfaceRecord(
             phi_name=phi.name, r=h.r, bin_index=j, bin_width=width,
             conditional_mean=np.nan, q1=q1, product=np.nan, surface_value=surf,
             band=np.nan, unresolved=True)
     cm = float(cond[j])
-    in_bin = values[D.bin_indices(j)]
-    cm_se = float(np.std(in_bin) / np.sqrt(len(in_bin)))
+    # population variance of phi in the bin, as np.std computes it
+    var = max(float(binned.sumsq[j]) / D.counts[j] - cm * cm, 0.0)
+    cm_se = float(np.sqrt(var / D.counts[j]))
     # discretization allowance: local slope of the conditional mean times
     # the half width, from neighboring occupied bins
     lo, hi = max(j - 1, 0), min(j + 1, D.bins - 1)

@@ -221,8 +221,9 @@ def _run_disintegrate(job, model, defs, out_base, formats):
     G = resolve_functional(job.G, defs, model)
     D = disintegrate(model, G, job.n, job.seed, job.bins, scheme=job.scheme)
     phis = [resolve_functional(p, defs, model) for p in job.phi]
-    cond = {p.name: D.conditional_means(D.evaluate(p)) for p in phis}
-    towers = [verify_disintegration(D, p) for p in phis]
+    binned = D.bin_sums(phis)
+    cond = {b.phi_name: D.conditional_means(b) for b in binned}
+    towers = [verify_disintegration(D, b) for b in binned]
     support = support_check(D)
     files = []
     header = ["bin_lo", "bin_hi", "weight", "count"]

@@ -178,8 +178,8 @@ def criterion_6_disintegration():
     worst_tower = 0.0
     for i, (model, G, r_values) in enumerate(cases):
         D = disintegrate(model, G, 10 ** 6, 2606 + i, bins=200)
-        for phi in (Constant(1.0), gauss_phi):
-            tower = verify_disintegration(D, phi)
+        for binned in D.bin_sums([Constant(1.0), gauss_phi]):
+            tower = verify_disintegration(D, binned)
             worst_tower = max(worst_tower, tower.rel_error)
             if tower.rel_error > 1e-12:
                 return _result(6, "disintegration", False,

@@ -4,7 +4,10 @@ The surface measure at level r is never materialized as points: integrating
 a test function phi against it IS evaluating the density ``q_phi(r)``, so a
 :class:`SurfaceMeasureHandle` is just (G, r) plus the estimator
 configuration, and every surface operation reduces to density estimates plus
-deterministic oracles:
+deterministic oracles.  Each operation is a set of weight columns of one
+:func:`~glset.density.stream_pass`, so every entry point below draws the
+``(model, G, n, seed)`` stream once, and :func:`surface_report` answers all
+of its queries from a single pass:
 
 * integration-by-parts residuals compare the sublevel integral of
   ``D_k phi - xi_k phi`` with the surface integral of ``phi D_k G``,
@@ -22,12 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import DEFAULT_GRADIENT_FLOOR
-from .density import DensityCurve, DensityJob, batch_mean_stderr, map_chunks
+from .density import DensityCurve, PassResult, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           ProductWithPartial, RadialClamp)
 from .model import GaussianModel
 
 QUAD_NODES = 64
+TRACE_LEVELS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,8 @@ class SurfaceMeasureHandle:
     """Access to the surface measure of G at level r through an estimator.
 
     All integrals computed through one handle share the sample stream, so
-    ``integral(1)`` equals the total mass estimate exactly.
+    ``integral(1)`` equals the total mass estimate exactly.  The stream is
+    drawn once per :meth:`stream_pass`, whatever the number of weights.
     """
 
     model: GaussianModel
@@ -52,23 +57,29 @@ class SurfaceMeasureHandle:
             raise ValueError(f"handle estimator must be divergence or mollified, "
                              f"got {self.estimator!r}")
 
-    def job(self, phi: Functional) -> DensityJob:
-        return DensityJob(model=self.model, G=self.G, phi=phi,
-                          r_grid=(float(self.r),), n=self.n, seed=self.seed,
-                          epsilon=self.epsilon, estimator=self.estimator,
-                          floor=self.floor)
+    def stream_pass(self, queries) -> PassResult:
+        """Answer every query at level r from one pass over the stream."""
+        return stream_pass(self.model, self.G, self.n, self.seed, (float(self.r),),
+                           queries, epsilon=self.epsilon, floor=self.floor)
 
 
 def surface_integral_curve(h: SurfaceMeasureHandle, phi: Functional) -> DensityCurve:
-    from .density import estimate_density
+    return h.stream_pass([Query(phi, h.estimator)]).results[0]
 
-    return estimate_density(h.job(phi))[h.estimator]
+
+def _value(curve: DensityCurve):
+    return float(curve.estimates[0]), float(curve.stderrs[0])
 
 
 def surface_integral(h: SurfaceMeasureHandle, phi: Functional):
     """``integral of phi d sigma_r = q_phi(r)``; returns (value, stderr)."""
-    curve = surface_integral_curve(h, phi)
-    return float(curve.estimates[0]), float(curve.stderrs[0])
+    return _value(surface_integral_curve(h, phi))
+
+
+def surface_integrals(h: SurfaceMeasureHandle, phis) -> list[tuple[float, float]]:
+    """(value, stderr) of the integral of every phi, from one pass."""
+    return [_value(c) for c in h.stream_pass([Query(phi, h.estimator)
+                                              for phi in phis]).results]
 
 
 # ----------------------------- integration by parts -----------------------------
@@ -103,52 +114,49 @@ class IbpRecord:
         return abs(self.residual) <= self.band
 
 
-def _sublevel_lhs_curve(model, G, phi, k, r_grid, n, seed):
-    """MC means of ``1_{G<r} (D_k phi - xi_k phi)`` over a grid, one pass."""
-    from .density import _sorted_partials
+class _IbpSublevel(Functional):
+    """``D_k phi - xi_k phi``: the sublevel-side integrand of the
+    integration-by-parts identity for (phi, k)."""
 
-    r = np.asarray(r_grid, dtype=float)
+    def __init__(self, phi: Functional, k: int):
+        self.phi = phi
+        self.k = k
+        self.name = f"D{k}({phi.name}) - xi({k})*({phi.name})"
 
-    def worker(index, pts):
-        gv = G.value(pts)
-        pv = phi.value(pts)
-        dpk = phi.partial(pts, k)
-        integ = dpk - pts[:, k - 1] * pv
-        order = np.argsort(gv, kind="stable")
-        sums, _ = _sorted_partials(gv[order], integ[order], r)
-        return sums, pts.shape[0]
+    def value(self, xi):
+        return self.phi.partial(xi, self.k) - xi[:, self.k - 1] * self.phi.value(xi)
 
-    results = map_chunks(model, n, seed, worker)
-    sums = np.array([s for s, _ in results])
-    counts = np.array([c for _, c in results], dtype=float)
-    return batch_mean_stderr(sums, counts)
+
+def _ibp_queries(model, G, phi, k, route) -> list[Query]:
+    """Both sides of the (phi, k) identity as columns of one pass."""
+    if k < 1 or k > model.dim:
+        raise IndexError(f"direction {k} out of range 1..{model.dim}")
+    return [Query(_IbpSublevel(phi, k), "cdf"),
+            Query(ProductWithPartial(phi, G, k), route)]
+
+
+def _ibp_records(phi, k, lhs, rhs: DensityCurve) -> list[IbpRecord]:
+    lhs, lhs_se = lhs
+    return [IbpRecord(phi_name=phi.name, k=k, r=float(r), lhs=float(l),
+                      lhs_stderr=float(ls), rhs=float(rv), rhs_stderr=float(rs))
+            for r, l, ls, rv, rs in zip(rhs.r, lhs, lhs_se, rhs.estimates,
+                                        rhs.stderrs)]
 
 
 def ibp_residuals(model: GaussianModel, G: Functional, phi: Functional, k: int,
                   r_grid, n: int, seed: int, estimator: str = "divergence",
                   epsilon: float | None = None) -> list[IbpRecord]:
     """Residuals of ``E[1_{G<r}(D_k phi - xi_k phi)] = int phi D_kG d sigma_r``
-    at every grid level, on shared samples."""
-    if k < 1 or k > model.dim:
-        raise IndexError(f"direction {k} out of range 1..{model.dim}")
-    from .density import estimate_density
-
-    lhs, lhs_se = _sublevel_lhs_curve(model, G, phi, k, r_grid, n, seed)
-    rhs_job = DensityJob(model=model, G=G, phi=ProductWithPartial(phi, G, k),
-                         r_grid=tuple(float(r) for r in r_grid), n=n, seed=seed,
-                         epsilon=epsilon, estimator=estimator)
-    rhs = estimate_density(rhs_job)[estimator]
-    return [IbpRecord(phi_name=phi.name, k=k, r=float(r), lhs=float(l),
-                      lhs_stderr=float(ls), rhs=float(rv), rhs_stderr=float(rs))
-            for r, l, ls, rv, rs in zip(rhs.r, np.atleast_1d(lhs),
-                                        np.atleast_1d(lhs_se), rhs.estimates,
-                                        rhs.stderrs)]
+    at every grid level, both sides from one pass."""
+    res = stream_pass(model, G, n, seed, r_grid,
+                      _ibp_queries(model, G, phi, k, estimator), epsilon=epsilon)
+    return _ibp_records(phi, k, *res.results)
 
 
 def ibp_residual(h: SurfaceMeasureHandle, phi: Functional, k: int) -> IbpRecord:
     """Single-level integration-by-parts residual through a handle."""
-    return ibp_residuals(h.model, h.G, phi, k, (h.r,), h.n, h.seed,
-                         estimator=h.estimator, epsilon=h.epsilon)[0]
+    res = h.stream_pass(_ibp_queries(h.model, h.G, phi, k, h.estimator))
+    return _ibp_records(phi, k, *res.results)[0]
 
 
 @dataclass
@@ -209,19 +217,25 @@ class TraceReport:
         return self.diffs[-1] == 0.0
 
 
-def trace_eval(h: SurfaceMeasureHandle, phi: Functional,
-               clamp_levels=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0)) -> TraceReport:
-    target, target_se = surface_integral(h, phi)
-    ests, ses, diffs = [], [], []
-    for m in clamp_levels:
-        est, se = surface_integral(h, Product(phi, RadialClamp(m)))
-        ests.append(est)
-        ses.append(se)
-        diffs.append(abs(est - target))
+def _trace_queries(phi: Functional, levels, route) -> list[Query]:
+    return [Query(Product(phi, RadialClamp(m)), route) for m in levels]
+
+
+def _trace_report(h, phi, levels, target: DensityCurve, clamped) -> TraceReport:
+    target, target_se = _value(target)
+    values = [_value(c) for c in clamped]
     return TraceReport(phi_name=phi.name, r=h.r, target=target,
-                       target_stderr=target_se, levels=tuple(clamp_levels),
-                       estimates=tuple(ests), stderrs=tuple(ses),
-                       diffs=tuple(diffs))
+                       target_stderr=target_se, levels=tuple(levels),
+                       estimates=tuple(est for est, _ in values),
+                       stderrs=tuple(se for _, se in values),
+                       diffs=tuple(abs(est - target) for est, _ in values))
+
+
+def trace_eval(h: SurfaceMeasureHandle, phi: Functional,
+               clamp_levels=TRACE_LEVELS) -> TraceReport:
+    target, *clamped = h.stream_pass(
+        [Query(phi, h.estimator)] + _trace_queries(phi, clamp_levels, h.estimator)).results
+    return _trace_report(h, phi, clamp_levels, target, clamped)
 
 
 # ----------------------------- positivity interval -----------------------------
@@ -252,19 +266,9 @@ class PositivityReport:
 def positivity_scan(model: GaussianModel, G: Functional, r_grid, n: int, seed: int,
                     estimator: str = "divergence",
                     epsilon: float | None = None) -> PositivityReport:
-    from .density import estimate_density
-
-    job = DensityJob(model=model, G=G, phi=Constant(1.0), r_grid=tuple(r_grid),
-                     n=n, seed=seed, epsilon=epsilon, estimator=estimator)
-    curve = estimate_density(job)[estimator]
-
-    def worker(index, pts):
-        gv = G.value(pts)
-        return float(np.min(gv)), float(np.max(gv))
-
-    extremes = map_chunks(model, n, seed, worker)
-    g_min = min(lo for lo, _ in extremes)
-    g_max = max(hi for _, hi in extremes)
+    res = stream_pass(model, G, n, seed, r_grid, [Query(Constant(1.0), estimator)],
+                      epsilon=epsilon)
+    curve, g_min, g_max = res.results[0], res.g_min, res.g_max
 
     interior_bad, exterior_bad = [], []
     for r, est, se in zip(curve.r, curve.estimates, curve.stderrs):
@@ -311,13 +315,21 @@ def unit_sphere_grid(d: int, nodes: int = QUAD_NODES):
 
 
 def sphere_blocks(d: int, nodes: int = QUAD_NODES):
-    """Yield (points, weights) blocks covering the unit sphere in R^d."""
+    """Yield (points, weights) blocks covering the unit sphere in R^d.
+
+    The grid on the sphere in R^min(d, 4) is built once; each outer angle
+    beyond it scales that one block.
+    """
+    yield from _lifted_blocks(d, nodes, unit_sphere_grid(min(d, 4), nodes))
+
+
+def _lifted_blocks(d, nodes, base):
     if d <= 4:
-        yield unit_sphere_grid(d, nodes)
+        yield base
         return
     th, w = _gl_nodes(0.0, np.pi, nodes)
     for i in range(nodes):
-        for sub_pts, sub_w in sphere_blocks(d - 1, nodes):
+        for sub_pts, sub_w in _lifted_blocks(d - 1, nodes, base):
             pts = np.empty((len(sub_w), d))
             pts[:, 0] = np.cos(th[i])
             pts[:, 1:] = np.sin(th[i]) * sub_pts
@@ -439,25 +451,33 @@ class HausdorffRecord:
         return self.rel_error <= max(0.01, 4.0 * self.mc_stderr / scale)
 
 
-def hausdorff_compare(h: SurfaceMeasureHandle, phi: Functional,
-                      nodes: int = QUAD_NODES) -> HausdorffRecord:
-    """Compare a surface integral with exact quadrature of the weighted
-    Hausdorff form; only spheres (norm2) and hyperplanes (linear G)."""
+def _quadrature(h: SurfaceMeasureHandle, phi: Functional, nodes: int):
+    """(geometry, value) of the weighted Hausdorff form of the handle's level
+    set; only spheres (norm2) and hyperplanes (linear G)."""
     d = h.model.dim
     if d > 6:
         raise ValueError("quadrature oracle supports d <= 6")
     if isinstance(h.G, Norm2):
-        quad = sphere_quadrature(phi, d, h.r, nodes)
-        geometry = "sphere"
-    elif isinstance(h.G, Linear):
-        quad = hyperplane_quadrature(phi, h.G.weights, d, h.r, nodes)
-        geometry = "hyperplane"
-    else:
-        raise ValueError(f"no quadrature oracle for G={h.G.name!r}")
-    mc, mc_se = surface_integral(h, phi)
+        return "sphere", sphere_quadrature(phi, d, h.r, nodes)
+    if isinstance(h.G, Linear):
+        return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r, nodes)
+    raise ValueError(f"no quadrature oracle for G={h.G.name!r}")
+
+
+def _hausdorff_record(h, phi, nodes, quadrature, curve: DensityCurve) -> HausdorffRecord:
+    geometry, quad = quadrature
+    mc, mc_se = _value(curve)
     return HausdorffRecord(g_name=h.G.name, phi_name=phi.name, r=h.r,
                            geometry=geometry, mc_value=mc, mc_stderr=mc_se,
                            quad_value=quad, nodes=nodes)
+
+
+def hausdorff_compare(h: SurfaceMeasureHandle, phi: Functional,
+                      nodes: int = QUAD_NODES) -> HausdorffRecord:
+    """Compare a surface integral with exact quadrature of the weighted
+    Hausdorff form; only spheres (norm2) and hyperplanes (linear G)."""
+    quadrature = _quadrature(h, phi, nodes)
+    return _hausdorff_record(h, phi, nodes, quadrature, surface_integral_curve(h, phi))
 
 
 # ----------------------------- aggregate report -----------------------------
@@ -483,18 +503,37 @@ class SurfaceReport:
 
 def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
                    k_list=(), with_trace=False, with_hausdorff=False) -> SurfaceReport:
-    mass_curve = surface_integral_curve(h, Constant(1.0))
+    """Total mass, the integral of every phi, the IBP residual of every
+    (phi, k), the trace of the first phi and the Hausdorff comparison of the
+    first phi (or of 1), all from one pass over the handle's stream."""
+    route = h.estimator
+    mass = Constant(1.0)
+    first = phis[0] if phis else mass
+    quadrature = _quadrature(h, first, QUAD_NODES) if with_hausdorff else None
+    pairs = [(phi, k) for phi in phis for k in k_list]
+    traced = with_trace and bool(phis)
+    queries = [Query(phi, route) for phi in [mass, *phis]]
+    for phi, k in pairs:
+        queries += _ibp_queries(h.model, h.G, phi, k, route)
+    if traced:
+        queries += _trace_queries(first, TRACE_LEVELS, route)
+
+    results = iter(h.stream_pass(queries).results)
+    mass_curve = next(results)
+    curves = [next(results) for _ in phis]
+    total_mass, total_mass_stderr = _value(mass_curve)
     report = SurfaceReport(
-        r=h.r, g_name=h.G.name, n=h.n, seed=h.seed, estimator=h.estimator,
-        total_mass=float(mass_curve.estimates[0]),
-        total_mass_stderr=float(mass_curve.stderrs[0]),
+        r=h.r, g_name=h.G.name, n=h.n, seed=h.seed, estimator=route,
+        total_mass=total_mass, total_mass_stderr=total_mass_stderr,
         excluded_fraction=mass_curve.excluded_fraction, flags=mass_curve.flags)
-    for phi in phis:
-        report.integrals[phi.name] = surface_integral(h, phi)
-        for k in k_list:
-            report.ibp.append(ibp_residual(h, phi, k))
-    if with_trace and phis:
-        report.trace = trace_eval(h, phis[0])
+    for phi, curve in zip(phis, curves):
+        report.integrals[phi.name] = _value(curve)
+    for phi, k in pairs:
+        report.ibp.extend(_ibp_records(phi, k, next(results), next(results)))
+    first_curve = curves[0] if phis else mass_curve
+    if traced:
+        report.trace = _trace_report(h, first, TRACE_LEVELS, first_curve, list(results))
     if with_hausdorff:
-        report.hausdorff = hausdorff_compare(h, phis[0] if phis else Constant(1.0))
+        report.hausdorff = _hausdorff_record(h, first, QUAD_NODES, quadrature,
+                                             first_curve)
     return report

@@ -57,18 +57,18 @@ class TestTowerIdentity:
                              ids=["one", "xi1", "gauss"])
     def test_exact_with_shared_samples(self, iid3, phi):
         D = disintegrate(iid3, Coordinate(1), 2 * 10 ** 5, seed=19, bins=50)
-        rec = verify_disintegration(D, phi)
+        rec = verify_disintegration(D, *D.bin_sums([phi]))
         assert rec.rel_error <= 1e-12
 
     def test_constant_weight_gives_one(self, iid3):
         D = disintegrate(iid3, Coordinate(1), 10 ** 4, seed=23, bins=20)
-        rec = verify_disintegration(D, ONE)
+        rec = verify_disintegration(D, *D.bin_sums([ONE]))
         assert rec.plain_mean == 1.0
         assert rec.weighted_sum == pytest.approx(1.0, abs=1e-14)
 
     def test_centered_weight_near_zero(self, iid3):
         D = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=29, bins=20)
-        rec = verify_disintegration(D, Coordinate(1))
+        rec = verify_disintegration(D, *D.bin_sums([Coordinate(1)]))
         assert abs(rec.plain_mean) < 4 / np.sqrt(10 ** 5)
         assert rec.rel_error <= 1e-12
 
@@ -76,8 +76,8 @@ class TestTowerIdentity:
         phi = ExpressionFunctional("exp(-norm2())")
         coarse = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=25)
         fine = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=50)
-        a = verify_disintegration(coarse, phi)
-        b = verify_disintegration(fine, phi)
+        a = verify_disintegration(coarse, *coarse.bin_sums([phi]))
+        b = verify_disintegration(fine, *fine.bin_sums([phi]))
         assert a.plain_mean == b.plain_mean
         assert a.weighted_sum == pytest.approx(b.weighted_sum, rel=1e-12)
 

@@ -202,5 +202,10 @@ class TestCli:
         monkeypatch.delenv("GLSET_THREADS")
         ref = tmp_path / "serial"
         assert run(cfg, output_dir=ref) == 0
-        assert (out / "job01_density.csv").read_bytes() == \
-            (ref / "job01_density.csv").read_bytes()
+        # every job kind, csv and json: density, surface, ibp, disintegrate,
+        # hausdorff
+        names = sorted(p.name for p in ref.iterdir() if p.name != "manifest.json")
+        assert len(names) == 10
+        assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name

@@ -1,0 +1,121 @@
+"""One stream pass per (model, G, n, seed): pass counts and column independence.
+
+A pass is one call of ``map_chunks`` or ``iter_sample_chunks``, counted in
+every glset namespace that imports them.  Every weight column of a pass
+must give the same bits alone as alongside other columns.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from glset import (Constant, Coordinate, Norm2, Query, SurfaceMeasureHandle,
+                   conditional_vs_surface, density, disintegrate,
+                   hausdorff_compare, ibp_residual, ibp_residuals, model,
+                   parse_config, positivity_scan, run, stream_pass,
+                   surface_integral, surface_report, trace_eval)
+from glset.expressions import ExpressionFunctional
+
+ONE = Constant(1.0)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """List that records one entry per stream pass made during the test."""
+    calls = []
+    for original in (density.map_chunks, model.iter_sample_chunks):
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "glset" or name.startswith("glset.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def two_phis():
+    return [ExpressionFunctional("exp(-norm2())"), Coordinate(1)]
+
+
+def sphere_handle(iid3, estimator="divergence", n=50_000):
+    return SurfaceMeasureHandle(model=iid3, G=Norm2(), r=2.0, n=n, seed=211,
+                                estimator=estimator)
+
+
+class TestPassCounts:
+    def test_surface_report_makes_one_pass(self, iid3, passes):
+        report = surface_report(sphere_handle(iid3), two_phis(), k_list=(1, 2),
+                                with_trace=True, with_hausdorff=True)
+        assert len(passes) == 1
+        assert len(report.ibp) == 4
+        assert report.trace is not None and report.hausdorff is not None
+
+    def test_single_purpose_entry_points_make_one_pass(self, iid3, passes):
+        h = sphere_handle(iid3)
+        phi = two_phis()[0]
+        ibp_residuals(iid3, Norm2(), phi, 1, (1.0, 2.0), 20_000, seed=3)
+        ibp_residual(h, phi, 2)
+        trace_eval(h, phi)
+        hausdorff_compare(h, phi)
+        positivity_scan(iid3, Norm2(), (1.0, 2.0), 20_000, seed=5)
+        assert len(passes) == 5
+
+    def test_runner_disintegrate_job_makes_two_passes(self, tmp_path, passes):
+        cfg = parse_config("model iid_gaussian\ndim 3\nformats csv json\n"
+                           "job disintegrate\n  G norm2\n  phi_list 1 exp(-norm2())\n"
+                           "  bins 20\n  n 40000\n  seed 5\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        assert len(passes) <= 2
+
+    def test_conditional_vs_surface_makes_two_passes(self, iid3, passes):
+        D = disintegrate(iid3, Norm2(), 40_000, seed=7, bins=20)
+        del passes[:]
+        conditional_vs_surface(D, sphere_handle(iid3, n=40_000), two_phis()[0])
+        assert len(passes) == 2
+
+
+class TestColumnIndependence:
+    @pytest.mark.parametrize("estimator", ["divergence", "mollified"])
+    def test_report_matches_single_queries_bitwise(self, iid3, estimator):
+        h = sphere_handle(iid3, estimator)
+        phis = two_phis()
+        report = surface_report(h, phis, k_list=(1, 2), with_trace=True,
+                                with_hausdorff=True)
+        assert report.total_mass == surface_integral(h, ONE)[0]
+        for phi in phis:
+            assert report.integrals[phi.name] == surface_integral(h, phi)
+        assert report.ibp == [ibp_residual(h, phi, k) for phi in phis for k in (1, 2)]
+        assert report.trace == trace_eval(h, phis[0])
+        assert report.hausdorff == hausdorff_compare(h, phis[0])
+
+    def test_query_bits_do_not_depend_on_companions(self, iid3):
+        phi = two_phis()[0]
+        queries = [Query(phi, "divergence"), Query(Coordinate(2), "mollified"),
+                   Query(phi, "cdf"), Query(ONE, "divergence")]
+        grid = (0.5, 2.0, 4.0)
+        together = stream_pass(iid3, Norm2(), 50_000, 13, grid, queries,
+                               epsilon=0.1).results
+        for q, joint in zip(queries, together):
+            alone, = stream_pass(iid3, Norm2(), 50_000, 13, grid, [q],
+                                 epsilon=0.1).results
+            if q.route == "cdf":
+                assert np.array_equal(alone[0], joint[0])
+                assert np.array_equal(alone[1], joint[1])
+            else:
+                assert np.array_equal(alone.estimates, joint.estimates)
+                assert np.array_equal(alone.stderrs, joint.stderrs)
+                assert alone.flags == joint.flags
+
+    def test_pass_reports_the_sample_range_of_g(self, iid3):
+        res = stream_pass(iid3, Coordinate(1), 40_000, 17, (0.0,), [Query(ONE, "cdf")])
+        pts = np.concatenate([p for _, p in model.iter_sample_chunks(iid3, 40_000, 17)])
+        assert res.g_min == pts[:, 0].min() and res.g_max == pts[:, 0].max()
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError):
+            Query(ONE, "both")

@@ -8,7 +8,7 @@ from glset import (Constant, Coordinate, Linear, Norm2, SublevelBump,
                    perimeter_identity_check, positivity_scan, sphere_quadrature,
                    surface_integral, surface_report, trace_eval)
 from glset.expressions import ExpressionFunctional
-from glset.surface import unit_sphere_grid
+from glset.surface import sphere_blocks, unit_sphere_grid
 
 ONE = Constant(1.0)
 GAMMA0 = float(stats.norm.pdf(0.0))
@@ -173,6 +173,13 @@ class TestQuadratureOracles:
     def test_hyperplane_d2_r0_closed_form(self):
         quad = hyperplane_quadrature(ONE, np.array([1.0]), 2, 0.0)
         assert quad == pytest.approx(0.39894, abs=1e-5)
+
+    def test_sphere_blocks_concatenate_to_the_product_grid(self):
+        blocks = list(sphere_blocks(5, 8))
+        pts, w = unit_sphere_grid(5, 8)
+        assert len(blocks) == 8
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
 
     def test_sphere_level_must_be_positive(self):
         with pytest.raises(ValueError):
