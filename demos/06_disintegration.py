@@ -46,7 +46,7 @@ for j in picks:
 # the surface measure there
 h = SurfaceMeasureHandle(model=model, G=Coordinate(1), r=1.0, n=n, seed=51,
                          estimator="divergence")
-rec = conditional_vs_surface(D, h, Coordinate(1))
+rec = conditional_vs_surface(D, h, Coordinate(1), xi1_sums)
 print(f"\nconditional route: q1 * E[xi_1 | bin] = {rec.product:.5f}")
 print(f"surface route:     q_(xi_1)(1)         = {rec.surface_value:.5f}")
 print(f"normal pdf at 1 (both should track it): "

@@ -22,9 +22,9 @@ from .density import (DensityCurve, DensityJob, Query, cdf_estimate,
                       estimate_density, smoothness_check, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
                       SurfaceReport, hausdorff_compare, hyperplane_quadrature,
-                      ibp_residual, ibp_residuals, perimeter_identity_check,
-                      positivity_scan, sphere_quadrature, surface_integral,
-                      surface_report, trace_eval)
+                      ibp_residual, ibp_residuals, positivity_scan,
+                      sphere_quadrature, surface_integral, surface_report,
+                      trace_eval)
 from .disintegration import (BinSums, ConditionalSurfaceRecord,
                              EmpiricalDisintegration,
                              conditional_vs_surface, disintegrate, support_check,
@@ -51,7 +51,7 @@ __all__ = [
     "smoothness_check", "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",
     "surface_integral", "surface_report", "ibp_residual", "ibp_residuals",
-    "perimeter_identity_check", "positivity_scan", "trace_eval",
+    "positivity_scan", "trace_eval",
     "hausdorff_compare", "sphere_quadrature", "hyperplane_quadrature",
     "EmpiricalDisintegration", "ConditionalSurfaceRecord", "BinSums", "disintegrate",
     "verify_disintegration", "support_check", "conditional_vs_surface",

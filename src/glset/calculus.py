@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Functional, VectorField, check_finite
-from .model import GaussianModel, iter_sample_chunks
+from .model import GaussianModel
 
 DEFAULT_GRADIENT_FLOOR = 1e-12
 
@@ -60,15 +60,6 @@ class KernelField:
             raise ValueError("gradient floor must be positive")
         self.G = G
         self.floor = float(floor)
-
-    def components_and_exclusions(self, xi, grad=None):
-        g = self.G.gradient(xi) if grad is None else grad
-        s = np.sum(g * g, axis=1)
-        excluded = s < self.floor * self.floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi = g / s[:, None]
-        psi[excluded] = 0.0
-        return psi, excluded
 
     def divergence(self, xi, grad=None):
         """Composite-formula divergence over a batch.
@@ -108,7 +99,7 @@ def kernel_divergence(G: Functional, xi, floor: float = DEFAULT_GRADIENT_FLOOR):
 
 # ----------------------------- tail diagnostics -----------------------------
 
-def hill_tail_index(smallest_gnorms: np.ndarray, n_total: int) -> float:
+def hill_tail_index(smallest_gnorms: np.ndarray) -> float:
     """Tail index of ``1/|D_H G|`` from the k+1 smallest gradient norms.
 
     Hill estimator on the upper order statistics of ``X = 1/|grad|``:
@@ -183,65 +174,57 @@ class HypothesisReport:
         return "  ".join(parts)
 
 
-class TailAccumulator:
-    """Streaming bottom-k gradient norms plus inverse-power sums."""
-
-    def __init__(self, k: int, inv_orders=(1, 2, 4)):
-        self.k = k
-        self.inv_orders = tuple(inv_orders)
-        self.bottom = np.empty(0)
-        self.sums = {q: [] for q in self.inv_orders}
-        self.sumsq = {q: [] for q in self.inv_orders}
-        self.counts = []
-
-    def update(self, gnorm: np.ndarray, excluded: np.ndarray):
-        live = gnorm[~excluded] if excluded.any() else gnorm
-        merged = np.concatenate([self.bottom, live])
-        if len(merged) > self.k + 1:
-            merged = np.partition(merged, self.k)[: self.k + 1]
-        self.bottom = merged
-        self.counts.append(len(live))
-        for q in self.inv_orders:
-            with np.errstate(divide="ignore", over="ignore"):
-                x = live ** (-float(q))
-            self.sums[q].append(float(np.sum(x)))
-            self.sumsq[q].append(float(np.sum(x * x)))
-
-    def finish(self, n_total: int) -> tuple[float, dict]:
-        alpha = hill_tail_index(self.bottom, n_total)
-        out = {}
-        n_live = int(np.sum(self.counts))
-        for q in self.inv_orders:
-            total = float(np.sum(self.sums[q]))
-            est = total / n_live if n_live else np.nan
-            var = float(np.sum(self.sumsq[q])) / n_live - est * est if n_live else np.nan
-            se = np.sqrt(max(var, 0.0) / n_live) if n_live else np.nan
-            out[q] = InverseMomentDiag(q=q, estimate=est, stderr=se,
-                                       diverging=moment_diverging(alpha, q))
-        return alpha, out
-
-
 def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: int,
                            pos_orders=(1, 2), inv_orders=(1, 2, 4),
                            floor: float = DEFAULT_GRADIENT_FLOOR,
                            hill_k: int | None = None) -> HypothesisReport:
-    """Estimate moments of ``|D_H G|`` and flag diverging inverse moments."""
+    """Estimate moments of ``|D_H G|`` and flag diverging inverse moments.
+
+    One :func:`~glset.density.map_chunks` pass.  Each chunk returns its
+    floor exclusions, its sums of ``|D_H G|^a`` over all samples and of
+    ``|D_H G|^-q`` and its square over the samples above the floor, and the
+    ``hill_k + 1`` smallest norms above the floor.  Chunk results are reduced
+    in chunk order, so the report does not depend on ``GLSET_THREADS``.
+    """
+    from .density import map_chunks  # density imports this module
+
     k_hill = hill_k if hill_k is not None else max(100, min(2000, n // 100))
-    tail = TailAccumulator(k_hill, inv_orders)
-    pos_sums = {a: 0.0 for a in pos_orders}
-    excl = 0
-    for _, pts in iter_sample_chunks(model, n, seed):
+
+    def worker(index, pts):
         g = G.gradient(pts)
         gnorm = np.sqrt(np.sum(g * g, axis=1))
         check_finite(gnorm, "gradient norm", G.name)
         excluded = gnorm < floor
-        excl += int(np.count_nonzero(excluded))
-        tail.update(gnorm, excluded)
+        live = gnorm[~excluded] if excluded.any() else gnorm
+        keep = min(len(live), k_hill + 1)
+        bottom = np.partition(live, keep - 1)[:keep] if keep else live
+        pos = {a: float(np.sum(gnorm ** float(a))) for a in pos_orders}
+        inv = {}
+        for q in inv_orders:
+            with np.errstate(divide="ignore", over="ignore"):
+                x = live ** (-float(q))
+            inv[q] = (float(np.sum(x)), float(np.sum(x * x)))
+        return int(np.count_nonzero(excluded)), len(live), bottom, pos, inv
+
+    excl, live_counts, bottoms, pos, inv = zip(*map_chunks(model, n, seed, worker))
+    alpha = hill_tail_index(np.sort(np.concatenate(bottoms))[: k_hill + 1])
+    pos_sums = dict.fromkeys(pos_orders, 0.0)
+    for chunk_pos in pos:
         for a in pos_orders:
-            pos_sums[a] += float(np.sum(gnorm ** float(a)))
-    alpha, inv = tail.finish(n)
-    report = HypothesisReport(
+            pos_sums[a] += chunk_pos[a]
+    n_live = sum(live_counts)
+    inv_moments = {}
+    for q in inv_orders:
+        if n_live:
+            est = float(np.sum([c[q][0] for c in inv])) / n_live
+            var = float(np.sum([c[q][1] for c in inv])) / n_live - est * est
+            se = np.sqrt(max(var, 0.0) / n_live)
+        else:
+            est = se = np.nan
+        inv_moments[q] = InverseMomentDiag(q=q, estimate=est, stderr=se,
+                                           diverging=moment_diverging(alpha, q))
+    return HypothesisReport(
         g_name=G.name, n=n, seed=seed,
         pos_moments={a: pos_sums[a] / n for a in pos_orders},
-        inv_moments=inv, hill_alpha=alpha, hill_k=k_hill, floor_exclusions=excl)
-    return report
+        inv_moments=inv_moments, hill_alpha=alpha, hill_k=k_hill,
+        floor_exclusions=sum(excl))

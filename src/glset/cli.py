@@ -42,25 +42,29 @@ def main(argv=None) -> int:
         print(GRAMMAR, end="")
         return 0
     if args.command == "run":
-        from .runner import run_text
+        from .config import ConfigError, parse_config
+        from .runner import run
 
         try:
             text = args.config.read_text()
         except OSError as e:
             print(f"cannot read {args.config}: {e}", file=sys.stderr)
             return 1
-        return run_text(text, output_dir=args.output)
+        try:
+            config = parse_config(text)
+        except ConfigError as e:
+            for issue in e.issues:
+                print(str(issue), file=sys.stderr)
+            return 1
+        return run(config, output_dir=args.output)
     if args.command == "selftest":
-        from .runner import write_json
+        from .runner import write_selftest
         from .selftest import run_acceptance
 
         results = run_acceptance(verbose=True)
         if args.output is not None:
-            import dataclasses
-
             args.output.mkdir(parents=True, exist_ok=True)
-            write_json(args.output / "selftest.json",
-                       {"results": [dataclasses.asdict(r) for r in results]})
+            write_selftest(args.output / "selftest", results)
         return 0 if all(r.passed for r in results) else 2
     return 1
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .calculus import DEFAULT_GRADIENT_FLOOR, KernelField, hill_tail_index, moment_diverging
 from .functionals import Constant, Functional, check_finite
-from .model import CHUNK_SIZE, GaussianModel, _chunk_generator
+from .model import CHUNK_SIZE, GaussianModel, _chunk_generator, _chunk_layout
 
 VARIANCE_UNRELIABLE = "variance unreliable"
 # smallest gradient norms kept for the Hill tail index of a pass
@@ -49,21 +49,6 @@ def thread_count() -> int:
         return 1
 
 
-def chunk_layout(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
-    """(index, size) pairs of the fixed chunking policy."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    out = []
-    start = 0
-    index = 0
-    while start < n:
-        size = min(chunk_size, n - start)
-        out.append((index, size))
-        start += size
-        index += 1
-    return out
-
-
 def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     """Run ``worker(index, points)`` over every chunk; results in index order.
 
@@ -71,7 +56,7 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     any worker count because chunks are generated from per-index substreams
     and stored by index.
     """
-    layout = chunk_layout(n)
+    layout = _chunk_layout(n)
 
     def job(item):
         index, size = item
@@ -302,7 +287,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     if want_div:
         excluded_fraction = int(np.sum([st.excl for st in stats])) / n
         bottom = np.sort(np.concatenate([st.bottom_g for st in stats]))[: HILL_K + 1]
-        unreliable = moment_diverging(hill_tail_index(bottom, n), 4)
+        unreliable = moment_diverging(hill_tail_index(bottom), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)
     results = []

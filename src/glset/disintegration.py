@@ -13,8 +13,8 @@ conditional measures are only defined where the image measure puts mass.
 
 Binning takes one pass over the stream for the G values;
 :meth:`EmpiricalDisintegration.bin_sums` takes one more for the per-bin sums
-of any number of weights, and every conditional quantity is read off those
-sums.
+of any number of weights, and every conditional quantity, including the
+conditional side of :func:`conditional_vs_surface`, is read off those sums.
 """
 
 from __future__ import annotations
@@ -235,10 +235,18 @@ class ConditionalSurfaceRecord:
 
 
 def conditional_vs_surface(D: EmpiricalDisintegration, h: SurfaceMeasureHandle,
-                           phi: Functional) -> ConditionalSurfaceRecord:
+                           phi: Functional, binned: BinSums) -> ConditionalSurfaceRecord:
+    """Compare ``q1(r) E[phi | G in bin(r)]`` with the surface integral of phi.
+
+    The conditional side is read off ``binned``, the :class:`BinSums` of phi
+    from :meth:`EmpiricalDisintegration.bin_sums`, so the bin sums of one
+    pass serve every level; the surface side (``q1`` and the integral of
+    phi) is one pass of the handle.
+    """
+    if binned.phi_name != phi.name:
+        raise ValueError(f"bin sums are of {binned.phi_name!r}, not of {phi.name!r}")
     j = D.bin_of(h.r)
     width = float(D.edges[j + 1] - D.edges[j])
-    binned, = D.bin_sums([phi])
     cond = D.conditional_means(binned)
     (q1, q1_se), (surf, surf_se) = surface_integrals(h, [Constant(1.0), phi])
     if D.counts[j] == 0:

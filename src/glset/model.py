@@ -20,7 +20,7 @@ bit-identical for a given ``(seed, n)`` no matter how chunks are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -67,13 +67,11 @@ class GaussianModel:
 class SampleBatch:
     """Reproducible batch of whitened sample points.
 
-    Identical ``(seed, n, model)`` yield bit-identical ``points``;
-    ``substream_ids`` records the Philox substream index of every chunk.
+    Identical ``(seed, n, model)`` yield bit-identical ``points``.
     """
 
     points: np.ndarray
     seed: int
-    substream_ids: tuple[int, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -127,34 +125,34 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen.jumped(chunk_index))
 
 
+def _chunk_layout(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+    """``(chunk_index, size)`` of every chunk of an n-point batch.
+
+    Chunk boundaries fall at multiples of ``chunk_size``; the last chunk may
+    be shorter.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    return [(index, min(chunk_size, n - start))
+            for index, start in enumerate(range(0, n, chunk_size))]
+
+
 def iter_sample_chunks(model: GaussianModel, n: int, seed: int,
                        chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(chunk_index, points)`` pairs covering an n-point batch.
 
-    Chunk boundaries fall at multiples of ``chunk_size``; the last chunk may
-    be shorter.  Points are standard normal rows in whitened coordinates.
+    Chunks follow :func:`_chunk_layout`.  Points are standard normal rows in
+    whitened coordinates.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    start = 0
-    index = 0
-    while start < n:
-        size = min(chunk_size, n - start)
+    for index, size in _chunk_layout(n, chunk_size):
         rng = _chunk_generator(seed, index)
         yield index, rng.standard_normal((size, model.dim))
-        start += size
-        index += 1
 
 
 def sample(model: GaussianModel, n: int, seed: int) -> SampleBatch:
     """Draw n whitened points; deterministic given (seed, n, chunking policy)."""
-    chunks = []
-    ids = []
-    for index, pts in iter_sample_chunks(model, n, seed):
-        chunks.append(pts)
-        ids.append(index)
-    return SampleBatch(points=np.concatenate(chunks, axis=0), seed=seed,
-                       substream_ids=tuple(ids))
+    chunks = [pts for _, pts in iter_sample_chunks(model, n, seed)]
+    return SampleBatch(points=np.concatenate(chunks, axis=0), seed=seed)
 
 
 def vhat(model: GaussianModel, k: int, xi: np.ndarray):

@@ -22,16 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ModelSpec, RunConfig, serialize_config
-from .density import DensityJob, estimate_density
+from .config import ModelSpec, RunConfig, serialize_config
+from .density import DensityJob, estimate_density, stream_pass
 from .disintegration import disintegrate, support_check, verify_disintegration
 from .expressions import ExpressionError, Num, parse_expression
 from .functionals import BmEndpoint, Constant, Coordinate, Linear, Norm2, \
     NumericalFault
 from .expressions import ExpressionFunctional
 from .model import GaussianModel, build_model
-from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_residuals, \
-    surface_report
+from .surface import SurfaceMeasureHandle, _ibp_queries, _ibp_records, \
+    hausdorff_compare, surface_report
 
 
 def resolve_model(spec: ModelSpec) -> GaussianModel:
@@ -128,6 +128,39 @@ DENSITY_HEADER = ["r", "estimate", "stderr", "estimator", "excluded_fraction"]
 RESIDUAL_HEADER = ["phi", "k", "r", "lhs", "rhs", "residual", "band"]
 
 
+def write_artifacts(out_base: Path, formats, table, payload) -> list[Path]:
+    """Write ``table`` (header, rows) to ``out_base.csv`` and ``payload`` to
+    ``out_base.json``, each only if its format is in ``formats``; returns
+    the paths written."""
+    files = []
+    if "csv" in formats:
+        path = out_base.with_suffix(".csv")
+        write_csv(path, *table)
+        files.append(path)
+    if "json" in formats:
+        path = out_base.with_suffix(".json")
+        write_json(path, payload)
+        files.append(path)
+    return files
+
+
+def _estimator(job) -> str:
+    """The one estimator of a surface, ibp or hausdorff job; ``both`` runs
+    the divergence route."""
+    return job.estimator if job.estimator != "both" else "divergence"
+
+
+def _handle(job, model, G) -> SurfaceMeasureHandle:
+    return SurfaceMeasureHandle(model=model, G=G, r=job.r, n=job.n,
+                                seed=job.seed, estimator=_estimator(job),
+                                epsilon=job.epsilon)
+
+
+def _residual_rows(records):
+    return [[rec.phi_name, rec.k, rec.r, rec.lhs, rec.rhs, rec.residual, rec.band]
+            for rec in records]
+
+
 def _run_density(job, model, defs, out_base, formats):
     G = resolve_functional(job.G, defs, model)
     phi = resolve_functional(job.phi[0], defs, model)
@@ -138,83 +171,52 @@ def _run_density(job, model, defs, out_base, formats):
     for key in ("divergence", "mollified"):
         if key in curves:
             rows.extend(_curve_rows(curves[key]))
-    files = []
-    if "csv" in formats:
-        path = out_base.with_suffix(".csv")
-        write_csv(path, DENSITY_HEADER, rows)
-        files.append(path)
-    if "json" in formats:
-        path = out_base.with_suffix(".json")
-        write_json(path, {"job": dataclasses.asdict(job),
-                          "curves": {k: _curve_payload(c) for k, c in curves.items()}})
-        files.append(path)
-    return files
+    return write_artifacts(out_base, formats, (DENSITY_HEADER, rows), {
+        "job": dataclasses.asdict(job),
+        "curves": {k: _curve_payload(c) for k, c in curves.items()}})
 
 
 def _run_surface(job, model, defs, out_base, formats):
     G = resolve_functional(job.G, defs, model)
     phis = [resolve_functional(p, defs, model) for p in job.phi]
-    estimator = job.estimator if job.estimator != "both" else "divergence"
-    handle = SurfaceMeasureHandle(model=model, G=G, r=job.r, n=job.n,
-                                  seed=job.seed, estimator=estimator,
-                                  epsilon=job.epsilon)
-    report = surface_report(handle, phis, k_list=job.k_list,
+    report = surface_report(_handle(job, model, G), phis, k_list=job.k_list,
                             with_trace=job.trace, with_hausdorff=job.hausdorff)
-    files = []
-    if "csv" in formats:
-        path = out_base.with_suffix(".csv")
-        if report.ibp:
-            rows = [[rec.phi_name, rec.k, rec.r, rec.lhs, rec.rhs, rec.residual,
-                     rec.band] for rec in report.ibp]
-            write_csv(path, RESIDUAL_HEADER, rows)
-        else:
-            rows = [["1", report.total_mass, report.total_mass_stderr]]
-            rows += [[name, v, s] for name, (v, s) in report.integrals.items()]
-            write_csv(path, ["phi", "value", "stderr"], rows)
-        files.append(path)
-    if "json" in formats:
-        path = out_base.with_suffix(".json")
-        payload = {
-            "job": dataclasses.asdict(job),
-            "r": report.r, "G": report.g_name, "estimator": report.estimator,
-            "total_mass": report.total_mass,
-            "total_mass_stderr": report.total_mass_stderr,
-            "excluded_fraction": report.excluded_fraction,
-            "integrals": report.integrals,
-            "flags": list(report.flags),
-            "ibp": [dataclasses.asdict(r) for r in report.ibp],
-            "trace": dataclasses.asdict(report.trace) if report.trace else None,
-            "hausdorff": dataclasses.asdict(report.hausdorff)
-            if report.hausdorff else None,
-        }
-        write_json(path, payload)
-        files.append(path)
-    return files
+    if report.ibp:
+        table = (RESIDUAL_HEADER, _residual_rows(report.ibp))
+    else:
+        rows = [["1", report.total_mass, report.total_mass_stderr]]
+        rows += [[name, v, s] for name, (v, s) in report.integrals.items()]
+        table = (["phi", "value", "stderr"], rows)
+    return write_artifacts(out_base, formats, table, {
+        "job": dataclasses.asdict(job),
+        "r": report.r, "G": report.g_name, "estimator": report.estimator,
+        "total_mass": report.total_mass,
+        "total_mass_stderr": report.total_mass_stderr,
+        "excluded_fraction": report.excluded_fraction,
+        "integrals": report.integrals,
+        "flags": list(report.flags),
+        "ibp": [dataclasses.asdict(r) for r in report.ibp],
+        "trace": dataclasses.asdict(report.trace) if report.trace else None,
+        "hausdorff": dataclasses.asdict(report.hausdorff)
+        if report.hausdorff else None,
+    })
 
 
 def _run_ibp(job, model, defs, out_base, formats):
+    """Both sides of every (phi, k) identity as columns of one stream pass."""
     G = resolve_functional(job.G, defs, model)
-    estimator = job.estimator if job.estimator != "both" else "divergence"
+    phis = [resolve_functional(p, defs, model) for p in job.phi]
+    pairs = [(phi, k) for phi in phis for k in job.k_list]
+    queries = [q for phi, k in pairs
+               for q in _ibp_queries(model, G, phi, k, _estimator(job))]
     grid = job.r_grid if job.r_grid else (job.r,)
-    records = []
-    for phi_text in job.phi:
-        phi = resolve_functional(phi_text, defs, model)
-        for k in job.k_list:
-            records.extend(ibp_residuals(model, G, phi, k, grid, job.n, job.seed,
-                                         estimator=estimator, epsilon=job.epsilon))
-    files = []
-    if "csv" in formats:
-        path = out_base.with_suffix(".csv")
-        rows = [[rec.phi_name, rec.k, rec.r, rec.lhs, rec.rhs, rec.residual,
-                 rec.band] for rec in records]
-        write_csv(path, RESIDUAL_HEADER, rows)
-        files.append(path)
-    if "json" in formats:
-        path = out_base.with_suffix(".json")
-        write_json(path, {"job": dataclasses.asdict(job),
-                          "records": [dataclasses.asdict(r) for r in records]})
-        files.append(path)
-    return files
+    results = iter(stream_pass(model, G, job.n, job.seed, grid, queries,
+                               epsilon=job.epsilon).results)
+    records = [rec for phi, k in pairs
+               for rec in _ibp_records(phi, k, next(results), next(results))]
+    return write_artifacts(out_base, formats, (RESIDUAL_HEADER, _residual_rows(records)),
+                           {"job": dataclasses.asdict(job),
+                            "records": [dataclasses.asdict(r) for r in records]})
 
 
 def _run_disintegrate(job, model, defs, out_base, formats):
@@ -225,7 +227,6 @@ def _run_disintegrate(job, model, defs, out_base, formats):
     cond = {b.phi_name: D.conditional_means(b) for b in binned}
     towers = [verify_disintegration(D, b) for b in binned]
     support = support_check(D)
-    files = []
     header = ["bin_lo", "bin_hi", "weight", "count"]
     header += [f"cond_mean_{name}" for name in cond]
     rows = []
@@ -234,61 +235,44 @@ def _run_disintegrate(job, model, defs, out_base, formats):
                int(D.counts[j])]
         row += [float(cond[name][j]) if D.counts[j] else "" for name in cond]
         rows.append(row)
-    if "csv" in formats:
-        path = out_base.with_suffix(".csv")
-        write_csv(path, header, rows)
-        files.append(path)
-    if "json" in formats:
-        path = out_base.with_suffix(".json")
-        payload = {
-            "job": dataclasses.asdict(job),
-            "edges": D.edges, "weights": D.weights, "counts": D.counts,
-            "empty_bins": D.empty_bins,
-            "tower": [dataclasses.asdict(t) | {"abs_error": t.abs_error,
-                                               "rel_error": t.rel_error}
-                      for t in towers],
-            "support_max_excess": support.max_excess,
-        }
-        if job.dump_particles:
-            payload["particles"] = {str(j): D.bin_indices(j) for j in range(D.bins)}
-        write_json(path, payload)
-        files.append(path)
-    return files
+    payload = {
+        "job": dataclasses.asdict(job),
+        "edges": D.edges, "weights": D.weights, "counts": D.counts,
+        "empty_bins": D.empty_bins,
+        "tower": [dataclasses.asdict(t) | {"abs_error": t.abs_error,
+                                           "rel_error": t.rel_error}
+                  for t in towers],
+        "support_max_excess": support.max_excess,
+    }
+    if job.dump_particles:
+        payload["particles"] = {str(j): D.bin_indices(j) for j in range(D.bins)}
+    return write_artifacts(out_base, formats, (header, rows), payload)
 
 
 def _run_hausdorff(job, model, defs, out_base, formats):
     G = resolve_functional(job.G, defs, model)
     phi = resolve_functional(job.phi[0], defs, model) if job.phi else Constant(1.0)
-    estimator = job.estimator if job.estimator != "both" else "divergence"
-    handle = SurfaceMeasureHandle(model=model, G=G, r=job.r, n=job.n,
-                                  seed=job.seed, estimator=estimator,
-                                  epsilon=job.epsilon)
-    rec = hausdorff_compare(handle, phi)
-    files = []
-    if "csv" in formats:
-        path = out_base.with_suffix(".csv")
-        write_csv(path, ["G", "phi", "r", "geometry", "mc_value", "mc_stderr",
-                         "quad_value", "rel_error"],
-                  [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,
-                    rec.mc_stderr, rec.quad_value, rec.rel_error]])
-        files.append(path)
-    if "json" in formats:
-        path = out_base.with_suffix(".json")
-        write_json(path, dataclasses.asdict(rec) | {
-            "rel_error": rec.rel_error, "within_tolerance": rec.within_tolerance,
-            "job": dataclasses.asdict(job)})
-        files.append(path)
-    return files
+    rec = hausdorff_compare(_handle(job, model, G), phi)
+    table = (["G", "phi", "r", "geometry", "mc_value", "mc_stderr", "quad_value",
+              "rel_error"],
+             [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,
+               rec.mc_stderr, rec.quad_value, rec.rel_error]])
+    return write_artifacts(out_base, formats, table, dataclasses.asdict(rec) | {
+        "rel_error": rec.rel_error, "within_tolerance": rec.within_tolerance,
+        "job": dataclasses.asdict(job)})
+
+
+def write_selftest(out_base: Path, results) -> list[Path]:
+    """The acceptance battery's report, always as ``out_base.json``."""
+    return write_artifacts(out_base, ("json",), None,
+                           {"results": [dataclasses.asdict(r) for r in results]})
 
 
 def _run_selftest(job, model, defs, out_base, formats):
     from .selftest import run_acceptance
 
     results = run_acceptance(verbose=True)
-    path = out_base.with_suffix(".json")
-    write_json(path, {"results": [dataclasses.asdict(r) for r in results]})
-    failed = [r for r in results if not r.passed]
-    return [path], not failed
+    return write_selftest(out_base, results), all(r.passed for r in results)
 
 
 _EXECUTORS = {
@@ -341,20 +325,3 @@ def _versions():
     return {"glset": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3]))}
-
-
-def run_text(text: str, output_dir=None) -> int:
-    """Parse a config text and run it; config errors exit with code 1."""
-    try:
-        config = parse_config_text(text)
-    except ConfigError as e:
-        for issue in e.issues:
-            print(str(issue), file=sys.stderr)
-        return 1
-    return run(config, output_dir)
-
-
-def parse_config_text(text: str) -> RunConfig:
-    from .config import parse_config
-
-    return parse_config(text)

@@ -159,33 +159,6 @@ def ibp_residual(h: SurfaceMeasureHandle, phi: Functional, k: int) -> IbpRecord:
     return _ibp_records(phi, k, *res.results)[0]
 
 
-@dataclass
-class PerimeterRecord:
-    """The k-th component identity of the perimeter measure of ``{G < r}``.
-
-    Same numbers as the integration-by-parts residual, reframed: the
-    sublevel side is the k-th component of the measure derivative of the
-    indicator, the surface side is the flux ``phi D_k G`` through the level
-    set.
-    """
-
-    component: int
-    r: float
-    sublevel_side: float
-    surface_flux: float
-    residual: float
-    band: float
-    within_band: bool
-
-
-def perimeter_identity_check(h: SurfaceMeasureHandle, phi: Functional,
-                             k: int) -> PerimeterRecord:
-    rec = ibp_residual(h, phi, k)
-    return PerimeterRecord(component=k, r=h.r, sublevel_side=rec.lhs,
-                           surface_flux=rec.rhs, residual=rec.residual,
-                           band=rec.band, within_band=rec.within_band)
-
-
 # ----------------------------- traces -----------------------------
 
 @dataclass

@@ -109,7 +109,8 @@ class TestConditionalVsSurface:
         D = disintegrate(iid3, Coordinate(1), n, seed=47, bins=200)
         h = SurfaceMeasureHandle(model=iid3, G=Coordinate(1), r=1.0, n=n,
                                  seed=47, estimator="divergence")
-        rec = conditional_vs_surface(D, h, Coordinate(1))
+        xi1 = Coordinate(1)
+        rec = conditional_vs_surface(D, h, xi1, *D.bin_sums([xi1]))
         assert rec.conditional_mean == pytest.approx(1.0, abs=0.02)
         assert rec.product == pytest.approx(float(stats.norm.pdf(1.0)), rel=0.02)
         assert rec.surface_value == pytest.approx(float(stats.norm.pdf(1.0)),
@@ -121,7 +122,7 @@ class TestConditionalVsSurface:
         D = disintegrate(iid5, Norm2(), n, seed=53, bins=100)
         h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=4.0, n=n, seed=53,
                                  estimator="divergence")
-        rec = conditional_vs_surface(D, h, ONE)
+        rec = conditional_vs_surface(D, h, ONE, *D.bin_sums([ONE]))
         assert rec.conditional_mean == 1.0
         assert rec.product == rec.q1
         assert rec.within_band
@@ -131,7 +132,8 @@ class TestConditionalVsSurface:
         D = disintegrate(iid5, Norm2(), n, seed=59, bins=100)
         h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=5.0, n=n, seed=59,
                                  estimator="divergence")
-        rec = conditional_vs_surface(D, h, Coordinate(2))
+        xi2 = Coordinate(2)
+        rec = conditional_vs_surface(D, h, xi2, *D.bin_sums([xi2]))
         assert abs(rec.product) <= rec.band
         assert abs(rec.surface_value) <= rec.band
         assert rec.within_band
@@ -141,7 +143,14 @@ class TestConditionalVsSurface:
         h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=-3.0, n=10 ** 4,
                                  seed=61)
         with pytest.raises(ValueError):
-            conditional_vs_surface(D, h, ONE)
+            conditional_vs_surface(D, h, ONE, *D.bin_sums([ONE]))
+
+    def test_bin_sums_of_another_weight_rejected(self, iid5):
+        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20)
+        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=4.0, n=10 ** 4,
+                                 seed=61)
+        with pytest.raises(ValueError):
+            conditional_vs_surface(D, h, ONE, *D.bin_sums([Coordinate(1)]))
 
     def test_empty_bin_reports_unresolved(self, iid5):
         # prepend bins below the data so an interior-by-index bin is empty
@@ -161,7 +170,7 @@ class TestConditionalVsSurface:
         h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=lo - 1.5,
                                  n=10 ** 4, seed=61, estimator="mollified",
                                  epsilon=0.2)
-        rec = conditional_vs_surface(D2, h, ONE)
+        rec = conditional_vs_surface(D2, h, ONE, *D2.bin_sums([ONE]))
         assert rec.unresolved
         assert rec.within_band  # unresolved records never fail the band
 
@@ -175,7 +184,7 @@ class TestConditionalVsSurface:
         recs = []
         for bins in (100, 200):
             D = disintegrate(iid3, Coordinate(1), n, seed=67, bins=bins)
-            recs.append(conditional_vs_surface(D, h, phi))
+            recs.append(conditional_vs_surface(D, h, phi, *D.bin_sums([phi])))
         assert abs(recs[0].product - recs[1].product) <= \
             recs[0].band + recs[1].band
         assert recs[1].bin_width < recs[0].bin_width

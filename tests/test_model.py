@@ -53,7 +53,6 @@ class TestSampling:
         a = sample(iid3, 50_000, seed=7)
         b = sample(iid3, 50_000, seed=7)
         assert np.array_equal(a.points, b.points)
-        assert a.substream_ids == b.substream_ids
 
     def test_chunks_concatenate_to_batch(self, iid3):
         batch = sample(iid3, 40_000, seed=3)

@@ -2,22 +2,41 @@
 
 A pass is one call of ``map_chunks`` or ``iter_sample_chunks``, counted in
 every glset namespace that imports them.  Every weight column of a pass
-must give the same bits alone as alongside other columns.
+must give the same bits alone as alongside other columns, and a fused path
+must give the same bits as the separate calls it replaces.
 """
 
+import dataclasses
+import json
 import sys
 
 import numpy as np
 import pytest
 
 from glset import (Constant, Coordinate, Norm2, Query, SurfaceMeasureHandle,
-                   conditional_vs_surface, density, disintegrate,
-                   hausdorff_compare, ibp_residual, ibp_residuals, model,
-                   parse_config, positivity_scan, run, stream_pass,
-                   surface_integral, surface_report, trace_eval)
+                   build_model, conditional_vs_surface, density, disintegrate,
+                   hausdorff_compare, hypothesis_diagnostics, ibp_residual,
+                   ibp_residuals, model, parse_config, positivity_scan,
+                   resolve_functional, run, stream_pass, surface_integral,
+                   surface_report, trace_eval)
 from glset.expressions import ExpressionFunctional
 
 ONE = Constant(1.0)
+
+IBP_CONFIG = """\
+model iid_gaussian
+dim 3
+formats json
+
+job ibp
+  G norm2
+  phi_list 1 exp(-norm2())
+  k_list 1 2
+  r_grid 1 2 3
+  n 40000
+  seed 19
+  estimator divergence
+"""
 
 
 @pytest.fixture
@@ -72,11 +91,43 @@ class TestPassCounts:
         assert run(cfg, output_dir=tmp_path) == 0
         assert len(passes) <= 2
 
-    def test_conditional_vs_surface_makes_two_passes(self, iid3, passes):
+    def test_conditional_vs_surface_makes_one_pass(self, iid3, passes):
         D = disintegrate(iid3, Norm2(), 40_000, seed=7, bins=20)
+        phi = two_phis()[0]
+        binned, = D.bin_sums([phi])
         del passes[:]
-        conditional_vs_surface(D, sphere_handle(iid3, n=40_000), two_phis()[0])
-        assert len(passes) == 2
+        conditional_vs_surface(D, sphere_handle(iid3, n=40_000), phi, binned)
+        assert len(passes) == 1
+
+    def test_runner_ibp_job_makes_one_pass(self, tmp_path, passes):
+        assert run(parse_config(IBP_CONFIG), output_dir=tmp_path) == 0
+        assert len(passes) == 1
+
+    def test_hypothesis_diagnostics_makes_one_map_chunks_pass(self, iid3, passes):
+        hypothesis_diagnostics(Norm2(), iid3, 40_000, seed=23)
+        assert passes == ["map_chunks"]
+
+
+class TestFusedPaths:
+    def test_runner_ibp_job_matches_per_pair_calls(self, iid3, tmp_path):
+        assert run(parse_config(IBP_CONFIG), output_dir=tmp_path) == 0
+        records = json.loads((tmp_path / "job01_ibp.json").read_text())["records"]
+        expected = []
+        for text in ("1", "exp(-norm2())"):
+            phi = resolve_functional(text, {}, iid3)
+            for k in (1, 2):
+                expected += ibp_residuals(iid3, Norm2(), phi, k, (1.0, 2.0, 3.0),
+                                          40_000, 19)
+        assert records == [dataclasses.asdict(rec) for rec in expected]
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_hypothesis_diagnostics_thread_invariant(self, monkeypatch, d):
+        m = build_model(("iid_gaussian", d))
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GLSET_THREADS", threads)
+            reports.append(hypothesis_diagnostics(Norm2(), m, 100_000, seed=29))
+        assert reports[0] == reports[1]
 
 
 class TestColumnIndependence:

@@ -5,8 +5,8 @@ from scipy import stats
 from glset import (Constant, Coordinate, Linear, Norm2, SublevelBump,
                    SurfaceMeasureHandle, build_model, hausdorff_compare,
                    hyperplane_quadrature, ibp_residual, ibp_residuals,
-                   perimeter_identity_check, positivity_scan, sphere_quadrature,
-                   surface_integral, surface_report, trace_eval)
+                   positivity_scan, sphere_quadrature, surface_integral,
+                   surface_report, trace_eval)
 from glset.expressions import ExpressionFunctional
 from glset.surface import sphere_blocks, unit_sphere_grid
 
@@ -79,15 +79,6 @@ class TestIbp:
     def test_direction_out_of_range(self, iid3):
         with pytest.raises(IndexError):
             ibp_residual(handle(iid3, Norm2(), 2.0), ONE, 4)
-
-    def test_perimeter_reframing_matches(self, iid5):
-        h = handle(iid5, Norm2(), 4.0)
-        rec = ibp_residual(h, ONE, 1)
-        per = perimeter_identity_check(h, ONE, 1)
-        assert per.sublevel_side == rec.lhs
-        assert per.surface_flux == rec.rhs
-        assert per.residual == rec.residual
-        assert per.within_band == rec.within_band
 
 
 class TestTrace:
