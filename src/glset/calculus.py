@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import Functional, VectorField, check_finite
+from .functionals import Functional, VectorField, check_finite, rowsum
 from .model import GaussianModel
 
 DEFAULT_GRADIENT_FLOOR = 1e-12
@@ -39,7 +39,7 @@ def divergence_mu(field: VectorField, xi):
     batch = np.atleast_2d(np.asarray(xi, dtype=float))
     comp = field.components(batch)
     diag = field.jacobian_diag(batch)
-    div = np.sum(diag, axis=1) - np.sum(batch * comp, axis=1)
+    div = rowsum(diag) - rowsum(batch * comp)
     return float(div[0]) if np.asarray(xi).ndim == 1 else div
 
 
@@ -61,19 +61,20 @@ class KernelField:
         self.G = G
         self.floor = float(floor)
 
-    def divergence(self, xi, grad=None):
+    def divergence(self, xi, grad=None, grad_norm2=None):
         """Composite-formula divergence over a batch.
 
         Returns ``(values, excluded)``; excluded rows carry 0 and are counted
-        by the caller.
+        by the caller.  A caller that already has the gradient passes it as
+        ``grad``, and its row-wise squared norm as ``grad_norm2``.
         """
         g = self.G.gradient(xi) if grad is None else grad
-        s = np.sum(g * g, axis=1)
+        s = rowsum(g * g) if grad_norm2 is None else grad_norm2
         excluded = s < self.floor * self.floor
         lap = self.G.laplacian(xi)
         quad = self.G.hessian_quad(xi, g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = (lap - np.sum(xi * g, axis=1)) / s - 2.0 * quad / (s * s)
+            val = (lap - rowsum(xi * g)) / s - 2.0 * quad / (s * s)
         val = np.where(excluded, 0.0, val)
         check_finite(val[~excluded] if excluded.any() else val,
                      "kernel divergence", self.G.name)
@@ -192,7 +193,7 @@ def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: in
 
     def worker(index, pts):
         g = G.gradient(pts)
-        gnorm = np.sqrt(np.sum(g * g, axis=1))
+        gnorm = np.sqrt(rowsum(g * g))
         check_finite(gnorm, "gradient norm", G.name)
         excluded = gnorm < floor
         live = gnorm[~excluded] if excluded.any() else gnorm

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calculus import DEFAULT_GRADIENT_FLOOR, KernelField, hill_tail_index, moment_diverging
-from .functionals import Constant, Functional, check_finite
+from .functionals import Constant, Functional, check_finite, rowsum, stable_argsort
 from .model import CHUNK_SIZE, GaussianModel, _chunk_generator, _chunk_layout
 
 VARIANCE_UNRELIABLE = "variance unreliable"
@@ -242,7 +242,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
 
     def worker(index, pts):
         gv = check_finite(G.value(pts), "G", G.name)
-        order = np.argsort(gv, kind="stable")
+        order = stable_argsort(gv)
         gs = gv[order]
         st = _ChunkStats(pts.shape[0], float(gs[0]), float(gs[-1]))
         idx = np.searchsorted(gs, r, side="left")
@@ -252,8 +252,8 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
             st.moll_counts = hi_idx - lo_idx
         if want_div:
             grad = G.gradient(pts)
-            kd, excluded = kernel.divergence(pts, grad=grad)
-            s = np.sum(grad * grad, axis=1)
+            s = rowsum(grad * grad)
+            kd, excluded = kernel.divergence(pts, grad=grad, grad_norm2=s)
             st.excl = int(np.count_nonzero(excluded))
             live = np.sqrt(s)[~excluded]
             keep = min(len(live), HILL_K + 1)
@@ -269,7 +269,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                 integ = pv * kd
                 if not isinstance(phi, Constant):
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        cross = np.sum(phi.gradient(pts) * grad, axis=1) / s
+                        cross = rowsum(phi.gradient(pts) * grad) / s
                     integ = integ + np.where(excluded, 0.0, cross)
                 integ = np.where(excluded, 0.0, integ)
                 check_finite(integ, "divergence integrand", G.name)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import map_chunks
-from .functionals import Constant, Functional, check_finite
+from .functionals import Constant, Functional, check_finite, stable_argsort
 from .model import CHUNK_SIZE, GaussianModel
 from .surface import SurfaceMeasureHandle, surface_integrals
 
@@ -138,7 +138,7 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
     else:
         raise ValueError(f"unknown binning scheme {scheme!r}")
 
-    order = np.argsort(g_values, kind="stable")
+    order = stable_argsort(g_values)
     g_sorted = g_values[order]
     # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
     start = np.empty(bins + 1, dtype=np.intp)

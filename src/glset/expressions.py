@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import Functional
+from .functionals import Functional, rowsum
 
 GRAMMAR = """\
 expr    := ('+' | '-')? term (('+' | '-') term)*
@@ -360,7 +360,7 @@ def _eval(node, xi: np.ndarray, memo: dict):
         out = -_eval(node.a, xi, memo)
     elif isinstance(node, Call):
         if node.fn == "norm2":
-            out = np.sum(xi * xi, axis=1)
+            out = rowsum(xi * xi)
         elif node.fn in _UNARY_FN:
             out = _UNARY_FN[node.fn](_eval(node.args[0], xi, memo))
         else:

@@ -35,6 +35,66 @@ def _as_batch(xi) -> tuple[np.ndarray, bool]:
     return xi, False
 
 
+# ----------------------------- chunk kernels -----------------------------
+# np.sum over short rows and np.argsort(kind="stable") are slow for the
+# (16384, d) chunks of a stream pass; these give the same bits faster.
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+
+
+def _pairwise_columns(p, start, n):
+    """Column-wise replay of numpy's pairwise sum of ``p[:, start:start+n]``."""
+    if n < 8:
+        out = p[:, start].copy()
+        for j in range(start + 1, start + n):
+            out += p[:, j]
+        return out
+    if n <= _PAIRWISE_BLOCK:
+        r = [p[:, start + j].copy() for j in range(8)]
+        tail = start + n - n % 8
+        for i in range(start + 8, tail, 8):
+            for j in range(8):
+                r[j] += p[:, i + j]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for j in range(tail, start + n):
+            out += p[:, j]
+        return out
+    half = n // 2
+    half -= half % 8
+    return _pairwise_columns(p, start, half) + _pairwise_columns(p, start + half, n - half)
+
+
+def rowsum(p: np.ndarray) -> np.ndarray:
+    """Row sums with the bits of ``np.sum(p, axis=1)``, summed column-wise.
+
+    For a C-contiguous 2-D float64 ``p`` numpy adds each row by pairwise
+    summation (Higham 1993): sequentially below 8 terms, with 8 interleaved
+    accumulators up to 128, by halving at a multiple of 8 above; this
+    replays that order one column at a time.  Any other input goes to
+    ``np.sum``, whose order then depends on the memory layout.
+    """
+    if p.ndim != 2 or p.dtype != np.float64 or not p.flags.c_contiguous \
+            or p.shape[1] == 0:
+        return np.sum(p, axis=1)
+    out = _pairwise_columns(p, 0, p.shape[1])
+    out += 0.0  # np.sum starts from +0.0, so a row of -0.0 sums to +0.0
+    return out
+
+
+def stable_argsort(v: np.ndarray) -> np.ndarray:
+    """``np.argsort(v, kind="stable")``, from the default sort when it is unique.
+
+    Strictly increasing sorted values leave only one sorting permutation, so
+    the default sort's is the stable one.  A repeat (``-0.0 == 0.0``
+    included) or a NaN takes the stable sort.
+    """
+    order = np.argsort(v)
+    s = v[order]
+    if np.all(s[1:] > s[:-1]):
+        return order
+    return np.argsort(v, kind="stable")
+
+
 # ----------------------------- finite differences -----------------------------
 
 def fd_partial(value, xi, k, step):
@@ -95,13 +155,13 @@ class Functional:
 
     def hessian_quad(self, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Quadratic form ``w^T (D^2 f) w`` row-wise, by nested differences."""
-        norm = np.sqrt(np.sum(w * w, axis=1))
+        norm = np.sqrt(rowsum(w * w))
         safe = np.where(norm > 0.0, norm, 1.0)
         u = w / safe[:, None]
         h = self.fd_step
         g_hi = self.gradient(xi + h * u)
         g_lo = self.gradient(xi - h * u)
-        dir2 = np.sum((g_hi - g_lo) * u, axis=1) / (2.0 * h)
+        dir2 = rowsum((g_hi - g_lo) * u) / (2.0 * h)
         return dir2 * norm * norm
 
     def hessian_row(self, xi: np.ndarray, k: int) -> np.ndarray:
@@ -244,7 +304,7 @@ class Norm2(Functional):
     name = "norm2"
 
     def value(self, xi):
-        return np.sum(xi * xi, axis=1)
+        return rowsum(xi * xi)
 
     def gradient(self, xi):
         return 2.0 * xi
@@ -257,7 +317,7 @@ class Norm2(Functional):
 
     def hessian_quad(self, xi, w):
         # D^2 = 2 I
-        return 2.0 * np.sum(w * w, axis=1)
+        return 2.0 * rowsum(w * w)
 
     def hessian_row(self, xi, k):
         row = np.zeros_like(xi)
@@ -337,11 +397,11 @@ class RadialClamp(Functional):
         self.name = f"clamp({self.m!r})"
 
     def value(self, xi):
-        r = np.sqrt(np.sum(xi * xi, axis=1))
+        r = np.sqrt(rowsum(xi * xi))
         return np.clip(2.0 - r / self.m, 0.0, 1.0)
 
     def gradient(self, xi):
-        r = np.sqrt(np.sum(xi * xi, axis=1))
+        r = np.sqrt(rowsum(xi * xi))
         on_ramp = (r > self.m) & (r < 2.0 * self.m)
         scale = np.where(on_ramp, -1.0 / (self.m * np.maximum(r, 1e-300)), 0.0)
         return xi * scale[:, None]

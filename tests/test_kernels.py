@@ -1,0 +1,169 @@
+"""The chunk kernels ``rowsum`` and ``stable_argsort`` give numpy's bits.
+
+Stream passes route every per-chunk row sum and stable sort through these
+two helpers, so artifacts depend on them matching ``np.sum(p, axis=1)`` and
+``np.argsort(v, kind="stable")`` exactly on the installed numpy.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from glset.expressions import ExpressionFunctional
+from glset.functionals import rowsum, stable_argsort
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "glset"
+
+
+def wide(rng, shape):
+    # magnitudes over 16 decades, so any change of summation order shows
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowsum:
+    def test_every_width_to_300(self, rng):
+        # covers the sequential (d < 8), 8-accumulator and halving branches
+        for d in range(1, 301):
+            p = wide(rng, (23, d))
+            assert same_bits(rowsum(p), np.sum(p, axis=1)), d
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 17, 128, 129, 300])
+    def test_chunk_shape(self, rng, d):
+        p = wide(rng, (16384, d))
+        assert same_bits(rowsum(p), np.sum(p, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 5, 8, 13, 200])
+    def test_rows_of_negative_zero(self, d):
+        p = np.full((4, d), -0.0)
+        out = rowsum(p)
+        assert same_bits(out, np.sum(p, axis=1))
+        assert not np.signbit(out).any()
+
+    def test_signed_zero_mixes(self, rng):
+        for d in list(range(1, 20)) + [64, 130, 257]:
+            p = np.where(rng.random((64, d)) < 0.5, -0.0, 0.0)
+            assert same_bits(rowsum(p), np.sum(p, axis=1)), d
+            # zeros of both signs among values that cancel exactly
+            q = np.where(rng.random((64, d)) < 0.5, p, rng.choice([-1.0, 1.0], (64, d)))
+            assert same_bits(rowsum(q), np.sum(q, axis=1)), d
+
+    @pytest.mark.parametrize("d", [3, 12, 150])
+    def test_strided_and_fortran_inputs(self, rng, d):
+        base = wide(rng, (40, 2 * d))
+        for p in (base[:, ::2], base[::2, :d], base[:, :d], np.asfortranarray(base[:, :d])):
+            assert same_bits(rowsum(p), np.sum(p, axis=1))
+
+    def test_degenerate_shapes(self, rng):
+        p = wide(rng, (9, 1))
+        assert same_bits(rowsum(p), np.sum(p, axis=1))
+        for d in (0, 1, 5, 9):
+            p = np.empty((0, d))
+            assert same_bits(rowsum(p), np.sum(p, axis=1))
+        p = np.empty((3, 0))
+        assert same_bits(rowsum(p), np.sum(p, axis=1))
+
+
+class TestStableArgsort:
+    @staticmethod
+    def check(v):
+        assert same_bits(stable_argsort(v), np.argsort(v, kind="stable"))
+
+    def test_distinct_values(self, rng):
+        self.check(rng.standard_normal(16384))
+
+    def test_clamped_chunk_with_many_ties(self, rng):
+        v = ExpressionFunctional("min(norm2(), 6)").value(rng.standard_normal((16384, 5)))
+        assert np.count_nonzero(v == 6.0) > 1000
+        self.check(v)
+
+    def test_signed_zeros(self, rng):
+        v = np.where(rng.random(1000) < 0.5, -0.0, 0.0)
+        v[::7] = rng.standard_normal(len(v[::7]))
+        self.check(v)
+        self.check(np.array([0.0, -0.0]))
+        self.check(np.array([-0.0, 0.0]))
+
+    @pytest.mark.parametrize("v", [[], [3.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
+    def test_short_inputs(self, v):
+        self.check(np.array(v))
+
+    def test_sorted_and_reversed(self, rng):
+        v = np.sort(rng.standard_normal(5000))
+        self.check(v)
+        self.check(v[::-1].copy())
+        ties = np.repeat(np.arange(100.0), 7)
+        self.check(ties)
+        self.check(ties[::-1].copy())
+
+    def test_nans_take_the_stable_sort(self):
+        self.check(np.array([np.nan, 1.0, np.nan, 0.5, np.nan]))
+
+
+# ----------------------------- source guard -----------------------------
+
+HELPERS = {"rowsum", "stable_argsort"}
+
+
+def _const(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def _slow_call(call):
+    """Why ``call`` is a per-row sum or a stable sort, or None."""
+    for kw in call.keywords:
+        if kw.arg == "kind" and _const(kw.value) == "stable":
+            return 'kind="stable"'
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "sum":
+        axis = [kw.value for kw in call.keywords if kw.arg == "axis"]
+        on_np = isinstance(func.value, ast.Name) and func.value.id == "np"
+        positional = call.args[1:2] if on_np else call.args[:1]
+        if any(_const(a) in (1, -1) for a in axis + positional):
+            return "sum over axis 1"
+    return None
+
+
+def slow_calls(tree):
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in HELPERS
+        if isinstance(node, ast.Call) and not inside:
+            why = _slow_call(node)
+            if why:
+                found.append((node.lineno, why))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_guard_sees_the_slow_calls():
+    code = ("import numpy as np\n"
+            "a = np.sum(x * x, axis=1)\n"
+            "b = (x * x).sum(axis=-1)\n"
+            "c = np.sum(x, 1)\n"
+            "d = np.argsort(v, kind='stable')\n"
+            "e = np.sum(x, axis=0) + np.sum(x)\n"
+            "def rowsum(p):\n"
+            "    return np.sum(p, axis=1)\n")
+    assert [line for line, _ in slow_calls(ast.parse(code))] == [2, 3, 4, 5]
+
+
+def test_row_sums_and_stable_sorts_go_through_the_helpers():
+    offenders = [f"{path.name}:{line}: {why}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, why in slow_calls(ast.parse(path.read_text()))]
+    assert offenders == [], ("use functionals.rowsum / functionals.stable_argsort: "
+                             + "; ".join(offenders))
