@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calculus import DEFAULT_GRADIENT_FLOOR, KernelField, hill_tail_index, moment_diverging
-from .functionals import Constant, Functional, check_finite, rowsum, stable_argsort
+from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsum,
+                          stable_argsort)
 from .model import CHUNK_SIZE, GaussianModel, _chunk_generator, _chunk_layout
 
 VARIANCE_UNRELIABLE = "variance unreliable"
@@ -54,14 +55,18 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
 
     GLSET_THREADS caps concurrent workers; the result list is identical for
     any worker count because chunks are generated from per-index substreams
-    and stored by index.
+    and stored by index.  Each worker call runs in a
+    :func:`~glset.functionals.chunk_scope` of its points, so finite-difference
+    stencils at them are evaluated once per functional per chunk.
     """
     layout = _chunk_layout(n)
 
     def job(item):
         index, size = item
         rng = _chunk_generator(seed, index)
-        return worker(index, rng.standard_normal((size, model.dim)))
+        pts = rng.standard_normal((size, model.dim))
+        with chunk_scope(pts):
+            return worker(index, pts)
 
     workers = thread_count()
     if workers == 1 or len(layout) == 1:

@@ -131,15 +131,23 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
     g_values = np.concatenate(map_chunks(model, n, seed, lambda i, pts: G.value(pts)))
     check_finite(g_values, "G", G.name)
 
-    if scheme == "quantile":
-        edges = np.quantile(g_values, np.linspace(0.0, 1.0, bins + 1))
-    elif scheme == "fixed":
-        edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
-    else:
+    if scheme not in ("quantile", "fixed"):
         raise ValueError(f"unknown binning scheme {scheme!r}")
 
     order = stable_argsort(g_values)
     g_sorted = g_values[order]
+    if scheme == "quantile":
+        # np.quantile reads order statistics, which sorting keeps, and is
+        # faster on sorted input; but which of -0.0 and +0.0 lands on a rank
+        # depends on the input order, so mixed zero signs take the unsorted
+        # values
+        zeros = np.signbit(g_sorted[np.searchsorted(g_sorted, 0.0, side="left"):
+                                    np.searchsorted(g_sorted, 0.0, side="right")])
+        mixed_zeros = zeros.any() and not zeros.all()
+        edges = np.quantile(g_values if mixed_zeros else g_sorted,
+                            np.linspace(0.0, 1.0, bins + 1))
+    else:
+        edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
     # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
     start = np.empty(bins + 1, dtype=np.intp)
     start[0] = 0

@@ -4,11 +4,19 @@ A functional evaluates on batches: ``value(xi)`` maps an ``(n, d)`` array of
 points to an ``(n,)`` array.  Analytic derivative callbacks are optional;
 anything missing falls back to central finite differences with per-coordinate
 step ``fd_step * (1 + |xi_k|)`` (Hessian quantities via nested central
-differences).  Oracles must be pure so they can be evaluated concurrently and
-re-evaluated chunk by chunk.
+differences).  Every stencil perturbs one reused copy of its input
+(:func:`fd_sides`).  Inside a chunk of a stream pass (:func:`chunk_scope`) the
+stencil at the chunk points is evaluated once per functional, and the
+gradient, its partials and the Laplacian there are read from it; the memo
+dies with the chunk.  Oracles must be pure so they can be evaluated
+concurrently, re-evaluated chunk by chunk and called on a buffer that is
+perturbed again after they return.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -97,31 +105,78 @@ def stable_argsort(v: np.ndarray) -> np.ndarray:
 
 # ----------------------------- finite differences -----------------------------
 
+def fd_sides(f, xi, step, coords=None):
+    """Both sides of the central-difference stencil of ``f`` at ``xi``.
+
+    Yields ``(k, h, f(xi + h e_k), f(xi - h e_k))`` for every 0-based
+    coordinate k in ``coords`` (all by default), with the per-row step
+    ``h = step * (1 + |xi_k|)``.  Every side is evaluated on one copy of
+    ``xi``, perturbed in column k and restored before the next coordinate; a
+    side that shares memory with that copy is copied, so perturbing it again
+    cannot change what was yielded.
+    """
+    buf = xi.copy()
+    for k in range(xi.shape[1]) if coords is None else coords:
+        col = xi[:, k]
+        h = step * (1.0 + np.abs(col))
+        buf[:, k] = col + h
+        hi = f(buf)
+        if np.may_share_memory(hi, buf):
+            hi = hi.copy()
+        buf[:, k] = col - h
+        lo = f(buf)
+        if np.may_share_memory(lo, buf):
+            lo = lo.copy()
+        buf[:, k] = col
+        yield k, h, hi, lo
+
+
 def fd_partial(value, xi, k, step):
     """Central difference of a batch functional along coordinate k (1-based)."""
-    h = step * (1.0 + np.abs(xi[:, k - 1]))
-    hi = xi.copy()
-    hi[:, k - 1] += h
-    lo = xi.copy()
-    lo[:, k - 1] -= h
-    return (value(hi) - value(lo)) / (2.0 * h)
+    _, h, hi, lo = next(fd_sides(value, xi, step, (k - 1,)))
+    return (hi - lo) / (2.0 * h)
 
 
 def fd_gradient(value, xi, step):
-    d = xi.shape[1]
     out = np.empty_like(xi)
-    for k in range(1, d + 1):
-        out[:, k - 1] = fd_partial(value, xi, k, step)
+    for k, h, hi, lo in fd_sides(value, xi, step):
+        out[:, k] = (hi - lo) / (2.0 * h)
     return out
 
 
-def fd_second_diag(value, xi, k, step):
-    h = step * (1.0 + np.abs(xi[:, k - 1]))
-    hi = xi.copy()
-    hi[:, k - 1] += h
-    lo = xi.copy()
-    lo[:, k - 1] -= h
-    return (value(hi) - 2.0 * value(xi) + value(lo)) / (h * h)
+def fd_gradient_laplacian(value, xi, step):
+    """Gradient and Laplacian from one ``2d + 1`` point stencil: the sides of
+    the central differences and the centre value."""
+    two_centre = 2.0 * value(xi)
+    grad = np.empty_like(xi)
+    lap = np.zeros(xi.shape[0])
+    for k, h, hi, lo in fd_sides(value, xi, step):
+        grad[:, k] = (hi - lo) / (2.0 * h)
+        lap += (hi - two_centre + lo) / (h * h)
+    return grad, lap
+
+
+# The derivative methods keep their signatures, so the memo of the chunk a
+# worker is in reaches them through its thread, not through an argument.
+_chunk = threading.local()
+
+
+@contextmanager
+def chunk_scope(points):
+    """Share FD stencils at ``points`` between calls in this thread.
+
+    Until the block ends, the finite-difference ``gradient`` and
+    ``laplacian`` of a functional at exactly this array (``xi is points``)
+    evaluate its stencil once and keep the two derived arrays; later
+    ``gradient``, ``partial`` and ``laplacian`` calls at the same points read
+    copies of them.  The points must not be written to inside the block.
+    """
+    outer = getattr(_chunk, "scope", None)
+    _chunk.scope = (points, {})
+    try:
+        yield
+    finally:
+        _chunk.scope = outer
 
 
 # ----------------------------- scalar functionals -----------------------------
@@ -141,17 +196,39 @@ class Functional:
     def value(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _chunk_stencil(self, xi, evaluate=True):
+        """``(self, gradient, laplacian)`` of the FD stencil at the points of
+        the current :func:`chunk_scope`, evaluated on first use; None when
+        ``xi`` is not those points, or when it is not yet evaluated and
+        ``evaluate`` is false."""
+        scope = getattr(_chunk, "scope", None)
+        if scope is None or scope[0] is not xi:
+            return None
+        memo = scope[1]
+        entry = memo.get(id(self))
+        if entry is None and evaluate:
+            # the entry holds self, so its id is not reused within the scope
+            entry = memo[id(self)] = (self, *fd_gradient_laplacian(self.value, xi,
+                                                                   self.fd_step))
+        return entry
+
     def gradient(self, xi: np.ndarray) -> np.ndarray:
-        return fd_gradient(self.value, xi, self.fd_step)
+        entry = self._chunk_stencil(xi)
+        if entry is None:
+            return fd_gradient(self.value, xi, self.fd_step)
+        return entry[1].copy()
 
     def partial(self, xi: np.ndarray, k: int) -> np.ndarray:
-        return fd_partial(self.value, xi, k, self.fd_step)
+        entry = self._chunk_stencil(xi, evaluate=False)
+        if entry is None:
+            return fd_partial(self.value, xi, k, self.fd_step)
+        return entry[1][:, k - 1].copy()
 
     def laplacian(self, xi: np.ndarray) -> np.ndarray:
-        out = np.zeros(xi.shape[0])
-        for k in range(1, xi.shape[1] + 1):
-            out += fd_second_diag(self.value, xi, k, self.fd_step)
-        return out
+        entry = self._chunk_stencil(xi)
+        if entry is None:
+            return fd_gradient_laplacian(self.value, xi, self.fd_step)[1]
+        return entry[2].copy()
 
     def hessian_quad(self, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Quadratic form ``w^T (D^2 f) w`` row-wise, by nested differences."""
@@ -166,12 +243,8 @@ class Functional:
 
     def hessian_row(self, xi: np.ndarray, k: int) -> np.ndarray:
         """Row k of the Hessian, ``(D^2 f)[k, :]``, by nested differences."""
-        h = self.fd_step * (1.0 + np.abs(xi[:, k - 1]))
-        hi = xi.copy()
-        hi[:, k - 1] += h
-        lo = xi.copy()
-        lo[:, k - 1] -= h
-        return (self.gradient(hi) - self.gradient(lo)) / (2.0 * h[:, None])
+        _, h, hi, lo = next(fd_sides(self.gradient, xi, self.fd_step, (k - 1,)))
+        return (hi - lo) / (2.0 * h[:, None])
 
     def __call__(self, xi):
         batch, single = _as_batch(xi)
@@ -506,16 +579,9 @@ class VectorField:
 
     def jacobian_diag(self, xi: np.ndarray) -> np.ndarray:
         """Diagonal entries ``D_k psi_k`` (finite differences by default)."""
-        d = xi.shape[1]
         out = np.empty_like(xi)
-        for k in range(1, d + 1):
-            h = self.fd_step * (1.0 + np.abs(xi[:, k - 1]))
-            hi = xi.copy()
-            hi[:, k - 1] += h
-            lo = xi.copy()
-            lo[:, k - 1] -= h
-            out[:, k - 1] = (self.components(hi)[:, k - 1]
-                             - self.components(lo)[:, k - 1]) / (2.0 * h)
+        for k, h, hi, lo in fd_sides(self.components, xi, self.fd_step):
+            out[:, k] = (hi[:, k] - lo[:, k]) / (2.0 * h)
         return out
 
 

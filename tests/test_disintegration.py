@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from glset import (Constant, Coordinate, Norm2, SurfaceMeasureHandle,
-                   build_model, conditional_vs_surface, disintegrate,
-                   support_check, verify_disintegration)
+                   UserFunctional, build_model, conditional_vs_surface,
+                   disintegrate, support_check, verify_disintegration)
 from glset.expressions import ExpressionFunctional
 
 ONE = Constant(1.0)
@@ -16,6 +16,21 @@ class TestDisintegrate:
         se = np.sqrt(0.1 * 0.9 / 10 ** 6)
         assert np.all(np.abs(D.weights - 0.1) < 4 * se)
         assert D.weights.sum() == 1.0
+
+    @pytest.mark.parametrize("G", [
+        Norm2(),
+        ExpressionFunctional("min(norm2(), 6)"),
+        # about a third of the values are zeros, of both signs
+        UserFunctional(lambda xi: np.where(np.abs(xi[:, 0]) < 0.4, 0.0 * xi[:, 0],
+                                           xi[:, 0]), name="signed-zeros"),
+    ], ids=lambda G: G.name)
+    @pytest.mark.parametrize("bins", [7, 200])
+    def test_quantile_edges_are_numpys(self, iid5, G, bins):
+        # the edges are read off the sorted values; they must keep the bits of
+        # np.quantile over the values in stream order
+        D = disintegrate(iid5, G, 40_000, seed=71, bins=bins)
+        want = np.quantile(D.g_values, np.linspace(0.0, 1.0, bins + 1))
+        assert D.edges.tobytes() == want.tobytes()
 
     def test_fixed_bins_match_chi5_probabilities(self, iid5):
         n = 2 * 10 ** 5

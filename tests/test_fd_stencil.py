@@ -1,0 +1,146 @@
+"""Finite-difference stencils: one evaluation per functional per chunk.
+
+Inside a ``map_chunks`` worker the FD ``gradient``, ``partial`` and
+``laplacian`` of a functional at the chunk points are read from one ``2d + 1``
+point stencil; everywhere they keep the bits of the plain central
+differences.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from glset import (Constant, DensityJob, UserFunctional, estimate_density,
+                   ibp_residuals)
+from glset.density import map_chunks
+from glset.functionals import fd_gradient, fd_partial
+
+
+class Counted:
+    """A value-only callback that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, xi):
+        self.calls += 1
+        return np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1]
+
+
+def fd_functional():
+    return UserFunctional(Counted(), name="fd")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestValueCalls:
+    # one chunk at d = 5; an explicit epsilon leaves out the bandwidth chunk
+    def test_density_pass(self, iid5):
+        G = fd_functional()
+        estimate_density(DensityJob(model=iid5, G=G, phi=Constant(1.0),
+                                    r_grid=(1.0, 3.0), n=2000, seed=1,
+                                    epsilon=0.1, estimator="both"))
+        # value + (2d + 1) stencil + 2 x 2d for g^T H g; 46 without sharing
+        assert G._eval.calls <= 32
+
+    def test_ibp_pass(self, iid5):
+        G = fd_functional()
+        ibp_residuals(iid5, G, Constant(1.0), 1, (3.0,), 2000, 1)
+        # the density pass plus 2 x 2d for row 1 of the Hessian; the two
+        # D_1 G calls of the weight read the stencil; 70 without sharing
+        assert G._eval.calls <= 52
+
+
+class TestChunkScope:
+    def test_inside_a_chunk_equals_outside(self, iid5):
+        G = fd_functional()
+
+        def worker(index, pts):
+            # the Laplacian first, then the gradient, then every partial
+            return (pts.copy(), G.laplacian(pts), G.gradient(pts),
+                    [G.partial(pts, k) for k in range(1, 6)], G._eval.calls)
+
+        for pts, lap, grad, partials, calls in map_chunks(iid5, 3000, 5, worker):
+            assert calls == 11  # one 2d + 1 stencil for all of them
+            assert same_bits(lap, G.laplacian(pts))
+            assert same_bits(grad, G.gradient(pts))
+            assert same_bits(grad, fd_gradient(G.value, pts, G.fd_step))
+            for k, p in enumerate(partials, start=1):
+                assert same_bits(p, G.partial(pts, k))
+                assert same_bits(p, fd_partial(G.value, pts, k, G.fd_step))
+
+    def test_other_points_are_not_shared(self, iid5):
+        G = fd_functional()
+
+        def worker(index, pts):
+            G.gradient(pts)
+            before = G._eval.calls
+            G.gradient(pts.copy())
+            return G._eval.calls - before
+
+        assert map_chunks(iid5, 1000, 5, worker) == [10]
+
+    def test_memo_ends_with_the_chunk(self, iid5):
+        G = fd_functional()
+        [pts] = map_chunks(iid5, 1000, 5, lambda index, pts: (G.gradient(pts), pts)[1])
+        before = G._eval.calls
+        G.gradient(pts)
+        assert G._eval.calls - before == 10
+
+    def test_returned_arrays_do_not_alias_the_memo(self, iid5):
+        G = fd_functional()
+
+        def worker(index, pts):
+            first = (G.gradient(pts), G.partial(pts, 2), G.laplacian(pts))
+            kept = [a.copy() for a in first]
+            for a in first:
+                a += 1.0
+            again = (G.gradient(pts), G.partial(pts, 2), G.laplacian(pts))
+            return all(same_bits(a, b) for a, b in zip(kept, again))
+
+        assert map_chunks(iid5, 1000, 5, worker) == [True]
+
+    def test_view_returning_callback(self, iid5):
+        view = UserFunctional(lambda xi: xi[:, 0], name="view")
+        copied = UserFunctional(lambda xi: xi[:, 0].copy(), name="copied")
+
+        def worker(index, pts):
+            return [(f.gradient(pts), f.laplacian(pts), f.partial(pts, 1))
+                    for f in (view, copied)]
+
+        [((grad, lap, d1), want)] = map_chunks(iid5, 1000, 5, worker)
+        for got, ref in zip((grad, lap, d1), want):
+            assert same_bits(got, ref)
+        assert np.allclose(grad[:, 0], 1.0) and np.all(grad[:, 1:] == 0.0)
+        assert np.allclose(lap, 0.0, atol=1e-4)
+        pts = np.random.default_rng(3).standard_normal((200, 5))
+        assert np.allclose(view.gradient(pts)[:, 0], 1.0)
+        assert np.allclose(view.hessian_row(pts, 1), 0.0, atol=1e-4)
+
+
+def test_threads_do_not_change_fd_output(iid5, monkeypatch):
+    # the memo is per thread; 4 workers on 5 chunks with a short switch
+    # interval interleave the chunks of one pass
+    def bodies():
+        G = UserFunctional(lambda xi: np.sum(xi * xi, axis=1), name="norm2_fd")
+        curves = estimate_density(DensityJob(model=iid5, G=G, phi=Constant(1.0),
+                                             r_grid=(1.0, 3.0, 5.0), n=70_000,
+                                             seed=7, estimator="both"))
+        records = ibp_residuals(iid5, G, Constant(1.0), 1, (3.0, 5.0), 70_000, 7)
+        return ([(c.estimates.tobytes(), c.stderrs.tobytes(), c.flags)
+                 for c in curves.values()], records)
+
+    monkeypatch.setenv("GLSET_THREADS", "1")
+    serial = bodies()
+    monkeypatch.setenv("GLSET_THREADS", "2")
+    assert bodies() == serial
+    monkeypatch.setenv("GLSET_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert bodies() == serial
+    finally:
+        sys.setswitchinterval(interval)

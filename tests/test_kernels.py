@@ -167,3 +167,56 @@ def test_row_sums_and_stable_sorts_go_through_the_helpers():
                  for line, why in slow_calls(ast.parse(path.read_text()))]
     assert offenders == [], ("use functionals.rowsum / functionals.stable_argsort: "
                              + "; ".join(offenders))
+
+
+# ----------------------------- FD stencil guard -----------------------------
+
+STENCIL_HELPER = "fd_sides"
+
+
+def _is_copy(node):
+    """``x.copy()`` or ``np.copy(x)``."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    return node.func.attr == "copy" and (
+        not node.args or isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+
+
+def perturbed_copies(tree):
+    """Lines that write into an element of a copied array outside ``fd_sides``."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or fn.name == STENCIL_HELPER:
+            continue
+        copies = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                  and _is_copy(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            found.update(t.lineno for t in targets if isinstance(t, ast.Subscript)
+                         and isinstance(t.value, ast.Name) and t.value.id in copies)
+    return sorted(found)
+
+
+def test_stencil_guard_sees_perturbed_copies():
+    code = ("import numpy as np\n"
+            "def fd_partial(value, xi, k, step):\n"
+            "    hi = xi.copy()\n"
+            "    hi[:, k - 1] += step\n"
+            "    lo = np.copy(xi)\n"
+            "    lo[:, k - 1] = xi[:, k - 1] - step\n"
+            "    out = xi.copy()\n"
+            "    out += 1.0\n"
+            "    return value(hi) - value(lo)\n"
+            "def fd_sides(f, xi, step):\n"
+            "    buf = xi.copy()\n"
+            "    buf[:, 0] += step\n")
+    assert perturbed_copies(ast.parse(code)) == [4, 6]
+
+
+def test_fd_stencils_perturb_one_buffer():
+    path = SRC / "functionals.py"
+    offenders = perturbed_copies(ast.parse(path.read_text()))
+    assert offenders == [], (f"perturb copies of an input through "
+                             f"functionals.{STENCIL_HELPER}: {path.name} lines {offenders}")
