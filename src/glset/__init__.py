@@ -32,8 +32,8 @@ from .disintegration import (BinSums, ConditionalSurfaceRecord,
 from .expressions import (ExpressionError, ExpressionFunctional, GRAMMAR,
                           parse_expression)
 from .config import ConfigError, JobSpec, ModelSpec, RunConfig, parse_config, \
-    serialize_config
-from .runner import resolve_functional, resolve_model, run
+    resolve_functional, resolve_model, serialize_config
+from .runner import run
 
 __version__ = "0.1.0"
 

@@ -1,37 +1,46 @@
 """Run configuration: a small key/value tree with job blocks.
 
-Format by example::
+Format by example (README "Config format" has a longer one)::
 
-    # whole-line or trailing comments with '#'
-    model kl_brownian            # iid_gaussian | kl_brownian | explicit
-    dim 16
-    output out/run1
-    formats csv json
-
+    model iid_gaussian           # iid_gaussian | kl_brownian | explicit
+    dim 5                        # '#' starts a comment
     functional bump = exp(-norm2())
-
     job density
       G norm2
       phi bump
       r_grid 1 3 5
-      n 100000
-      seed 7
-      estimator both
 
-Indented lines are parameters of the preceding ``job`` line.  Functionals
-are referenced by defined name, by builtin name (``norm2``, ``bm_endpoint``,
-``coordinate(k)``, ``linear(w1, w2, ...)``) or written inline as expressions.
-Parsing validates everything it can statically and reports all errors, not
-just the first.
+Indented lines are parameters of the preceding ``job`` line.  Each job kind
+reads the parameters below, optional ones in brackets (``a|b``: one of the
+two); any other parameter is an error::
+
+    density       G phi r_grid  [n seed epsilon estimator]
+    surface       G r  [phi|phi_list n seed epsilon estimator k_list trace hausdorff]
+    ibp           G phi|phi_list k_list r|r_grid  [n seed epsilon estimator]
+    disintegrate  G bins  [phi|phi_list n seed scheme dump_particles]
+    hausdorff     G r  [phi n seed epsilon estimator]
+    selftest      (no parameters)
+
+A surface job's ``k_list`` and ``trace`` need a phi.  A hausdorff job, and a
+surface job with ``hausdorff true``, need a G the quadrature oracle takes
+(:func:`glset.surface.quadrature_issue`).
+
+Functionals are referenced by defined name, by builtin name (``norm2``,
+``bm_endpoint``, ``coordinate(k)``, ``linear(w1, w2, ...)``) or written inline
+as expressions.  Parsing resolves every reference against the model, as a
+run does, and reports all errors with their lines, not just the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionFunctional, Num, parse_expression
+from .functionals import BmEndpoint, Constant, Coordinate, Linear, Norm2
+from .model import GaussianModel, build_model
+from .surface import quadrature_issue
 
-JOB_KINDS = ("density", "surface", "ibp", "disintegrate", "hausdorff", "selftest")
 ESTIMATORS = ("divergence", "mollified", "both")
 BUILTIN_NAMES = ("norm2", "bm_endpoint")
 
@@ -88,276 +97,296 @@ class ConfigError(ValueError):
         super().__init__("\n".join(str(i) for i in self.issues))
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def resolve_model(spec: ModelSpec) -> GaussianModel:
+    if spec.family == "explicit":
+        return build_model({"spectrum": list(spec.spectrum)})
+    return build_model((spec.family, spec.dim))
 
 
-class _Collector:
-    def __init__(self):
-        self.issues: list[ConfigIssue] = []
+def resolve_functional(text: str, defs: dict, model: GaussianModel):
+    """Turn a functional reference into an oracle: defined name, builtin,
+    or inline expression.  Raises ValueError if it reads past the model's
+    dimension."""
+    text = text.strip()
+    if text in defs:
+        f = _expression_functional(defs[text], name=text)
+    elif text == "norm2":
+        f = Norm2()
+    elif text == "bm_endpoint":
+        f = BmEndpoint(model)
+    elif text.startswith("coordinate(") and text.endswith(")"):
+        f = Coordinate(int(text[len("coordinate("):-1]))
+    elif text.startswith("linear(") and text.endswith(")"):
+        f = Linear([float(p) for p in text[len("linear("):-1].split(",") if p.strip()])
+    else:
+        f = _expression_functional(text)
+    for k, pos in f.parsed.xi_refs if isinstance(f, ExpressionFunctional) else ():
+        if k > model.dim:
+            raise ValueError(f"xi({k}) exceeds model dim {model.dim} (at position {pos})")
+    if f.min_dim > model.dim:
+        raise ValueError(f"{f.name} reads xi({f.min_dim}), model dim is {model.dim}")
+    return f
 
-    def error(self, line: int, message: str):
-        self.issues.append(ConfigIssue(line, message))
+
+def _expression_functional(source: str, name: str | None = None):
+    parsed = parse_expression(source)
+    if isinstance(parsed.ast, Num):
+        return Constant(parsed.ast.value)
+    return ExpressionFunctional(parsed, name=name)
 
 
-_BOOL = {"true": True, "false": False}
+# ----------------------------- job schema -----------------------------
+
+def _number(kind):
+    def parse(text, resolve=None):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"cannot parse {text!r}") from None
+    return parse
 
 
-def _parse_value(kind, text, line, errs, what):
-    try:
-        return kind(text)
-    except ValueError:
-        errs.error(line, f"{what}: cannot parse {text!r}")
-        return None
+def _each(parse_one):
+    """Parser of a space-separated list of what ``parse_one`` parses."""
+    def parse(text, resolve):
+        if not text:
+            raise ValueError("needs at least one value")
+        return tuple(parse_one(item, resolve) for item in text.split())
+    return parse
 
 
-def _validate_functional_text(source: str, defs: dict, dim: int, line: int,
-                              errs: _Collector, what: str, family: str = ""):
-    """Check that a functional reference resolves; record index errors."""
-    text = source.strip()
-    if text == "bm_endpoint" and family not in ("", "kl_brownian"):
-        errs.error(line, f"{what}: bm_endpoint needs a kl_brownian model")
-        return
-    if text in defs or text in BUILTIN_NAMES:
-        return
-    if text.startswith("coordinate(") and text.endswith(")"):
-        inner = text[len("coordinate("):-1]
-        k = _parse_value(int, inner, line, errs, what)
-        if k is not None and not 1 <= k <= dim:
-            errs.error(line, f"{what}: coordinate({k}) out of range 1..{dim}")
-        return
-    if text.startswith("linear(") and text.endswith(")"):
-        parts = [p for p in text[len("linear("):-1].split(",") if p.strip()]
-        if len(parts) > dim:
-            errs.error(line, f"{what}: linear() has {len(parts)} weights, dim is {dim}")
-        for p in parts:
-            _parse_value(float, p.strip(), line, errs, what)
-        return
-    try:
-        parsed = parse_expression(text)
-    except ExpressionError as e:
-        errs.error(line, f"{what}: {e}")
-        return
-    for k, pos in parsed.xi_refs:
-        if k > dim:
-            errs.error(line, f"{what}: xi({k}) exceeds model dim {dim} "
-                             f"(at position {pos})")
+def _word(text, resolve):
+    return text
 
+
+def _flag(text, resolve):
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+def _reference(text, resolve):
+    resolve(text)
+    return text
+
+
+class _Param(NamedTuple):
+    field: str  # the JobSpec field it sets
+    parse: Callable  # (text, resolve) -> value; a ValueError says what is wrong
+    ok: Callable = lambda value, dim: True
+    rule: str = ""  # the issue when ``ok`` fails; may use {value} and {dim}
+
+
+_PARAMS = {
+    "G": _Param("G", _reference),
+    "phi": _Param("phi", lambda text, resolve: (_reference(text, resolve),)),
+    "phi_list": _Param("phi", _each(_reference)),
+    "r": _Param("r", _number(float)),
+    "r_grid": _Param("r_grid", _each(_number(float)),
+                     lambda v, dim: all(a < b for a, b in zip(v, v[1:])),
+                     "r_grid must be strictly increasing"),
+    "n": _Param("n", _number(int), lambda v, dim: v >= 1, "n must be >= 1"),
+    "seed": _Param("seed", _number(int)),
+    "epsilon": _Param("epsilon", _number(float), lambda v, dim: v > 0,
+                      "epsilon must be positive"),
+    "estimator": _Param("estimator", _word, lambda v, dim: v in ESTIMATORS,
+                        "unknown estimator {value!r}"),
+    "bins": _Param("bins", _number(int), lambda v, dim: v >= 2,
+                   "disintegrate job needs bins >= 2"),
+    "scheme": _Param("scheme", _word, lambda v, dim: v in ("quantile", "fixed"),
+                     "unknown binning scheme {value!r}"),
+    "k_list": _Param("k_list", _each(_number(int)),
+                     lambda v, dim: all(1 <= k <= dim for k in v),
+                     "k_list entries must lie in 1..{dim}"),
+    "trace": _Param("trace", _flag),
+    "hausdorff": _Param("hausdorff", _flag),
+    "dump_particles": _Param("dump_particles", _flag),
+}
+
+# job kind -> (required, optional) parameters; "a|b" is one of a and b
+_JOBS = {
+    "density": ("G phi r_grid", "n seed epsilon estimator"),
+    "surface": ("G r", "phi|phi_list n seed epsilon estimator k_list trace hausdorff"),
+    "ibp": ("G phi|phi_list k_list r|r_grid", "n seed epsilon estimator"),
+    "disintegrate": ("G bins", "phi|phi_list n seed scheme dump_particles"),
+    "hausdorff": ("G r", "phi n seed epsilon estimator"),
+    "selftest": ("", ""),
+}
+JOB_KINDS = tuple(_JOBS)
+
+
+def _job_spec(kind, job_line, params, resolve, dim, error) -> JobSpec:
+    """Check one job block, ``params`` as ``{key: (line, text)}``, against
+    the schema of its kind; ``resolve`` maps a functional reference to the
+    functional a run would use."""
+    required, optional = (groups.split() for groups in _JOBS[kind])
+    read = set()
+    for group in required + optional:
+        keys = group.split("|")
+        given = [k for k in keys if k in params]
+        if not given and group in required:
+            error(job_line, f"{kind} job needs {' or '.join(keys)}")
+        for key in given[1:]:
+            error(params[key][0], f"{key}: {kind} job takes one of {' | '.join(keys)}")
+        read.update(given)
+    values, lines = {}, {}
+    for key, (line, text) in params.items():
+        if key not in read:
+            error(line, f"{kind} job takes no parameter {key!r}")
+            continue
+        param = _PARAMS[key]
+        try:
+            value = param.parse(text, resolve)
+        except ValueError as e:
+            error(line, f"{key}: {e}")
+            continue
+        if not param.ok(value, dim):
+            error(line, param.rule.format(value=value, dim=dim))
+            continue
+        values[param.field], lines[key] = value, line
+    _check_job(kind, values, lines, job_line, resolve, dim, error)
+    return JobSpec(kind=kind, **values)
+
+
+def _check_job(kind, values, lines, job_line, resolve, dim, error):
+    """The rules that tie the parameters of one job together."""
+    if kind == "disintegrate" and values.get("n", JobSpec.n) < values.get("bins", 0):
+        error(job_line, "disintegrate needs n >= bins")
+    for key in ("k_list", "trace") if kind == "surface" else ():
+        if values.get(key) and not values.get("phi"):
+            error(lines[key], f"{key}: needs phi or phi_list")
+    if (kind == "hausdorff" or values.get("hausdorff")) and "G" in values:
+        issue = quadrature_issue(resolve(values["G"]), dim)
+        if issue:
+            error(lines.get("hausdorff", job_line), f"hausdorff: {issue}")
+
+
+# ----------------------------- parse / serialize -----------------------------
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration; raises ConfigError listing every
     problem found."""
-    errs = _Collector()
+    issues: list[ConfigIssue] = []
+
+    def error(line: int, message: str):
+        issues.append(ConfigIssue(line, message))
+
+    def number(kind, text, line, what):
+        try:
+            return _number(kind)(text)
+        except ValueError as e:
+            error(line, f"{what}: {e}")
+
     model_family = None
     model_line = 0
     dim = None
     spectrum = None
     output = "out"
     formats = ("csv", "json")
-    functionals: list[tuple[str, str]] = []
-    defs: dict[str, str] = {}
-    def_lines: dict[str, int] = {}
+    defs: dict[str, tuple[str, int]] = {}  # name: (source, line)
     jobs: list[tuple[int, str, dict]] = []  # (line, kind, {key: (line, value)})
     current: dict | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).rstrip()
+        line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        indented = line[0] in " \t"
         parts = line.split()
-        if indented:
+        key, rest = parts[0], " ".join(parts[1:])
+        if line[0] in " \t":
             if current is None:
-                errs.error(lineno, "indented parameter outside a job block")
+                error(lineno, "indented parameter outside a job block")
                 continue
-            key, rest = parts[0], " ".join(parts[1:])
             current[key] = (lineno, rest)
             continue
         current = None
-        key, rest = parts[0], " ".join(parts[1:])
         if key == "model":
             model_family = rest.strip()
             model_line = lineno
         elif key == "dim":
-            dim = _parse_value(int, rest, lineno, errs, "dim")
+            dim = number(int, rest, lineno, "dim")
         elif key == "spectrum":
-            spectrum = tuple(v for v in
-                             (_parse_value(float, p, lineno, errs, "spectrum")
-                              for p in parts[1:]) if v is not None)
+            spectrum = tuple(v for v in (number(float, p, lineno, "spectrum")
+                                         for p in parts[1:]) if v is not None)
         elif key == "output":
             output = rest.strip()
         elif key == "formats":
             formats = tuple(parts[1:])
         elif key == "functional":
             if "=" not in rest:
-                errs.error(lineno, "functional definition needs 'name = expression'")
+                error(lineno, "functional definition needs 'name = expression'")
                 continue
-            name, source = rest.split("=", 1)
-            name = name.strip()
-            source = source.strip()
+            name, source = (part.strip() for part in rest.split("=", 1))
             if not name.isidentifier():
-                errs.error(lineno, f"bad functional name {name!r}")
+                error(lineno, f"bad functional name {name!r}")
                 continue
             if name in defs or name in BUILTIN_NAMES:
-                errs.error(lineno, f"functional {name!r} already defined")
+                error(lineno, f"functional {name!r} already defined")
                 continue
-            functionals.append((name, source))
-            defs[name] = source
-            def_lines[name] = lineno
+            defs[name] = (source, lineno)
         elif key == "job":
             kind = rest.strip()
             if kind not in JOB_KINDS:
-                errs.error(lineno, f"unknown job kind {kind!r} "
-                                   f"(expected one of {', '.join(JOB_KINDS)})")
+                error(lineno, f"unknown job kind {kind!r} "
+                              f"(expected one of {', '.join(JOB_KINDS)})")
                 continue
             current = {}
             jobs.append((lineno, kind, current))
         else:
-            errs.error(lineno, f"unknown key {key!r}")
+            error(lineno, f"unknown key {key!r}")
 
-    # ---- model ----
+    # ---- model: checked by building it ----
     if model_family is None:
-        errs.error(1, "missing 'model' line")
+        error(1, "missing 'model' line")
         model_family = "iid_gaussian"
     if model_family == "explicit":
         if spectrum is None:
-            errs.error(model_line, "explicit model needs a 'spectrum' line")
+            error(model_line, "explicit model needs a 'spectrum' line")
             spectrum = (1.0,)
-        if any(v <= 0 for v in spectrum):
-            errs.error(model_line, "spectrum entries must be positive")
         if dim is None:
             dim = len(spectrum)
         elif dim != len(spectrum):
-            errs.error(model_line, f"dim {dim} does not match spectrum length "
-                                   f"{len(spectrum)}")
+            error(model_line, f"dim {dim} does not match spectrum length {len(spectrum)}")
     else:
-        if model_family not in ("iid_gaussian", "kl_brownian"):
-            errs.error(model_line, f"unknown model family {model_family!r}")
         if spectrum is not None:
-            errs.error(model_line, "'spectrum' is only valid with model explicit")
+            error(model_line, "'spectrum' is only valid with model explicit")
         if dim is None:
-            errs.error(model_line or 1, "missing 'dim' line")
+            error(model_line or 1, "missing 'dim' line")
             dim = 1
-        elif dim <= 0:
-            errs.error(model_line, f"dim must be positive, got {dim}")
-            dim = 1
-    # ---- functional sources ----
-    for name, source in functionals:
-        _validate_functional_text(source, {}, dim, def_lines.get(name, 0),
-                                  errs, f"functional {name!r}", model_family)
+    model_spec = ModelSpec(family=model_family, dim=dim, spectrum=spectrum)
+    try:
+        model = resolve_model(model_spec)
+    except ValueError as e:
+        error(model_line or 1, str(e))
+        model = build_model(("iid_gaussian", max(dim, 1)))
+    # ---- functional definitions and jobs: checked by resolving them ----
+    sources = {name: source for name, (source, _) in defs.items()}
 
-    # ---- jobs ----
-    job_specs: list[JobSpec] = []
-    for job_line, kind, params in jobs:
-        spec = {"kind": kind}
-        taken = dict(params)
+    def resolve(text):
+        return resolve_functional(text, sources, model)
 
-        def take(key, conv, what, default=None):
-            if key not in taken:
-                return default
-            lineno, rest = taken.pop(key)
-            return _parse_value(conv, rest, lineno, errs, what)
+    for name, (_, lineno) in defs.items():
+        try:
+            resolve(name)
+        except ValueError as e:
+            error(lineno, f"functional {name!r}: {e}")
+    job_specs = [_job_spec(kind, job_line, params, resolve, model.dim, error)
+                 for job_line, kind, params in jobs]
 
-        def take_list(key, conv, what):
-            if key not in taken:
-                return ()
-            lineno, rest = taken.pop(key)
-            vals = tuple(v for v in (_parse_value(conv, p, lineno, errs, what)
-                                     for p in rest.split()) if v is not None)
-            return vals
+    if issues:
+        raise ConfigError(issues)
+    return RunConfig(model=model_spec, functionals=tuple(sources.items()),
+                     jobs=tuple(job_specs), output=output, formats=formats)
 
-        g_entry = taken.pop("G", None)
-        spec["G"] = None
-        if g_entry is not None:
-            spec["G"] = g_entry[1].strip()
-            _validate_functional_text(spec["G"], defs, dim, g_entry[0], errs, "G",
-                                      model_family)
-        phis: list[str] = []
-        for key in ("phi", "phi_list"):
-            entry = taken.pop(key, None)
-            if entry is None:
-                continue
-            lineno, rest = entry
-            items = rest.split() if key == "phi_list" else [rest.strip()]
-            for item in items:
-                _validate_functional_text(item, defs, dim, lineno, errs, "phi",
-                                          model_family)
-                phis.append(item)
-        spec["phi"] = tuple(phis)
-        spec["r"] = take("r", float, "r")
-        spec["r_grid"] = take_list("r_grid", float, "r_grid")
-        spec["n"] = take("n", int, "n", default=JobSpec.n)
-        spec["seed"] = take("seed", int, "seed", default=JobSpec.seed)
-        spec["epsilon"] = take("epsilon", float, "epsilon")
-        spec["estimator"] = take("estimator", str, "estimator",
-                                 default=JobSpec.estimator)
-        spec["bins"] = take("bins", int, "bins", default=JobSpec.bins)
-        spec["scheme"] = take("scheme", str, "scheme", default=JobSpec.scheme)
-        spec["k_list"] = take_list("k_list", int, "k_list")
-        for flag in ("trace", "hausdorff", "dump_particles"):
-            entry = taken.pop(flag, None)
-            if entry is None:
-                spec[flag] = False
-            elif entry[1].strip() in _BOOL:
-                spec[flag] = _BOOL[entry[1].strip()]
-            else:
-                errs.error(entry[0], f"{flag}: expected true or false")
-                spec[flag] = False
-        for key, (lineno, _) in taken.items():
-            errs.error(lineno, f"unknown job parameter {key!r}")
 
-        # per-kind requirements, checked statically where possible
-        need = lambda cond, msg: None if cond else errs.error(job_line, msg)
-        if kind == "density":
-            need(spec["G"] is not None, "density job needs G")
-            need(len(spec["phi"]) >= 1, "density job needs phi")
-            need(len(spec["r_grid"]) >= 1, "density job needs a nonempty r_grid")
-        elif kind == "surface":
-            need(spec["G"] is not None, "surface job needs G")
-            need(spec["r"] is not None, "surface job needs r")
-        elif kind == "ibp":
-            need(spec["G"] is not None, "ibp job needs G")
-            need(len(spec["phi"]) >= 1, "ibp job needs phi")
-            need(len(spec["k_list"]) >= 1, "ibp job needs k_list")
-            need(spec["r"] is not None or len(spec["r_grid"]) >= 1,
-                 "ibp job needs r or r_grid")
-        elif kind == "disintegrate":
-            need(spec["G"] is not None, "disintegrate job needs G")
-            need(spec["bins"] >= 2, "disintegrate job needs bins >= 2")
-            if spec["bins"] >= 2:
-                need(spec["n"] >= spec["bins"], "disintegrate needs n >= bins")
-            need(spec["scheme"] in ("quantile", "fixed"),
-                 f"unknown binning scheme {spec['scheme']!r}")
-        elif kind == "hausdorff":
-            need(spec["G"] is not None, "hausdorff job needs G")
-            need(spec["r"] is not None, "hausdorff job needs r")
-            need(dim <= 6, f"hausdorff quadrature supports dim <= 6, model has {dim}")
-            if spec["G"] is not None:
-                eligible = (spec["G"] in ("norm2", "bm_endpoint")
-                            or spec["G"].startswith(("coordinate(", "linear(")))
-                need(eligible, "hausdorff needs G in norm2 | bm_endpoint | "
-                               "coordinate(k) | linear(...)")
-        if spec["estimator"] not in ESTIMATORS:
-            errs.error(job_line, f"unknown estimator {spec['estimator']!r}")
-        if spec["n"] is not None and spec["n"] < 1:
-            errs.error(job_line, "n must be >= 1")
-        if spec["r_grid"] and any(b <= a for a, b in zip(spec["r_grid"],
-                                                         spec["r_grid"][1:])):
-            errs.error(job_line, "r_grid must be strictly increasing")
-        if spec["epsilon"] is not None and spec["epsilon"] <= 0:
-            errs.error(job_line, "epsilon must be positive")
-        for k in spec["k_list"]:
-            if not 1 <= k <= dim:
-                errs.error(job_line, f"k_list entry {k} out of range 1..{dim}")
-        job_specs.append(JobSpec(**spec))
-
-    if errs.issues:
-        raise ConfigError(errs.issues)
-    return RunConfig(model=ModelSpec(family=model_family, dim=dim,
-                                     spectrum=spectrum),
-                     functionals=tuple(functionals), jobs=tuple(job_specs),
-                     output=output, formats=formats)
+def _param_line(name: str, value) -> str:
+    """The line of a job parameter that parses back to ``value``; more than
+    one value takes the ``_list`` spelling where there is one."""
+    if isinstance(value, tuple):
+        if len(value) > 1 and f"{name}_list" in _PARAMS:
+            name += "_list"
+        value = " ".join(map(str, value))
+    return f"  {name} {'true' if value is True else value}"
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -369,34 +398,8 @@ def serialize_config(config: RunConfig) -> str:
     lines.append("formats " + " ".join(config.formats))
     for name, source in config.functionals:
         lines.append(f"functional {name} = {source}")
-    defaults = {f.name: f.default for f in fields(JobSpec)}
     for job in config.jobs:
         lines.append(f"job {job.kind}")
-        if job.G is not None:
-            lines.append(f"  G {job.G}")
-        if len(job.phi) == 1:
-            lines.append(f"  phi {job.phi[0]}")
-        elif job.phi:
-            lines.append("  phi_list " + " ".join(job.phi))
-        if job.r is not None:
-            lines.append(f"  r {job.r!r}")
-        if job.r_grid:
-            lines.append("  r_grid " + " ".join(repr(v) for v in job.r_grid))
-        for key in ("n", "seed"):
-            value = getattr(job, key)
-            if value != defaults[key]:
-                lines.append(f"  {key} {value}")
-        if job.epsilon is not None:
-            lines.append(f"  epsilon {job.epsilon!r}")
-        if job.estimator != defaults["estimator"]:
-            lines.append(f"  estimator {job.estimator}")
-        if job.bins != defaults["bins"]:
-            lines.append(f"  bins {job.bins}")
-        if job.scheme != defaults["scheme"]:
-            lines.append(f"  scheme {job.scheme}")
-        if job.k_list:
-            lines.append("  k_list " + " ".join(str(k) for k in job.k_list))
-        for flag in ("trace", "hausdorff", "dump_particles"):
-            if getattr(job, flag):
-                lines.append(f"  {flag} true")
+        lines += [_param_line(f.name, getattr(job, f.name)) for f in fields(JobSpec)[1:]
+                  if getattr(job, f.name) != f.default]
     return "\n".join(lines) + "\n"

@@ -143,6 +143,7 @@ class ParsedExpression:
     ast: object
     source: str
     xi_refs: tuple[tuple[int, int], ...]  # (index, source offset) pairs
+    norm2: bool = False  # whether it calls norm2(), which reads every coordinate
 
     @property
     def max_index(self) -> int:
@@ -154,6 +155,7 @@ class _Parser:
         self.src = source
         self.pos = 0
         self.xi_refs: list[tuple[int, int]] = []
+        self.norm2 = False
 
     def error(self, message, pos=None):
         raise ExpressionError(message, self.pos if pos is None else pos, self.src)
@@ -262,6 +264,7 @@ class _Parser:
         if name == "norm2":
             self.expect("(")
             self.expect(")")
+            self.norm2 = True
             return Call("norm2", ())
         if name in _UNARY_FN:
             self.expect("(")
@@ -281,7 +284,8 @@ class _Parser:
 def parse_expression(source: str) -> ParsedExpression:
     p = _Parser(source)
     ast = p.parse()
-    return ParsedExpression(ast=ast, source=source, xi_refs=tuple(p.xi_refs))
+    return ParsedExpression(ast=ast, source=source, xi_refs=tuple(p.xi_refs),
+                            norm2=p.norm2)
 
 
 # ----------------------------- printing -----------------------------
@@ -383,55 +387,6 @@ def evaluate(node, xi: np.ndarray, memo=None) -> np.ndarray:
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     out = _eval(node, xi, {} if memo is None else memo)
     return np.broadcast_to(np.asarray(out, dtype=float), (xi.shape[0],))
-
-
-def max_xi(node) -> int:
-    if isinstance(node, Xi):
-        return node.k
-    if isinstance(node, (Add, Sub, Mul, DivOp)):
-        return max(max_xi(node.a), max_xi(node.b))
-    if isinstance(node, PowInt):
-        return max_xi(node.base)
-    if isinstance(node, (Neg, SignOf)):
-        return max_xi(node.a)
-    if isinstance(node, Call):
-        return max((max_xi(a) for a in node.args), default=0)
-    if isinstance(node, IfLe):
-        return max(max_xi(node.a), max_xi(node.b),
-                   max_xi(node.then), max_xi(node.other))
-    return 0
-
-
-def uses_norm2(node) -> bool:
-    if isinstance(node, Call):
-        return node.fn == "norm2" or any(uses_norm2(a) for a in node.args)
-    if isinstance(node, (Add, Sub, Mul, DivOp)):
-        return uses_norm2(node.a) or uses_norm2(node.b)
-    if isinstance(node, PowInt):
-        return uses_norm2(node.base)
-    if isinstance(node, (Neg, SignOf)):
-        return uses_norm2(node.a)
-    if isinstance(node, IfLe):
-        return any(uses_norm2(x) for x in (node.a, node.b, node.then, node.other))
-    return False
-
-
-def explicit_indices(node) -> frozenset:
-    if isinstance(node, Xi):
-        return frozenset((node.k,))
-    if isinstance(node, (Add, Sub, Mul, DivOp)):
-        return explicit_indices(node.a) | explicit_indices(node.b)
-    if isinstance(node, PowInt):
-        return explicit_indices(node.base)
-    if isinstance(node, (Neg, SignOf)):
-        return explicit_indices(node.a)
-    if isinstance(node, Call):
-        return frozenset().union(*(explicit_indices(a) for a in node.args)) \
-            if node.args else frozenset()
-    if isinstance(node, IfLe):
-        return (explicit_indices(node.a) | explicit_indices(node.b)
-                | explicit_indices(node.then) | explicit_indices(node.other))
-    return frozenset()
 
 
 # ----------------------------- differentiation -----------------------------
@@ -575,15 +530,13 @@ class ExpressionFunctional(Functional):
         self.ast = self.parsed.ast
         self.name = name if name is not None else self.parsed.source.strip()
         self.min_dim = max(1, self.parsed.max_index)
-        self._norm2 = uses_norm2(self.ast)
-        self._explicit = explicit_indices(self.ast)
         self._grads: dict[int, object] = {}
         self._hess: dict[tuple[int, int], object] = {}
 
     def _active(self, d: int):
-        if self._norm2:
+        if self.parsed.norm2:
             return range(1, d + 1)
-        return sorted(k for k in self._explicit if k <= d)
+        return sorted({k for k, _ in self.parsed.xi_refs if k <= d})
 
     def _grad_ast(self, k: int):
         if k not in self._grads:

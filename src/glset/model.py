@@ -200,7 +200,7 @@ def endpoint_weights(model: GaussianModel) -> np.ndarray:
     with these weights and variance ``sum_k 2 lambda_k``.
     """
     if model.kl_eval_times is None:
-        raise ValueError(f"model {model.label!r} has no path rendering")
+        raise ValueError(f"model {model.label!r} is not a kl_brownian model")
     k = np.arange(1, model.dim + 1)
     signs = np.where(k % 2 == 1, 1.0, -1.0)
     return np.sqrt(model.spectrum) * np.sqrt(2.0) * signs

@@ -22,47 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelSpec, RunConfig, serialize_config
+from .config import RunConfig, resolve_functional, resolve_model, serialize_config
 from .density import DensityJob, estimate_density, stream_pass
 from .disintegration import disintegrate, support_check, verify_disintegration
-from .expressions import ExpressionError, Num, parse_expression
-from .functionals import BmEndpoint, Constant, Coordinate, Linear, Norm2, \
-    NumericalFault
-from .expressions import ExpressionFunctional
-from .model import GaussianModel, build_model
+from .expressions import ExpressionError
+from .functionals import Constant, NumericalFault
 from .surface import SurfaceMeasureHandle, _ibp_queries, _ibp_records, \
     hausdorff_compare, surface_report
-
-
-def resolve_model(spec: ModelSpec) -> GaussianModel:
-    if spec.family == "explicit":
-        return build_model({"spectrum": list(spec.spectrum)})
-    return build_model((spec.family, spec.dim))
-
-
-def resolve_functional(text: str, defs: dict, model: GaussianModel):
-    """Turn a functional reference into an oracle: defined name, builtin,
-    or inline expression."""
-    text = text.strip()
-    if text in defs:
-        return _expression_functional(defs[text], name=text)
-    if text == "norm2":
-        return Norm2()
-    if text == "bm_endpoint":
-        return BmEndpoint(model)
-    if text.startswith("coordinate(") and text.endswith(")"):
-        return Coordinate(int(text[len("coordinate("):-1]))
-    if text.startswith("linear(") and text.endswith(")"):
-        weights = [float(p) for p in text[len("linear("):-1].split(",") if p.strip()]
-        return Linear(weights)
-    return _expression_functional(text)
-
-
-def _expression_functional(source: str, name: str | None = None):
-    parsed = parse_expression(source)
-    if isinstance(parsed.ast, Num):
-        return Constant(parsed.ast.value)
-    return ExpressionFunctional(parsed, name=name)
 
 
 # ----------------------------- formatting -----------------------------
@@ -161,10 +127,8 @@ def _residual_rows(records):
             for rec in records]
 
 
-def _run_density(job, model, defs, out_base, formats):
-    G = resolve_functional(job.G, defs, model)
-    phi = resolve_functional(job.phi[0], defs, model)
-    djob = DensityJob(model=model, G=G, phi=phi, r_grid=job.r_grid, n=job.n,
+def _run_density(job, model, G, phis, out_base, formats):
+    djob = DensityJob(model=model, G=G, phi=phis[0], r_grid=job.r_grid, n=job.n,
                       seed=job.seed, epsilon=job.epsilon, estimator=job.estimator)
     curves = estimate_density(djob)
     rows = []
@@ -176,9 +140,7 @@ def _run_density(job, model, defs, out_base, formats):
         "curves": {k: _curve_payload(c) for k, c in curves.items()}})
 
 
-def _run_surface(job, model, defs, out_base, formats):
-    G = resolve_functional(job.G, defs, model)
-    phis = [resolve_functional(p, defs, model) for p in job.phi]
+def _run_surface(job, model, G, phis, out_base, formats):
     report = surface_report(_handle(job, model, G), phis, k_list=job.k_list,
                             with_trace=job.trace, with_hausdorff=job.hausdorff)
     if report.ibp:
@@ -202,10 +164,8 @@ def _run_surface(job, model, defs, out_base, formats):
     })
 
 
-def _run_ibp(job, model, defs, out_base, formats):
+def _run_ibp(job, model, G, phis, out_base, formats):
     """Both sides of every (phi, k) identity as columns of one stream pass."""
-    G = resolve_functional(job.G, defs, model)
-    phis = [resolve_functional(p, defs, model) for p in job.phi]
     pairs = [(phi, k) for phi in phis for k in job.k_list]
     queries = [q for phi, k in pairs
                for q in _ibp_queries(model, G, phi, k, _estimator(job))]
@@ -219,10 +179,8 @@ def _run_ibp(job, model, defs, out_base, formats):
                             "records": [dataclasses.asdict(r) for r in records]})
 
 
-def _run_disintegrate(job, model, defs, out_base, formats):
-    G = resolve_functional(job.G, defs, model)
+def _run_disintegrate(job, model, G, phis, out_base, formats):
     D = disintegrate(model, G, job.n, job.seed, job.bins, scheme=job.scheme)
-    phis = [resolve_functional(p, defs, model) for p in job.phi]
     binned = D.bin_sums(phis)
     cond = {b.phi_name: D.conditional_means(b) for b in binned}
     towers = [verify_disintegration(D, b) for b in binned]
@@ -249,10 +207,8 @@ def _run_disintegrate(job, model, defs, out_base, formats):
     return write_artifacts(out_base, formats, (header, rows), payload)
 
 
-def _run_hausdorff(job, model, defs, out_base, formats):
-    G = resolve_functional(job.G, defs, model)
-    phi = resolve_functional(job.phi[0], defs, model) if job.phi else Constant(1.0)
-    rec = hausdorff_compare(_handle(job, model, G), phi)
+def _run_hausdorff(job, model, G, phis, out_base, formats):
+    rec = hausdorff_compare(_handle(job, model, G), phis[0] if phis else Constant(1.0))
     table = (["G", "phi", "r", "geometry", "mc_value", "mc_stderr", "quad_value",
               "rel_error"],
              [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,
@@ -266,13 +222,6 @@ def write_selftest(out_base: Path, results) -> list[Path]:
     """The acceptance battery's report, always as ``out_base.json``."""
     return write_artifacts(out_base, ("json",), None,
                            {"results": [dataclasses.asdict(r) for r in results]})
-
-
-def _run_selftest(job, model, defs, out_base, formats):
-    from .selftest import run_acceptance
-
-    results = run_acceptance(verbose=True)
-    return write_selftest(out_base, results), all(r.passed for r in results)
 
 
 _EXECUTORS = {
@@ -296,11 +245,16 @@ def run(config: RunConfig, output_dir=None) -> int:
         base = out / f"job{i:02d}_{job.kind}"
         try:
             if job.kind == "selftest":
-                files, ok = _run_selftest(job, model, defs, base, config.formats)
-                if not ok:
+                from .selftest import run_acceptance  # selftest imports this module
+
+                results = run_acceptance(verbose=True)
+                files = write_selftest(base, results)
+                if not all(r.passed for r in results):
                     exit_code = 2
             else:
-                files = _EXECUTORS[job.kind](job, model, defs, base, config.formats)
+                G = resolve_functional(job.G, defs, model)
+                phis = [resolve_functional(p, defs, model) for p in job.phi]
+                files = _EXECUTORS[job.kind](job, model, G, phis, base, config.formats)
         except (NumericalFault, ExpressionError, ValueError, OSError) as e:
             print(f"job {i} ({job.kind}) failed: {e}", file=sys.stderr)
             return 1

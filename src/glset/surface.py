@@ -424,17 +424,27 @@ class HausdorffRecord:
         return self.rel_error <= max(0.01, 4.0 * self.mc_stderr / scale)
 
 
+def quadrature_issue(G: Functional, d: int) -> str | None:
+    """Why the quadrature oracle cannot take the level sets of G in dimension
+    d, or None: it knows spheres (norm2) and hyperplanes (nonzero linear G)."""
+    if d > 6:
+        return f"quadrature oracle supports dim <= 6, model has {d}"
+    if not (isinstance(G, Norm2) or isinstance(G, Linear) and G.weights.any()):
+        return (f"no quadrature oracle for G={G.name!r}; G must be norm2 | "
+                "bm_endpoint | coordinate(k) | linear(...) with a nonzero weight")
+    return None
+
+
 def _quadrature(h: SurfaceMeasureHandle, phi: Functional, nodes: int):
     """(geometry, value) of the weighted Hausdorff form of the handle's level
-    set; only spheres (norm2) and hyperplanes (linear G)."""
+    set."""
     d = h.model.dim
-    if d > 6:
-        raise ValueError("quadrature oracle supports d <= 6")
+    issue = quadrature_issue(h.G, d)
+    if issue:
+        raise ValueError(issue)
     if isinstance(h.G, Norm2):
         return "sphere", sphere_quadrature(phi, d, h.r, nodes)
-    if isinstance(h.G, Linear):
-        return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r, nodes)
-    raise ValueError(f"no quadrature oracle for G={h.G.name!r}")
+    return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r, nodes)
 
 
 def _hausdorff_record(h, phi, nodes, quadrature, curve: DensityCurve) -> HausdorffRecord:

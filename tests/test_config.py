@@ -1,10 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from glset import (ConfigError, RunConfig, parse_config, resolve_functional,
-                   resolve_model, serialize_config)
-from glset.config import JobSpec, ModelSpec
+from glset import (ConfigError, Constant, Norm2, RunConfig, SurfaceMeasureHandle,
+                   hausdorff_compare, parse_config, resolve_functional, resolve_model,
+                   run, serialize_config)
+from glset.config import _JOBS, _PARAMS, JobSpec, ModelSpec
 from glset.functionals import fd_gradient
+from glset.surface import quadrature_issue
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """\
 model iid_gaussian
@@ -148,6 +155,168 @@ job ibp
         cfg = parse_config(MINIMAL)
         once = serialize_config(cfg)
         assert serialize_config(parse_config(once)) == once
+
+
+FULL_CANONICAL = """\
+model iid_gaussian
+dim 3
+output out
+formats csv json
+functional bump = exp(-norm2())
+job density
+  G norm2
+  phi bump
+  r_grid 1.0 2.0 3.0
+  n 20000
+  seed 7
+job surface
+  G norm2
+  phi bump
+  r 2.0
+  n 20000
+  seed 3
+  estimator divergence
+  k_list 1
+  hausdorff true
+job ibp
+  G norm2
+  phi bump
+  r_grid 1.0 3.0
+  n 20000
+  seed 11
+  estimator divergence
+  k_list 1 2
+job disintegrate
+  G coordinate(1)
+  phi_list 1 bump
+  n 20000
+  seed 5
+  bins 10
+job hausdorff
+  G coordinate(1)
+  phi 1
+  r 0.0
+  n 20000
+  seed 9
+  estimator divergence
+"""
+
+BENCH_CANONICAL = """\
+model iid_gaussian
+dim 5
+output out
+formats csv json
+functional gauss = exp(-norm2())
+job surface
+  G norm2
+  phi_list 1 gauss
+  r 5.0
+  n 500000
+  seed 7
+  k_list 1 2
+  trace true
+  hausdorff true
+job disintegrate
+  G norm2
+  phi_list 1 gauss
+  n 1000000
+  seed 7
+  bins 200
+"""
+
+
+class TestCanonicalText:
+    """The exact text ``serialize_config`` emits; the manifest's
+    ``config_hash`` is its sha256, so any change here changes every hash."""
+
+    def test_full_config(self):
+        from test_runner_cli import FULL_CONFIG
+
+        assert serialize_config(parse_config(FULL_CONFIG)) == FULL_CANONICAL
+
+    def test_bench_config(self):
+        text = (ROOT / "bench" / "surface_report.cfg").read_text()
+        cfg = parse_config(text.replace("{seed}", "7"))
+        assert serialize_config(cfg) == BENCH_CANONICAL
+
+
+def _job(body, dim=3, head=""):
+    """A one-job config; its job line is line 3 + the lines of ``head``."""
+    return f"model iid_gaussian\ndim {dim}\n{head}job {body}"
+
+
+GAUSS = "functional gauss = exp(-norm2())\n"
+
+# (config, line of the issue, fragment of its message)
+REJECTED = {
+    "density phi_list": (_job("density\n  G norm2\n  phi_list 1 gauss\n  r_grid 1 2\n",
+                              head=GAUSS), 6, "phi_list"),
+    "density k_list": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n  k_list 1\n"),
+                       7, "k_list"),
+    "density bins": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n  bins 3\n"),
+                     7, "bins"),
+    "density trace": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n  trace true\n"),
+                      7, "trace"),
+    "hausdorff phi_list": (_job("hausdorff\n  G norm2\n  phi_list gauss 1\n  r 2\n",
+                                head=GAUSS), 6, "phi_list"),
+    "hausdorff r_grid": (_job("hausdorff\n  G norm2\n  r 2\n  r_grid 1 2\n"), 6, "r_grid"),
+    "ibp r and r_grid": (_job("ibp\n  G norm2\n  phi 1\n  k_list 1\n  r 9\n"
+                              "  r_grid 1 2\n"), 8, "r | r_grid"),
+    "surface k_list without phi": (_job("surface\n  G norm2\n  r 2\n  k_list 1 2\n"),
+                                   6, "k_list"),
+    "surface trace without phi": (_job("surface\n  G norm2\n  r 2\n  trace true\n"),
+                                  6, "trace"),
+    "surface hausdorff dim 7": (_job("surface\n  G norm2\n  r 2\n  hausdorff true\n",
+                                     dim=7), 6, "dim <= 6"),
+    "surface hausdorff expression G": (_job("surface\n  G norm2()\n  r 2\n"
+                                            "  hausdorff true\n"), 6, "norm2 | bm_endpoint"),
+    "hausdorff zero linear G": (_job("hausdorff\n  G linear(0, 0)\n  r 1\n"), 3,
+                                "nonzero weight"),
+    "selftest n": (_job("selftest\n  n 5\n"), 4, "n"),
+    "disintegrate estimator": (_job("disintegrate\n  G norm2\n  bins 4\n"
+                                    "  estimator mollified\n"), 6, "estimator"),
+    "definition of a builtin name": (_job("density\n  G f\n  phi 1\n  r_grid 1\n",
+                                          head="functional f = norm2\n"), 3, "functional 'f'"),
+}
+
+
+class TestJobSchema:
+    """A parameter a job kind does not read, or a combination it cannot
+    run, is an issue on its own line."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_with_its_line(self, case):
+        text, line, fragment = REJECTED[case]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert any(issue.line == line and fragment in issue.message
+                   for issue in exc.value.issues), str(exc.value)
+
+    @pytest.mark.parametrize("case", ["surface k_list without phi",
+                                      "surface hausdorff dim 7",
+                                      "surface hausdorff expression G"])
+    def test_what_parses_runs(self, case, tmp_path):
+        # with the offending line dropped, each of these configs runs
+        text, line, _ = REJECTED[case]
+        lines = text.splitlines()
+        kept = "\n".join(lines[:line - 1] + lines[line:]) + "\n  n 2000\n"
+        assert run(parse_config(kept), output_dir=tmp_path) == 0
+
+    def test_every_kind_reads_known_parameters(self):
+        for kind, (required, optional) in _JOBS.items():
+            for key in " ".join([required, optional]).replace("|", " ").split():
+                assert key in _PARAMS, (kind, key)
+
+    def test_quadrature_rule_is_shared(self):
+        m = resolve_model(ModelSpec(family="kl_brownian", dim=4))
+        for text in ("norm2", "bm_endpoint", "coordinate(2)", "linear(1, 2)"):
+            assert quadrature_issue(resolve_functional(text, {}, m), 4) is None
+        assert "dim <= 6" in quadrature_issue(Norm2(), 7)
+        G = resolve_functional("norm2()", {}, m)
+        issue = quadrature_issue(G, 4)
+        h = SurfaceMeasureHandle(model=m, G=G, r=1.0, n=10, seed=0)
+        with pytest.raises(ValueError, match=re.escape(issue)):
+            hausdorff_compare(h, Constant(1.0))
 
 
 class TestResolve:
