@@ -72,7 +72,7 @@ class KernelField:
         s = rowsum(g * g) if grad_norm2 is None else grad_norm2
         excluded = s < self.floor * self.floor
         lap = self.G.laplacian(xi)
-        quad = self.G.hessian_quad(xi, g)
+        quad = rowsum(g * self.G.hvp(xi, g))
         with np.errstate(divide="ignore", invalid="ignore"):
             val = (lap - rowsum(xi * g)) / s - 2.0 * quad / (s * s)
         val = np.where(excluded, 0.0, val)

@@ -304,6 +304,8 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                 flags.append("approximate-gradient")
             if unreliable:
                 flags.append(VARIANCE_UNRELIABLE)
+            if excluded_fraction == 1.0:  # the estimates are empty sums
+                flags.append("all-excluded")
             results.append(DensityCurve(
                 r=r, estimates=est, stderrs=se, estimator="divergence",
                 excluded_fraction=excluded_fraction, n=n, seed=seed,

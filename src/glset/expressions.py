@@ -568,10 +568,6 @@ class ExpressionFunctional(Functional):
                 out[:, k - 1] = evaluate(ast, xi, memo)
         return out
 
-    def partial(self, xi, k):
-        self._check_dim(xi)
-        return evaluate(self._grad_ast(k), xi)
-
     def laplacian(self, xi):
         self._check_dim(xi)
         out = np.zeros(xi.shape[0])
@@ -582,27 +578,14 @@ class ExpressionFunctional(Functional):
                 out += evaluate(ast, xi, memo)
         return out
 
-    def hessian_quad(self, xi, w):
-        self._check_dim(xi)
-        out = np.zeros(xi.shape[0])
-        memo = {}
-        active = list(self._active(xi.shape[1]))
-        for i, j in enumerate(active):
-            for k in active[i:]:
-                ast = self._hess_ast(j, k)
-                if _is_zero(ast):
-                    continue
-                h = evaluate(ast, xi, memo)
-                term = h * w[:, j - 1] * w[:, k - 1]
-                out += term if j == k else 2.0 * term
-        return out
-
-    def hessian_row(self, xi, k):
+    def hvp(self, xi, u):
         self._check_dim(xi)
         out = np.zeros_like(xi)
         memo = {}
-        for j in self._active(xi.shape[1]):
-            ast = self._hess_ast(k, j)
-            if not _is_zero(ast):
-                out[:, j - 1] = evaluate(ast, xi, memo)
+        active = self._active(xi.shape[1])
+        for j in active:
+            for k in active:
+                ast = self._hess_ast(j, k)
+                if not _is_zero(ast):
+                    out[:, j - 1] += evaluate(ast, xi, memo) * u[:, k - 1]
         return out

@@ -1,16 +1,24 @@
 """Scalar functionals and H-vector fields on whitened coordinates.
 
 A functional evaluates on batches: ``value(xi)`` maps an ``(n, d)`` array of
-points to an ``(n,)`` array.  Analytic derivative callbacks are optional;
-anything missing falls back to central finite differences with per-coordinate
-step ``fd_step * (1 + |xi_k|)`` (Hessian quantities via nested central
-differences).  Every stencil perturbs one reused copy of its input
-(:func:`fd_sides`).  Inside a chunk of a stream pass (:func:`chunk_scope`) the
-stencil at the chunk points is evaluated once per functional, and the
-gradient, its partials and the Laplacian there are read from it; the memo
-dies with the chunk.  Oracles must be pure so they can be evaluated
-concurrently, re-evaluated chunk by chunk and called on a buffer that is
-perturbed again after they return.
+points to an ``(n,)`` array.  Its derivatives are ``gradient`` (``(n, d)``),
+``laplacian`` (``(n,)``) and ``hvp(xi, u)``, the Hessian-vector product
+``(D^2 f) u`` row by row (``(n, d)``); ``g^T H g`` and ``D(D_k f)`` are both
+Hessian-vector products.  Analytic derivatives are optional; anything
+missing falls back to central finite differences:
+
+* the gradient and the Laplacian from the coordinate stencil
+  ``xi +- h e_k`` with per-row step ``h = fd_step * (1 + |xi_k|)``
+  (:func:`fd_sides`) and, for the Laplacian, the centre value;
+* ``hvp`` from the gradient at ``xi +- fd_step * u/|u|``, scaled by
+  ``|u| / (2 fd_step)``.
+
+Every coordinate stencil perturbs one reused copy of its input.  Inside a
+chunk of a stream pass (:func:`chunk_scope`) the stencil sides at the chunk
+points are evaluated once per functional and the gradient and Laplacian
+there are read from them; the memo dies with the chunk.  Oracles must be
+pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
+called on a buffer that is perturbed again after they return.
 """
 
 from __future__ import annotations
@@ -105,18 +113,18 @@ def stable_argsort(v: np.ndarray) -> np.ndarray:
 
 # ----------------------------- finite differences -----------------------------
 
-def fd_sides(f, xi, step, coords=None):
+def fd_sides(f, xi, step):
     """Both sides of the central-difference stencil of ``f`` at ``xi``.
 
     Yields ``(k, h, f(xi + h e_k), f(xi - h e_k))`` for every 0-based
-    coordinate k in ``coords`` (all by default), with the per-row step
+    coordinate k, with the per-row step
     ``h = step * (1 + |xi_k|)``.  Every side is evaluated on one copy of
     ``xi``, perturbed in column k and restored before the next coordinate; a
     side that shares memory with that copy is copied, so perturbing it again
     cannot change what was yielded.
     """
     buf = xi.copy()
-    for k in range(xi.shape[1]) if coords is None else coords:
+    for k in range(xi.shape[1]):
         col = xi[:, k]
         h = step * (1.0 + np.abs(col))
         buf[:, k] = col + h
@@ -131,29 +139,16 @@ def fd_sides(f, xi, step, coords=None):
         yield k, h, hi, lo
 
 
-def fd_partial(value, xi, k, step):
-    """Central difference of a batch functional along coordinate k (1-based)."""
-    _, h, hi, lo = next(fd_sides(value, xi, step, (k - 1,)))
-    return (hi - lo) / (2.0 * h)
-
-
-def fd_gradient(value, xi, step):
+def _central_gradient(sides, xi):
     out = np.empty_like(xi)
-    for k, h, hi, lo in fd_sides(value, xi, step):
+    for k, h, hi, lo in sides:
         out[:, k] = (hi - lo) / (2.0 * h)
     return out
 
 
-def fd_gradient_laplacian(value, xi, step):
-    """Gradient and Laplacian from one ``2d + 1`` point stencil: the sides of
-    the central differences and the centre value."""
-    two_centre = 2.0 * value(xi)
-    grad = np.empty_like(xi)
-    lap = np.zeros(xi.shape[0])
-    for k, h, hi, lo in fd_sides(value, xi, step):
-        grad[:, k] = (hi - lo) / (2.0 * h)
-        lap += (hi - two_centre + lo) / (h * h)
-    return grad, lap
+def fd_gradient(value, xi, step):
+    """Central-difference gradient of a batch callback."""
+    return _central_gradient(fd_sides(value, xi, step), xi)
 
 
 # The derivative methods keep their signatures, so the memo of the chunk a
@@ -167,9 +162,9 @@ def chunk_scope(points):
 
     Until the block ends, the finite-difference ``gradient`` and
     ``laplacian`` of a functional at exactly this array (``xi is points``)
-    evaluate its stencil once and keep the two derived arrays; later
-    ``gradient``, ``partial`` and ``laplacian`` calls at the same points read
-    copies of them.  The points must not be written to inside the block.
+    evaluate the ``2d`` sides of its stencil once and keep them; the
+    Laplacian adds the centre value when it is asked for.  The points must
+    not be written to inside the block.
     """
     outer = getattr(_chunk, "scope", None)
     _chunk.scope = (points, {})
@@ -196,55 +191,39 @@ class Functional:
     def value(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _chunk_stencil(self, xi, evaluate=True):
-        """``(self, gradient, laplacian)`` of the FD stencil at the points of
-        the current :func:`chunk_scope`, evaluated on first use; None when
-        ``xi`` is not those points, or when it is not yet evaluated and
-        ``evaluate`` is false."""
+    def _stencil(self, xi):
+        """The sides of the coordinate stencil at ``xi``, as :func:`fd_sides`
+        yields them; at the points of the current :func:`chunk_scope` they
+        are evaluated on first use and kept until the chunk ends."""
         scope = getattr(_chunk, "scope", None)
         if scope is None or scope[0] is not xi:
-            return None
+            return fd_sides(self.value, xi, self.fd_step)
         memo = scope[1]
         entry = memo.get(id(self))
-        if entry is None and evaluate:
+        if entry is None:
             # the entry holds self, so its id is not reused within the scope
-            entry = memo[id(self)] = (self, *fd_gradient_laplacian(self.value, xi,
-                                                                   self.fd_step))
-        return entry
+            entry = memo[id(self)] = (self, list(fd_sides(self.value, xi, self.fd_step)))
+        return entry[1]
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
-        entry = self._chunk_stencil(xi)
-        if entry is None:
-            return fd_gradient(self.value, xi, self.fd_step)
-        return entry[1].copy()
-
-    def partial(self, xi: np.ndarray, k: int) -> np.ndarray:
-        entry = self._chunk_stencil(xi, evaluate=False)
-        if entry is None:
-            return fd_partial(self.value, xi, k, self.fd_step)
-        return entry[1][:, k - 1].copy()
+        return _central_gradient(self._stencil(xi), xi)
 
     def laplacian(self, xi: np.ndarray) -> np.ndarray:
-        entry = self._chunk_stencil(xi)
-        if entry is None:
-            return fd_gradient_laplacian(self.value, xi, self.fd_step)[1]
-        return entry[2].copy()
+        two_centre = 2.0 * self.value(xi)
+        lap = np.zeros(xi.shape[0])
+        for k, h, hi, lo in self._stencil(xi):
+            lap += (hi - two_centre + lo) / (h * h)
+        return lap
 
-    def hessian_quad(self, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Quadratic form ``w^T (D^2 f) w`` row-wise, by nested differences."""
-        norm = np.sqrt(rowsum(w * w))
-        safe = np.where(norm > 0.0, norm, 1.0)
-        u = w / safe[:, None]
-        h = self.fd_step
-        g_hi = self.gradient(xi + h * u)
-        g_lo = self.gradient(xi - h * u)
-        dir2 = rowsum((g_hi - g_lo) * u) / (2.0 * h)
-        return dir2 * norm * norm
-
-    def hessian_row(self, xi: np.ndarray, k: int) -> np.ndarray:
-        """Row k of the Hessian, ``(D^2 f)[k, :]``, by nested differences."""
-        _, h, hi, lo = next(fd_sides(self.gradient, xi, self.fd_step, (k - 1,)))
-        return (hi - lo) / (2.0 * h[:, None])
+    def hvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Hessian-vector product ``(D^2 f) u`` row-wise: the central
+        difference of the gradient along ``u/|u|``, scaled by ``|u|``."""
+        norm = np.sqrt(rowsum(u * u))
+        step = u / np.where(norm > 0.0, norm, 1.0)[:, None]
+        step *= self.fd_step
+        out = self.gradient(xi + step) - self.gradient(xi - step)
+        out *= (norm / (2.0 * self.fd_step))[:, None]
+        return out
 
     def __call__(self, xi):
         batch, single = _as_batch(xi)
@@ -274,11 +253,6 @@ class UserFunctional(Functional):
             return super().gradient(xi)
         return np.asarray(self._grad(xi), dtype=float)
 
-    def partial(self, xi, k):
-        if self._grad is None:
-            return super().partial(xi, k)
-        return self.gradient(xi)[:, k - 1]
-
     def hessian(self, xi):
         return np.asarray(self._hess(xi), dtype=float)
 
@@ -287,15 +261,10 @@ class UserFunctional(Functional):
             return super().laplacian(xi)
         return np.trace(self.hessian(xi), axis1=1, axis2=2)
 
-    def hessian_quad(self, xi, w):
+    def hvp(self, xi, u):
         if self._hess is None:
-            return super().hessian_quad(xi, w)
-        return np.einsum("ni,nij,nj->n", w, self.hessian(xi), w)
-
-    def hessian_row(self, xi, k):
-        if self._hess is None:
-            return super().hessian_row(xi, k)
-        return self.hessian(xi)[:, k - 1, :]
+            return super().hvp(xi, u)
+        return np.einsum("nij,nj->ni", self.hessian(xi), u)
 
 
 class Constant(Functional):
@@ -311,16 +280,10 @@ class Constant(Functional):
     def gradient(self, xi):
         return np.zeros_like(xi)
 
-    def partial(self, xi, k):
-        return np.zeros(xi.shape[0])
-
     def laplacian(self, xi):
         return np.zeros(xi.shape[0])
 
-    def hessian_quad(self, xi, w):
-        return np.zeros(xi.shape[0])
-
-    def hessian_row(self, xi, k):
+    def hvp(self, xi, u):
         return np.zeros_like(xi)
 
 
@@ -344,17 +307,10 @@ class Linear(Functional):
         g[:, : len(self.weights)] = self.weights
         return g
 
-    def partial(self, xi, k):
-        w = self.weights[k - 1] if k <= len(self.weights) else 0.0
-        return np.full(xi.shape[0], w)
-
     def laplacian(self, xi):
         return np.zeros(xi.shape[0])
 
-    def hessian_quad(self, xi, w):
-        return np.zeros(xi.shape[0])
-
-    def hessian_row(self, xi, k):
+    def hvp(self, xi, u):
         return np.zeros_like(xi)
 
 
@@ -382,20 +338,11 @@ class Norm2(Functional):
     def gradient(self, xi):
         return 2.0 * xi
 
-    def partial(self, xi, k):
-        return 2.0 * xi[:, k - 1]
-
     def laplacian(self, xi):
         return np.full(xi.shape[0], 2.0 * xi.shape[1])
 
-    def hessian_quad(self, xi, w):
-        # D^2 = 2 I
-        return 2.0 * rowsum(w * w)
-
-    def hessian_row(self, xi, k):
-        row = np.zeros_like(xi)
-        row[:, k - 1] = 2.0
-        return row
+    def hvp(self, xi, u):
+        return 2.0 * u  # D^2 = 2 I
 
 
 class BmEndpoint(Linear):
@@ -429,28 +376,16 @@ class LinearCombination(Functional):
             out += a * f.gradient(xi)
         return out
 
-    def partial(self, xi, k):
-        out = np.zeros(xi.shape[0])
-        for a, f in self.terms:
-            out += a * f.partial(xi, k)
-        return out
-
     def laplacian(self, xi):
         out = np.zeros(xi.shape[0])
         for a, f in self.terms:
             out += a * f.laplacian(xi)
         return out
 
-    def hessian_quad(self, xi, w):
-        out = np.zeros(xi.shape[0])
-        for a, f in self.terms:
-            out += a * f.hessian_quad(xi, w)
-        return out
-
-    def hessian_row(self, xi, k):
+    def hvp(self, xi, u):
         out = np.zeros_like(xi)
         for a, f in self.terms:
-            out += a * f.hessian_row(xi, k)
+            out += a * f.hvp(xi, u)
         return out
 
 
@@ -479,9 +414,6 @@ class RadialClamp(Functional):
         scale = np.where(on_ramp, -1.0 / (self.m * np.maximum(r, 1e-300)), 0.0)
         return xi * scale[:, None]
 
-    def partial(self, xi, k):
-        return self.gradient(xi)[:, k - 1]
-
 
 class SublevelBump(Functional):
     """Ramp supported in a sublevel set of another functional.
@@ -509,9 +441,6 @@ class SublevelBump(Functional):
         scale = np.where(on_ramp, -1.0 / self.delta, 0.0)
         return self.G.gradient(xi) * scale[:, None]
 
-    def partial(self, xi, k):
-        return self.gradient(xi)[:, k - 1]
-
 
 class Product(Functional):
     """Pointwise product ``f * g`` with product-rule derivatives."""
@@ -531,17 +460,13 @@ class Product(Functional):
         gv = self.g.value(xi)
         return self.f.gradient(xi) * gv[:, None] + self.g.gradient(xi) * fv[:, None]
 
-    def partial(self, xi, k):
-        return (self.f.partial(xi, k) * self.g.value(xi)
-                + self.g.partial(xi, k) * self.f.value(xi))
-
 
 class ProductWithPartial(Functional):
     """``phi * D_k G``: the test function appearing on the surface side of
     the integration-by-parts residual.
 
-    Gradient by the product rule; the ``D(D_k G)`` factor is row k of G's
-    Hessian.
+    Gradient by the product rule; the ``D(D_k G)`` factor is the
+    Hessian-vector product ``(D^2 G) e_k``.
     """
 
     def __init__(self, phi: Functional, G: Functional, k: int):
@@ -553,16 +478,14 @@ class ProductWithPartial(Functional):
         self.name = f"({phi.name})*D{k}({G.name})"
 
     def value(self, xi):
-        return self.phi.value(xi) * self.G.partial(xi, self.k)
+        return self.phi.value(xi) * self.G.gradient(xi)[:, self.k - 1]
 
     def gradient(self, xi):
-        dk = self.G.partial(xi, self.k)
-        pv = self.phi.value(xi)
-        return (self.phi.gradient(xi) * dk[:, None]
-                + self.G.hessian_row(xi, self.k) * pv[:, None])
-
-    def partial(self, xi, k):
-        return self.gradient(xi)[:, k - 1]
+        e_k = np.zeros_like(xi)
+        e_k[:, self.k - 1] = 1.0
+        out = self.G.hvp(xi, e_k) * self.phi.value(xi)[:, None]
+        out += self.phi.gradient(xi) * self.G.gradient(xi)[:, [self.k - 1]]
+        return out
 
 
 # ----------------------------- H-vector fields -----------------------------

@@ -124,7 +124,8 @@ class _IbpSublevel(Functional):
         self.name = f"D{k}({phi.name}) - xi({k})*({phi.name})"
 
     def value(self, xi):
-        return self.phi.partial(xi, self.k) - xi[:, self.k - 1] * self.phi.value(xi)
+        return (self.phi.gradient(xi)[:, self.k - 1]
+                - xi[:, self.k - 1] * self.phi.value(xi))
 
 
 def _ibp_queries(model, G, phi, k, route) -> list[Query]:

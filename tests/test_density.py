@@ -75,6 +75,18 @@ class TestDivergenceEstimator:
                          n=10 ** 4, seed=23, estimator="divergence")
         assert "approximate-gradient" in density_divergence(job).flags
 
+    def test_constant_G_is_all_excluded(self, iid3):
+        # grad G = 0 at every sample: an empty sum reads 0 with stderr 0,
+        # and only the flag says the curve holds no data
+        job = DensityJob(model=iid3, G=Constant(1.0), phi=ONE, r_grid=(1.0, 2.0),
+                         n=20000, seed=3, estimator="divergence")
+        curve = density_divergence(job)
+        assert curve.excluded_fraction == 1.0
+        assert "all-excluded" in curve.flags
+        job = DensityJob(model=iid3, G=Norm2(), phi=ONE, r_grid=(1.0, 2.0),
+                         n=20000, seed=3, estimator="divergence")
+        assert "all-excluded" not in density_divergence(job).flags
+
 
 class TestMollifiedEstimator:
     def test_normal_density_at_one(self, iid3):

@@ -164,12 +164,6 @@ class TestSymbolicDerivatives:
         xi = np.array([[1.5, 0.0], [-2.0, 0.0]])
         assert np.allclose(f.gradient(xi)[:, 0], [1.0, -1.0])
 
-    def test_hessian_row_symmetry(self, rng):
-        f = ExpressionFunctional("exp(-norm2()) + xi(1)^2*xi(2)")
-        xi = rng.standard_normal((5, 3))
-        rows = np.stack([f.hessian_row(xi, k) for k in (1, 2, 3)], axis=1)
-        assert np.allclose(rows, np.swapaxes(rows, 1, 2), rtol=1e-12)
-
     def test_laplacian_of_norm2_is_2d(self, rng):
         f = ExpressionFunctional("norm2()")
         for d in (2, 5):

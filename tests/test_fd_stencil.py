@@ -1,8 +1,12 @@
 """Finite-difference stencils: one evaluation per functional per chunk.
 
-Inside a ``map_chunks`` worker the FD ``gradient``, ``partial`` and
-``laplacian`` of a functional at the chunk points are read from one ``2d + 1``
-point stencil; everywhere they keep the bits of the plain central
+A functional's derivatives are ``gradient``, ``laplacian`` and ``hvp``.
+Without analytic ones, the gradient and the Laplacian come from the
+coordinate stencil ``xi +- fd_step (1 + |xi_k|) e_k`` (plus the centre value
+for the Laplacian), and ``hvp(xi, u)`` from the gradient at
+``xi +- fd_step u/|u|``.  Inside a ``map_chunks`` worker the ``2d`` sides of
+the coordinate stencil at the chunk points are evaluated once per
+functional; everywhere the results keep the bits of the plain central
 differences.
 """
 
@@ -12,9 +16,9 @@ import numpy as np
 import pytest
 
 from glset import (Constant, DensityJob, UserFunctional, estimate_density,
-                   ibp_residuals)
+                   hypothesis_diagnostics, ibp_residuals)
 from glset.density import map_chunks
-from glset.functionals import fd_gradient, fd_partial
+from glset.functionals import fd_gradient
 
 
 class Counted:
@@ -43,15 +47,21 @@ class TestValueCalls:
         estimate_density(DensityJob(model=iid5, G=G, phi=Constant(1.0),
                                     r_grid=(1.0, 3.0), n=2000, seed=1,
                                     epsilon=0.1, estimator="both"))
-        # value + (2d + 1) stencil + 2 x 2d for g^T H g; 46 without sharing
+        # value + 2d sides + centre + 2 x 2d for hvp(g); 46 without sharing
         assert G._eval.calls <= 32
 
     def test_ibp_pass(self, iid5):
         G = fd_functional()
         ibp_residuals(iid5, G, Constant(1.0), 1, (3.0,), 2000, 1)
-        # the density pass plus 2 x 2d for row 1 of the Hessian; the two
-        # D_1 G calls of the weight read the stencil; 70 without sharing
+        # the density pass plus 2 x 2d for hvp(e_1); the D_1 G of the
+        # weight reads the stencil; 70 without sharing
         assert G._eval.calls <= 52
+
+    def test_gradient_only_pass(self, iid5):
+        G = fd_functional()
+        hypothesis_diagnostics(G, iid5, 2000, 1)
+        # the 2d sides alone: no centre value without a Laplacian
+        assert G._eval.calls == 10
 
 
 class TestChunkScope:
@@ -59,18 +69,14 @@ class TestChunkScope:
         G = fd_functional()
 
         def worker(index, pts):
-            # the Laplacian first, then the gradient, then every partial
-            return (pts.copy(), G.laplacian(pts), G.gradient(pts),
-                    [G.partial(pts, k) for k in range(1, 6)], G._eval.calls)
+            # the Laplacian first, then the gradient
+            return (pts.copy(), G.laplacian(pts), G.gradient(pts), G._eval.calls)
 
-        for pts, lap, grad, partials, calls in map_chunks(iid5, 3000, 5, worker):
-            assert calls == 11  # one 2d + 1 stencil for all of them
+        for pts, lap, grad, calls in map_chunks(iid5, 3000, 5, worker):
+            assert calls == 11  # one 2d + 1 stencil for both
             assert same_bits(lap, G.laplacian(pts))
             assert same_bits(grad, G.gradient(pts))
             assert same_bits(grad, fd_gradient(G.value, pts, G.fd_step))
-            for k, p in enumerate(partials, start=1):
-                assert same_bits(p, G.partial(pts, k))
-                assert same_bits(p, fd_partial(G.value, pts, k, G.fd_step))
 
     def test_other_points_are_not_shared(self, iid5):
         G = fd_functional()
@@ -94,11 +100,11 @@ class TestChunkScope:
         G = fd_functional()
 
         def worker(index, pts):
-            first = (G.gradient(pts), G.partial(pts, 2), G.laplacian(pts))
+            first = (G.gradient(pts), G.laplacian(pts))
             kept = [a.copy() for a in first]
             for a in first:
                 a += 1.0
-            again = (G.gradient(pts), G.partial(pts, 2), G.laplacian(pts))
+            again = (G.gradient(pts), G.laplacian(pts))
             return all(same_bits(a, b) for a, b in zip(kept, again))
 
         assert map_chunks(iid5, 1000, 5, worker) == [True]
@@ -108,17 +114,19 @@ class TestChunkScope:
         copied = UserFunctional(lambda xi: xi[:, 0].copy(), name="copied")
 
         def worker(index, pts):
-            return [(f.gradient(pts), f.laplacian(pts), f.partial(pts, 1))
+            e_1 = np.zeros_like(pts)
+            e_1[:, 0] = 1.0
+            return [(f.gradient(pts), f.laplacian(pts), f.hvp(pts, e_1))
                     for f in (view, copied)]
 
-        [((grad, lap, d1), want)] = map_chunks(iid5, 1000, 5, worker)
-        for got, ref in zip((grad, lap, d1), want):
+        [((grad, lap, h1), want)] = map_chunks(iid5, 1000, 5, worker)
+        for got, ref in zip((grad, lap, h1), want):
             assert same_bits(got, ref)
         assert np.allclose(grad[:, 0], 1.0) and np.all(grad[:, 1:] == 0.0)
         assert np.allclose(lap, 0.0, atol=1e-4)
+        assert np.allclose(h1, 0.0, atol=1e-4)
         pts = np.random.default_rng(3).standard_normal((200, 5))
         assert np.allclose(view.gradient(pts)[:, 0], 1.0)
-        assert np.allclose(view.hessian_row(pts, 1), 0.0, atol=1e-4)
 
 
 def test_threads_do_not_change_fd_output(iid5, monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from glset import (BmEndpoint, Coordinate, Linear, LinearCombination, Norm2,
-                   Product, ProductWithPartial, RadialClamp, SublevelBump,
+from glset import (BmEndpoint, Constant, Coordinate, Linear, LinearCombination,
+                   Norm2, Product, ProductWithPartial, RadialClamp, SublevelBump,
                    UserFunctional, build_model)
 from glset.expressions import ExpressionFunctional
 from glset.functionals import fd_gradient
@@ -71,18 +71,44 @@ def test_user_functional_analytic_hessian(rng):
     )
     xi = rng.standard_normal((5, 3))
     w = rng.standard_normal((5, 3))
-    assert np.allclose(f.hessian_quad(xi, w), 2 * np.sum(w * w, axis=1))
+    assert np.allclose(np.sum(w * f.hvp(xi, w), axis=1), 2 * np.sum(w * w, axis=1))
     assert np.allclose(f.laplacian(xi), 6.0)
-    assert np.allclose(f.hessian_row(xi, 2), np.tile([0, 2.0, 0], (5, 1)))
+    assert np.allclose(f.hvp(xi, np.tile([0, 1.0, 0], (5, 1))), np.tile([0, 2.0, 0], (5, 1)))
 
 
-def test_hessian_quad_fd_matches_analytic(rng):
-    f = ExpressionFunctional("exp(-norm2())")
+def _hess_example(xi):
+    # Hessian of xi_1^2 xi_2 + sin(xi_3)
+    h = np.zeros((xi.shape[0], 3, 3))
+    h[:, 0, 0] = 2 * xi[:, 1]
+    h[:, 0, 1] = h[:, 1, 0] = 2 * xi[:, 0]
+    h[:, 2, 2] = -np.sin(xi[:, 2])
+    return h
+
+
+HVP = [
+    Constant(2.5),
+    Linear([0.5, -1.5, 2.0]),
+    Norm2(),
+    LinearCombination([(2.0, Norm2()), (-1.0, ExpressionFunctional("xi(1)*xi(2)^2"))]),
+    UserFunctional(eval=lambda xi: xi[:, 0] ** 2 * xi[:, 1] + np.sin(xi[:, 2]),
+                   grad=lambda xi: np.stack([2 * xi[:, 0] * xi[:, 1], xi[:, 0] ** 2,
+                                             np.cos(xi[:, 2])], axis=1),
+                   hess=_hess_example, name="user-hess"),
+    ExpressionFunctional("exp(-norm2())"),
+    ExpressionFunctional("xi(1)*xi(2)^2"),
+]
+
+
+@pytest.mark.parametrize("f", HVP, ids=lambda f: f.name)
+def test_hvp_matches_finite_differences(f, rng):
+    # the analytic Hessian-vector product against the FD fallback of the
+    # value alone, and e_j^T H e_k symmetric
     xi = rng.standard_normal((10, 3))
-    w = rng.standard_normal((10, 3))
-    analytic = f.hessian_quad(xi, w)
-    fd = UserFunctional(eval=f.value).hessian_quad(xi, w)
-    assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-5)
+    u = rng.standard_normal((10, 3))
+    fd = UserFunctional(eval=f.value)
+    assert np.allclose(f.hvp(xi, u), fd.hvp(xi, u), rtol=1e-4, atol=1e-5)
+    cols = np.stack([f.hvp(xi, np.tile(e, (10, 1))) for e in np.eye(3)], axis=2)
+    assert np.allclose(cols, np.swapaxes(cols, 1, 2), rtol=1e-12, atol=0.0)
 
 
 def test_product_with_partial_is_phi_times_dkg(rng):

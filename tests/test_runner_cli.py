@@ -150,6 +150,15 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_all_excluded_curve_is_flagged_in_json(self, tmp_path):
+        cfg = parse_config("model iid_gaussian\ndim 3\nformats json\njob density\n"
+                           "  G 1\n  phi 1\n  r_grid 1 2\n  n 20000\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        payload = json.loads((tmp_path / "job01_density.json").read_text())
+        curve = payload["curves"]["divergence"]
+        assert curve["flags"] == ["all-excluded"]
+        assert curve["excluded_fraction"] == 1.0
+
 
 class TestSelftestJob:
     def test_failure_maps_to_exit_two(self, tmp_path, monkeypatch, capsys):
