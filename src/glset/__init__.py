@@ -7,8 +7,9 @@ integration-by-parts, trace, disintegration and weighted-Hausdorff
 identities at desk scale.
 """
 
-from .model import (GaussianModel, SampleBatch, build_model, endpoint_weights,
-                    iter_sample_chunks, render_ambient, render_path, sample, vhat)
+from .model import (GaussianModel, SampleBatch, build_model, chunk_layout,
+                    draw_chunk, endpoint_weights, iter_sample_chunks,
+                    render_ambient, render_path, sample, vhat)
 from .functionals import (BmEndpoint, Constant, ConstantField, Coordinate,
                           Functional, IdentityField, Linear, LinearCombination,
                           Norm2, NumericalFault, Product, ProductWithPartial,
@@ -22,7 +23,7 @@ from .density import (DensityCurve, DensityJob, Query, cdf_estimate,
                       estimate_density, smoothness_check, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
                       SurfaceReport, hausdorff_compare, hyperplane_quadrature,
-                      ibp_residual, ibp_residuals, positivity_scan,
+                      ibp_battery, ibp_residual, ibp_residuals, positivity_scan,
                       sphere_quadrature, surface_integral, surface_report,
                       trace_eval)
 from .disintegration import (BinSums, ConditionalSurfaceRecord,
@@ -39,7 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianModel", "SampleBatch", "build_model", "sample", "vhat",
-    "iter_sample_chunks", "render_ambient", "render_path", "endpoint_weights",
+    "iter_sample_chunks", "chunk_layout", "draw_chunk", "render_ambient",
+    "render_path", "endpoint_weights",
     "Functional", "UserFunctional", "Constant", "Coordinate", "Linear", "Norm2",
     "BmEndpoint", "LinearCombination", "Product", "ProductWithPartial",
     "RadialClamp", "SublevelBump", "VectorField", "ConstantField",
@@ -50,8 +52,8 @@ __all__ = [
     "density_mollified", "estimate_density", "default_bandwidth",
     "smoothness_check", "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",
-    "surface_integral", "surface_report", "ibp_residual", "ibp_residuals",
-    "positivity_scan", "trace_eval",
+    "surface_integral", "surface_report", "ibp_battery", "ibp_residual",
+    "ibp_residuals", "positivity_scan", "trace_eval",
     "hausdorff_compare", "sphere_quadrature", "hyperplane_quadrature",
     "EmpiricalDisintegration", "ConditionalSurfaceRecord", "BinSums", "disintegrate",
     "verify_disintegration", "support_check", "conditional_vs_surface",

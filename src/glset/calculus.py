@@ -50,9 +50,9 @@ class GradientTooSmall(ValueError):
 class KernelField:
     """The field ``psi = D_H G / |D_H G|^2`` with a gradient-norm floor.
 
-    Points where ``|D_H G| < floor`` cannot be evaluated stably; batch
+    Points where ``|D_H G|^2 < floor^2`` cannot be evaluated stably; batch
     queries exclude them (and report the count), single-point queries raise
-    :class:`GradientTooSmall`.
+    :class:`GradientTooSmall`.  Every pass excludes by this rule.
     """
 
     def __init__(self, G: Functional, floor: float = DEFAULT_GRADIENT_FLOOR):
@@ -60,6 +60,10 @@ class KernelField:
             raise ValueError("gradient floor must be positive")
         self.G = G
         self.floor = float(floor)
+
+    def excluded(self, grad_norm2):
+        """Rows whose squared gradient norm is below the squared floor."""
+        return grad_norm2 < self.floor * self.floor
 
     def divergence(self, xi, grad=None, grad_norm2=None):
         """Composite-formula divergence over a batch.
@@ -70,7 +74,7 @@ class KernelField:
         """
         g = self.G.gradient(xi) if grad is None else grad
         s = rowsum(g * g) if grad_norm2 is None else grad_norm2
-        excluded = s < self.floor * self.floor
+        excluded = self.excluded(s)
         lap = self.G.laplacian(xi)
         quad = rowsum(g * self.G.hvp(xi, g))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -89,9 +93,9 @@ class KernelField:
         return float(val[0])
 
 
-def kernel_divergence(G: Functional, xi, floor: float = DEFAULT_GRADIENT_FLOOR):
+def kernel_divergence(G: Functional, xi):
     """Convenience wrapper: ``div_mu(D_H G/|D_H G|^2)`` at a point or batch."""
-    kf = KernelField(G, floor)
+    kf = KernelField(G)
     arr = np.asarray(xi, dtype=float)
     if arr.ndim == 1:
         return kf.divergence_at(arr)
@@ -121,9 +125,16 @@ def hill_tail_index(smallest_gnorms: np.ndarray) -> float:
     return k / s
 
 
+def smallest_norms(norms: np.ndarray, k: int) -> np.ndarray:
+    """The k + 1 smallest (or all) of ``norms``: a chunk's or a pass's tail sample."""
+    keep = min(len(norms), k + 1)
+    return np.partition(norms, keep - 1)[:keep] if keep else norms
+
+
 # Divergence is declared when the estimated tail index sits at or below the
 # moment order, with a margin for estimator noise and boundary (log) cases.
 HILL_MARGIN = 1.15
+HILL_K = 2000  # smallest gradient norms kept for a density pass's tail index
 
 
 def moment_diverging(hill_alpha: float, q: float) -> bool:
@@ -176,29 +187,31 @@ class HypothesisReport:
 
 
 def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: int,
-                           pos_orders=(1, 2), inv_orders=(1, 2, 4),
-                           floor: float = DEFAULT_GRADIENT_FLOOR,
+                           inv_orders=(1, 2, 4),
                            hill_k: int | None = None) -> HypothesisReport:
     """Estimate moments of ``|D_H G|`` and flag diverging inverse moments.
 
     One :func:`~glset.density.map_chunks` pass.  Each chunk returns its
-    floor exclusions, its sums of ``|D_H G|^a`` over all samples and of
-    ``|D_H G|^-q`` and its square over the samples above the floor, and the
-    ``hill_k + 1`` smallest norms above the floor.  Chunk results are reduced
-    in chunk order, so the report does not depend on ``GLSET_THREADS``.
+    :class:`KernelField` floor exclusions, its sums of ``|D_H G|^a`` over all
+    samples and of ``|D_H G|^-q`` and its square over the samples above the
+    floor, and the ``hill_k + 1`` smallest norms above the floor.  Chunk
+    results are reduced in chunk order, so the report does not depend on
+    ``GLSET_THREADS``.
     """
     from .density import map_chunks  # density imports this module
 
+    pos_orders = (1, 2)
     k_hill = hill_k if hill_k is not None else max(100, min(2000, n // 100))
+    kernel = KernelField(G)
 
     def worker(index, pts):
         g = G.gradient(pts)
-        gnorm = np.sqrt(rowsum(g * g))
+        s = rowsum(g * g)
+        gnorm = np.sqrt(s)
         check_finite(gnorm, "gradient norm", G.name)
-        excluded = gnorm < floor
+        excluded = kernel.excluded(s)
         live = gnorm[~excluded] if excluded.any() else gnorm
-        keep = min(len(live), k_hill + 1)
-        bottom = np.partition(live, keep - 1)[:keep] if keep else live
+        bottom = smallest_norms(live, k_hill)
         pos = {a: float(np.sum(gnorm ** float(a))) for a in pos_orders}
         inv = {}
         for q in inv_orders:
@@ -208,7 +221,7 @@ def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: in
         return int(np.count_nonzero(excluded)), len(live), bottom, pos, inv
 
     excl, live_counts, bottoms, pos, inv = zip(*map_chunks(model, n, seed, worker))
-    alpha = hill_tail_index(np.sort(np.concatenate(bottoms))[: k_hill + 1])
+    alpha = hill_tail_index(smallest_norms(np.concatenate(bottoms), k_hill))
     pos_sums = dict.fromkeys(pos_orders, 0.0)
     for chunk_pos in pos:
         for a in pos_orders:

@@ -29,18 +29,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import DEFAULT_GRADIENT_FLOOR, KernelField, hill_tail_index, moment_diverging
+from .calculus import HILL_K, KernelField, hill_tail_index, moment_diverging, smallest_norms
 from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsum,
                           stable_argsort)
-from .model import CHUNK_SIZE, GaussianModel, _chunk_generator, _chunk_layout
+from .model import CHUNK_SIZE, GaussianModel, chunk_layout, draw_chunk
 
 VARIANCE_UNRELIABLE = "variance unreliable"
-# smallest gradient norms kept for the Hill tail index of a pass
-HILL_K = 2000
 
 
 def thread_count() -> int:
@@ -59,12 +57,11 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     :func:`~glset.functionals.chunk_scope` of its points, so finite-difference
     stencils at them are evaluated once per functional per chunk.
     """
-    layout = _chunk_layout(n)
+    layout = chunk_layout(n)
 
     def job(item):
         index, size = item
-        rng = _chunk_generator(seed, index)
-        pts = rng.standard_normal((size, model.dim))
+        pts = draw_chunk(model, seed, index, size)
         with chunk_scope(pts):
             return worker(index, pts)
 
@@ -117,7 +114,6 @@ class DensityJob:
     seed: int
     epsilon: float | None = None
     estimator: str = "both"
-    floor: float = DEFAULT_GRADIENT_FLOOR
 
     def __post_init__(self):
         _grid(self.r_grid)
@@ -162,8 +158,7 @@ def default_bandwidth(model: GaussianModel, G: Functional, n: int, seed: int) ->
     The IQR is taken over the first sample chunk (enough for a bandwidth);
     the n^(-1/3) factor uses the full job size.
     """
-    rng = _chunk_generator(seed, 0)
-    pts = rng.standard_normal((min(n, CHUNK_SIZE), model.dim))
+    pts = draw_chunk(model, seed, 0, min(n, CHUNK_SIZE))
     gv = check_finite(G.value(pts), "G", G.name)
     q25, q75 = np.quantile(gv, [0.25, 0.75])
     return float(max(0.01, 2.0 * (q75 - q25) * n ** (-1.0 / 3.0)))
@@ -199,20 +194,17 @@ class PassResult:
     g_max: float
 
 
+@dataclass
 class _ChunkStats:
     """Per-chunk partial sums of one stream pass, one column per query."""
 
-    __slots__ = ("count", "g_min", "g_max", "columns", "moll_counts", "excl",
-                 "bottom_g")
-
-    def __init__(self, count, g_min, g_max):
-        self.count = count
-        self.g_min = g_min
-        self.g_max = g_max
-        self.columns = []
-        self.moll_counts = None
-        self.excl = 0
-        self.bottom_g = None
+    count: int
+    g_min: float
+    g_max: float
+    columns: list = field(default_factory=list)
+    moll_counts: np.ndarray | None = None
+    excl: int = 0
+    bottom_g: np.ndarray | None = None
 
 
 def _prefix_sums(weights):
@@ -223,8 +215,7 @@ def _prefix_sums(weights):
 
 
 def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
-                queries, epsilon: float | None = None,
-                floor: float = DEFAULT_GRADIENT_FLOOR) -> PassResult:
+                queries, epsilon: float | None = None) -> PassResult:
     """Answer every query from one pass over the ``(model, n, seed)`` stream.
 
     Per chunk the work that depends on G alone is done once: its values and
@@ -243,7 +234,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
         raise ValueError("epsilon must be positive")
     if "mollified" in routes and epsilon is None:
         epsilon = default_bandwidth(model, G, n, seed)
-    kernel = KernelField(G, floor) if want_div else None
+    kernel = KernelField(G) if want_div else None
 
     def worker(index, pts):
         gv = check_finite(G.value(pts), "G", G.name)
@@ -260,9 +251,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
             s = rowsum(grad * grad)
             kd, excluded = kernel.divergence(pts, grad=grad, grad_norm2=s)
             st.excl = int(np.count_nonzero(excluded))
-            live = np.sqrt(s)[~excluded]
-            keep = min(len(live), HILL_K + 1)
-            st.bottom_g = np.partition(live, keep - 1)[:keep] if keep else live
+            st.bottom_g = smallest_norms(np.sqrt(s)[~excluded], HILL_K)
         values = {}
         for q in queries:
             phi = q.phi
@@ -291,7 +280,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     counts = np.array([st.count for st in stats], dtype=float)
     if want_div:
         excluded_fraction = int(np.sum([st.excl for st in stats])) / n
-        bottom = np.sort(np.concatenate([st.bottom_g for st in stats]))[: HILL_K + 1]
+        bottom = smallest_norms(np.concatenate([st.bottom_g for st in stats]), HILL_K)
         unreliable = moment_diverging(hill_tail_index(bottom), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)
@@ -328,7 +317,7 @@ def estimate_density(job: DensityJob) -> dict[str, DensityCurve]:
               if job.estimator in (route, "both")]
     res = stream_pass(job.model, job.G, job.n, job.seed, job.r_grid,
                       [Query(job.phi, route) for route in routes],
-                      epsilon=job.epsilon, floor=job.floor)
+                      epsilon=job.epsilon)
     return dict(zip(routes, res.results))
 
 

@@ -128,11 +128,10 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
         raise ValueError("need at least two bins")
     if n < bins:
         raise ValueError("need at least one sample per bin")
-    g_values = np.concatenate(map_chunks(model, n, seed, lambda i, pts: G.value(pts)))
-    check_finite(g_values, "G", G.name)
-
     if scheme not in ("quantile", "fixed"):
         raise ValueError(f"unknown binning scheme {scheme!r}")
+    g_values = np.concatenate(map_chunks(model, n, seed, lambda i, pts: G.value(pts)))
+    check_finite(g_values, "G", G.name)
 
     order = stable_argsort(g_values)
     g_sorted = g_values[order]
@@ -200,7 +199,7 @@ class SupportRecord:
         return self.max_excess <= 0.0
 
 
-def support_check(D: EmpiricalDisintegration, tolerance: float = 0.0) -> SupportRecord:
+def support_check(D: EmpiricalDisintegration) -> SupportRecord:
     """The particles of each bin span at most the bin width (by construction)."""
     g_sorted = D.g_values[D.order]
     widths = np.diff(D.edges)
@@ -209,7 +208,7 @@ def support_check(D: EmpiricalDisintegration, tolerance: float = 0.0) -> Support
         lo, hi = D.start[j], D.start[j + 1]
         if hi > lo:
             spans[j] = g_sorted[hi - 1] - g_sorted[lo]
-    excess = float(np.max(spans - widths - tolerance)) if D.bins else 0.0
+    excess = float(np.max(spans - widths)) if D.bins else 0.0
     return SupportRecord(widths=widths, in_bin_range=spans, max_excess=excess)
 
 

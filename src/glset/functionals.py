@@ -237,11 +237,10 @@ class Functional:
 class UserFunctional(Functional):
     """Wrap plain vectorized callbacks ``eval``/``grad``/``hess`` into an oracle."""
 
-    def __init__(self, eval, grad=None, hess=None, fd_step=1e-5, name="user"):
+    def __init__(self, eval, grad=None, hess=None, name="user"):
         self._eval = eval
         self._grad = grad
         self._hess = hess
-        self.fd_step = fd_step
         self.name = name
         self.analytic_gradient = grad is not None
 

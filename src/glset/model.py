@@ -16,6 +16,7 @@ reduces to the coordinate map ``xi_k``.  Under this convention
 Sampling is counter-based: chunk ``i`` of a batch is drawn from an
 independent Philox substream derived from ``(seed, i)``, so batches are
 bit-identical for a given ``(seed, n)`` no matter how chunks are scheduled.
+:func:`chunk_layout` and :func:`draw_chunk` are this contract's one definition.
 """
 
 from __future__ import annotations
@@ -118,35 +119,34 @@ def build_model(spec) -> GaussianModel:
     raise ValueError(f"unknown model family {family!r}")
 
 
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    # Substream derivation: one Philox keyed by the seed, jumped 2^128 steps
-    # per chunk.  Streams are independent and platform-stable.
-    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    return np.random.Generator(bitgen.jumped(chunk_index))
-
-
-def _chunk_layout(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+def chunk_layout(n: int) -> list[tuple[int, int]]:
     """``(chunk_index, size)`` of every chunk of an n-point batch.
 
-    Chunk boundaries fall at multiples of ``chunk_size``; the last chunk may
-    be shorter.
+    Chunk boundaries fall at multiples of :data:`CHUNK_SIZE`; the last chunk
+    may be shorter.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    return [(index, min(chunk_size, n - start))
-            for index, start in enumerate(range(0, n, chunk_size))]
+    return [(index, min(CHUNK_SIZE, n - start))
+            for index, start in enumerate(range(0, n, CHUNK_SIZE))]
 
 
-def iter_sample_chunks(model: GaussianModel, n: int, seed: int,
-                       chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, np.ndarray]]:
+def draw_chunk(model: GaussianModel, seed: int, index: int, size: int) -> np.ndarray:
+    """The first ``size`` rows of chunk ``index``: a platform-stable Philox
+    keyed by the seed and jumped 2^128 steps per chunk index."""
+    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    return np.random.Generator(bitgen.jumped(index)).standard_normal((size, model.dim))
+
+
+def iter_sample_chunks(model: GaussianModel, n: int,
+                       seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(chunk_index, points)`` pairs covering an n-point batch.
 
-    Chunks follow :func:`_chunk_layout`.  Points are standard normal rows in
-    whitened coordinates.
+    Chunks follow :func:`chunk_layout` and are drawn by :func:`draw_chunk`.
+    Points are standard normal rows in whitened coordinates.
     """
-    for index, size in _chunk_layout(n, chunk_size):
-        rng = _chunk_generator(seed, index)
-        yield index, rng.standard_normal((size, model.dim))
+    for index, size in chunk_layout(n):
+        yield index, draw_chunk(model, seed, index, size)
 
 
 def sample(model: GaussianModel, n: int, seed: int) -> SampleBatch:

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, resolve_functional, resolve_model, serialize_config
-from .density import DensityJob, estimate_density, stream_pass
+from .density import DensityJob, estimate_density
 from .disintegration import disintegrate, support_check, verify_disintegration
 from .expressions import ExpressionError
 from .functionals import Constant, NumericalFault
-from .surface import SurfaceMeasureHandle, _ibp_queries, _ibp_records, \
-    hausdorff_compare, surface_report
+from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_battery, \
+    surface_report
 
 
 # ----------------------------- formatting -----------------------------
@@ -165,15 +165,9 @@ def _run_surface(job, model, G, phis, out_base, formats):
 
 
 def _run_ibp(job, model, G, phis, out_base, formats):
-    """Both sides of every (phi, k) identity as columns of one stream pass."""
-    pairs = [(phi, k) for phi in phis for k in job.k_list]
-    queries = [q for phi, k in pairs
-               for q in _ibp_queries(model, G, phi, k, _estimator(job))]
-    grid = job.r_grid if job.r_grid else (job.r,)
-    results = iter(stream_pass(model, G, job.n, job.seed, grid, queries,
-                               epsilon=job.epsilon).results)
-    records = [rec for phi, k in pairs
-               for rec in _ibp_records(phi, k, next(results), next(results))]
+    """Both sides of every (phi, k) identity from one stream pass."""
+    records = ibp_battery(model, G, phis, job.k_list, job.r_grid or (job.r,), job.n,
+                          job.seed, _estimator(job), job.epsilon)
     return write_artifacts(out_base, formats, (RESIDUAL_HEADER, _residual_rows(records)),
                            {"job": dataclasses.asdict(job),
                             "records": [dataclasses.asdict(r) for r in records]})

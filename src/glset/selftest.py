@@ -24,7 +24,7 @@ from .density import DensityJob, VARIANCE_UNRELIABLE, density_divergence, \
 from .expressions import ExpressionFunctional
 from .functionals import BmEndpoint, Constant, Coordinate, Norm2
 from .model import build_model
-from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_residuals, \
+from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_battery, \
     positivity_scan
 from .disintegration import conditional_vs_surface, disintegrate, \
     verify_disintegration
@@ -125,18 +125,16 @@ def criterion_4_ibp_battery():
     ]
     worst = 0.0
     for i, (model, G, phi, grid) in enumerate(cases):
-        for k in (1, 2):
-            records = ibp_residuals(model, G, phi, k, grid, 10 ** 6, 2404 + i)
-            for rec in records:
-                z = abs(rec.residual) / max(rec.combined_stderr, 1e-300)
-                worst = max(worst, z)
-                if not rec.within_band:
-                    return _result(
-                        4, "integration-by-parts battery", False,
-                        f"case {i} k={k} r={rec.r}: |residual| {abs(rec.residual):.3e}"
-                        f" > band {rec.band:.3e}", t0)
-    closed = ibp_residuals(iid3, Coordinate(1), Constant(1.0), 1, (0.0,),
-                           10 ** 6, 2440)[0]
+        for rec in ibp_battery(model, G, [phi], (1, 2), grid, 10 ** 6, 2404 + i):
+            z = abs(rec.residual) / max(rec.combined_stderr, 1e-300)
+            worst = max(worst, z)
+            if not rec.within_band:
+                return _result(
+                    4, "integration-by-parts battery", False,
+                    f"case {i} k={rec.k} r={rec.r}: |residual| {abs(rec.residual):.3e}"
+                    f" > band {rec.band:.3e}", t0)
+    closed = ibp_battery(iid3, Coordinate(1), [Constant(1.0)], (1,), (0.0,),
+                         10 ** 6, 2440)[0]
     lhs_err = abs(closed.lhs - GAMMA0) / GAMMA0
     rhs_err = abs(closed.rhs - GAMMA0) / GAMMA0
     ok = lhs_err <= 0.01 and rhs_err <= 0.01

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import DEFAULT_GRADIENT_FLOOR
 from .density import DensityCurve, PassResult, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           ProductWithPartial, RadialClamp)
@@ -50,7 +49,6 @@ class SurfaceMeasureHandle:
     seed: int
     estimator: str = "divergence"
     epsilon: float | None = None
-    floor: float = DEFAULT_GRADIENT_FLOOR
 
     def __post_init__(self):
         if self.estimator not in ("divergence", "mollified"):
@@ -60,7 +58,7 @@ class SurfaceMeasureHandle:
     def stream_pass(self, queries) -> PassResult:
         """Answer every query at level r from one pass over the stream."""
         return stream_pass(self.model, self.G, self.n, self.seed, (float(self.r),),
-                           queries, epsilon=self.epsilon, floor=self.floor)
+                           queries, epsilon=self.epsilon)
 
 
 def surface_integral_curve(h: SurfaceMeasureHandle, phi: Functional) -> DensityCurve:
@@ -128,36 +126,46 @@ class _IbpSublevel(Functional):
                 - xi[:, self.k - 1] * self.phi.value(xi))
 
 
-def _ibp_queries(model, G, phi, k, route) -> list[Query]:
-    """Both sides of the (phi, k) identity as columns of one pass."""
-    if k < 1 or k > model.dim:
-        raise IndexError(f"direction {k} out of range 1..{model.dim}")
-    return [Query(_IbpSublevel(phi, k), "cdf"),
-            Query(ProductWithPartial(phi, G, k), route)]
+def _ibp_columns(model, G, pairs, route) -> list[Query]:
+    """Both sides of every (phi, k) identity as columns of one pass."""
+    for _, k in pairs:
+        if k < 1 or k > model.dim:
+            raise IndexError(f"direction {k} out of range 1..{model.dim}")
+    return [q for phi, k in pairs for q in (Query(_IbpSublevel(phi, k), "cdf"),
+                                            Query(ProductWithPartial(phi, G, k), route))]
 
 
-def _ibp_records(phi, k, lhs, rhs: DensityCurve) -> list[IbpRecord]:
-    lhs, lhs_se = lhs
+def _ibp_records(pairs, results) -> list[IbpRecord]:
+    """Records of the :func:`_ibp_columns` of ``pairs``, read two at a time off
+    the ``results`` iterator, which is left at the first result after them."""
     return [IbpRecord(phi_name=phi.name, k=k, r=float(r), lhs=float(l),
                       lhs_stderr=float(ls), rhs=float(rv), rhs_stderr=float(rs))
-            for r, l, ls, rv, rs in zip(rhs.r, lhs, lhs_se, rhs.estimates,
-                                        rhs.stderrs)]
+            for (phi, k), (lhs, lhs_se), rhs in zip(pairs, results, results)
+            for r, l, ls, rv, rs in zip(rhs.r, lhs, lhs_se, rhs.estimates, rhs.stderrs)]
+
+
+def ibp_battery(model: GaussianModel, G: Functional, phis, k_list, r_grid, n: int,
+                seed: int, estimator: str = "divergence",
+                epsilon: float | None = None) -> list[IbpRecord]:
+    """Residuals of ``E[1_{G<r}(D_k phi - xi_k phi)] = int phi D_kG d sigma_r``
+    for every phi, k and grid level, in that order, all from one pass."""
+    pairs = [(phi, k) for phi in phis for k in k_list]
+    res = stream_pass(model, G, n, seed, r_grid,
+                      _ibp_columns(model, G, pairs, estimator), epsilon=epsilon)
+    return _ibp_records(pairs, iter(res.results))
 
 
 def ibp_residuals(model: GaussianModel, G: Functional, phi: Functional, k: int,
                   r_grid, n: int, seed: int, estimator: str = "divergence",
                   epsilon: float | None = None) -> list[IbpRecord]:
-    """Residuals of ``E[1_{G<r}(D_k phi - xi_k phi)] = int phi D_kG d sigma_r``
-    at every grid level, both sides from one pass."""
-    res = stream_pass(model, G, n, seed, r_grid,
-                      _ibp_queries(model, G, phi, k, estimator), epsilon=epsilon)
-    return _ibp_records(phi, k, *res.results)
+    """:func:`ibp_battery` of the one pair (phi, k)."""
+    return ibp_battery(model, G, [phi], [k], r_grid, n, seed, estimator, epsilon)
 
 
 def ibp_residual(h: SurfaceMeasureHandle, phi: Functional, k: int) -> IbpRecord:
     """Single-level integration-by-parts residual through a handle."""
-    res = h.stream_pass(_ibp_queries(h.model, h.G, phi, k, h.estimator))
-    return _ibp_records(phi, k, *res.results)[0]
+    return ibp_battery(h.model, h.G, [phi], [k], (h.r,), h.n, h.seed, h.estimator,
+                       h.epsilon)[0]
 
 
 # ----------------------------- traces -----------------------------
@@ -191,25 +199,24 @@ class TraceReport:
         return self.diffs[-1] == 0.0
 
 
-def _trace_queries(phi: Functional, levels, route) -> list[Query]:
-    return [Query(Product(phi, RadialClamp(m)), route) for m in levels]
+def _trace_queries(phi: Functional, route) -> list[Query]:
+    return [Query(Product(phi, RadialClamp(m)), route) for m in TRACE_LEVELS]
 
 
-def _trace_report(h, phi, levels, target: DensityCurve, clamped) -> TraceReport:
+def _trace_report(h, phi, target: DensityCurve, clamped) -> TraceReport:
     target, target_se = _value(target)
     values = [_value(c) for c in clamped]
     return TraceReport(phi_name=phi.name, r=h.r, target=target,
-                       target_stderr=target_se, levels=tuple(levels),
+                       target_stderr=target_se, levels=TRACE_LEVELS,
                        estimates=tuple(est for est, _ in values),
                        stderrs=tuple(se for _, se in values),
                        diffs=tuple(abs(est - target) for est, _ in values))
 
 
-def trace_eval(h: SurfaceMeasureHandle, phi: Functional,
-               clamp_levels=TRACE_LEVELS) -> TraceReport:
+def trace_eval(h: SurfaceMeasureHandle, phi: Functional) -> TraceReport:
     target, *clamped = h.stream_pass(
-        [Query(phi, h.estimator)] + _trace_queries(phi, clamp_levels, h.estimator)).results
-    return _trace_report(h, phi, clamp_levels, target, clamped)
+        [Query(phi, h.estimator)] + _trace_queries(phi, h.estimator)).results
+    return _trace_report(h, phi, target, clamped)
 
 
 # ----------------------------- positivity interval -----------------------------
@@ -497,10 +504,9 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     pairs = [(phi, k) for phi in phis for k in k_list]
     traced = with_trace and bool(phis)
     queries = [Query(phi, route) for phi in [mass, *phis]]
-    for phi, k in pairs:
-        queries += _ibp_queries(h.model, h.G, phi, k, route)
+    queries += _ibp_columns(h.model, h.G, pairs, route)
     if traced:
-        queries += _trace_queries(first, TRACE_LEVELS, route)
+        queries += _trace_queries(first, route)
 
     results = iter(h.stream_pass(queries).results)
     mass_curve = next(results)
@@ -512,11 +518,10 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
         excluded_fraction=mass_curve.excluded_fraction, flags=mass_curve.flags)
     for phi, curve in zip(phis, curves):
         report.integrals[phi.name] = _value(curve)
-    for phi, k in pairs:
-        report.ibp.extend(_ibp_records(phi, k, next(results), next(results)))
+    report.ibp = _ibp_records(pairs, results)
     first_curve = curves[0] if phis else mass_curve
     if traced:
-        report.trace = _trace_report(h, first, TRACE_LEVELS, first_curve, list(results))
+        report.trace = _trace_report(h, first, first_curve, list(results))
     if with_hausdorff:
         report.hausdorff = _hausdorff_record(h, first, QUAD_NODES, quadrature,
                                              first_curve)

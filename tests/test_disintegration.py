@@ -4,7 +4,8 @@ from scipy import stats
 
 from glset import (Constant, Coordinate, Norm2, SurfaceMeasureHandle,
                    UserFunctional, build_model, conditional_vs_surface,
-                   disintegrate, support_check, verify_disintegration)
+                   disintegrate, disintegration, support_check,
+                   verify_disintegration)
 from glset.expressions import ExpressionFunctional
 
 ONE = Constant(1.0)
@@ -57,6 +58,15 @@ class TestDisintegrate:
             disintegrate(iid3, Coordinate(1), 10, seed=1, bins=1)
         with pytest.raises(ValueError):
             disintegrate(iid3, Coordinate(1), 3, seed=1, bins=5)
+
+    def test_bad_scheme_rejected_before_sampling(self, iid3, monkeypatch):
+        calls = []
+        monkeypatch.setattr(disintegration, "map_chunks",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="scheme"):
+            disintegrate(iid3, Coordinate(1), 10 ** 6, seed=1, bins=10,
+                         scheme="equal")
+        assert calls == []
 
     def test_boundary_levels_belong_to_edge_bins(self, iid3):
         D = disintegrate(iid3, Coordinate(1), 1000, seed=3, bins=5)

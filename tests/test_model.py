@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glset import (build_model, endpoint_weights, iter_sample_chunks,
-                   render_path, sample, vhat)
+from glset import (Functional, Norm2, build_model, chunk_layout,
+                   default_bandwidth, draw_chunk, endpoint_weights,
+                   iter_sample_chunks, render_path, sample, vhat)
+from glset.density import map_chunks
+from glset.model import CHUNK_SIZE
 
 
 def truncated_endpoint_variance(d):
@@ -78,6 +81,58 @@ class TestSampling:
     def test_n_must_be_positive(self, iid3):
         with pytest.raises(ValueError):
             sample(iid3, 0, seed=1)
+
+
+class RecordingNorm2(Functional):
+    """norm2 that keeps a copy of every batch it is evaluated on."""
+
+    name = "norm2"
+
+    def __init__(self):
+        self.batches = []
+
+    def value(self, xi):
+        self.batches.append(xi.copy())
+        return Norm2().value(xi)
+
+
+class TestStreamContract:
+    """chunk_layout and draw_chunk are the one definition of the sample
+    stream; every reader of the stream must see the same rows."""
+
+    def test_layout_has_fixed_chunks_and_a_short_last_one(self):
+        assert chunk_layout(40_000) == [(0, CHUNK_SIZE), (1, CHUNK_SIZE),
+                                        (2, 40_000 - 2 * CHUNK_SIZE)]
+        assert chunk_layout(CHUNK_SIZE) == [(0, CHUNK_SIZE)]
+        with pytest.raises(ValueError):
+            chunk_layout(0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_reader_draws_the_same_bits(self, iid3, monkeypatch, threads):
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        n, seed = 40_000, 31
+        mapped = map_chunks(iid3, n, seed, lambda index, pts: (index, pts))
+        iterated = list(iter_sample_chunks(iid3, n, seed))
+        drawn = [(index, draw_chunk(iid3, seed, index, size))
+                 for index, size in chunk_layout(n)]
+        for (i_m, p_m), (i_i, p_i), (i_d, p_d) in zip(mapped, iterated, drawn,
+                                                      strict=True):
+            assert i_m == i_i == i_d
+            assert np.array_equal(p_m, p_i) and np.array_equal(p_i, p_d)
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_bandwidth_reads_the_head_of_chunk_zero(self, iid3, n):
+        G = RecordingNorm2()
+        default_bandwidth(iid3, G, n, 41)
+        head = draw_chunk(iid3, 41, 0, CHUNK_SIZE)[: min(n, CHUNK_SIZE)]
+        assert len(G.batches) == 1 and np.array_equal(G.batches[0], head)
+
+    def test_shorter_stream_is_a_prefix_of_a_longer_one(self, iid5):
+        short = list(iter_sample_chunks(iid5, 5 * 10 ** 5, 7))
+        assert len(short[-1][1]) == 5 * 10 ** 5 - (len(short) - 1) * CHUNK_SIZE
+        assert len(short[-1][1]) < CHUNK_SIZE
+        for (i, pts), (j, longer) in zip(short, iter_sample_chunks(iid5, 10 ** 6, 7)):
+            assert i == j and np.array_equal(pts, longer[: len(pts)])
 
 
 class TestWhitening:

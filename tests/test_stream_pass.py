@@ -15,8 +15,8 @@ import pytest
 
 from glset import (Constant, Coordinate, Norm2, Query, SurfaceMeasureHandle,
                    build_model, conditional_vs_surface, density, disintegrate,
-                   hausdorff_compare, hypothesis_diagnostics, ibp_residual,
-                   ibp_residuals, model, parse_config, positivity_scan,
+                   hausdorff_compare, hypothesis_diagnostics, ibp_battery,
+                   ibp_residual, ibp_residuals, model, parse_config, positivity_scan,
                    resolve_functional, run, stream_pass, surface_integral,
                    surface_report, trace_eval)
 from glset.expressions import ExpressionFunctional
@@ -78,11 +78,12 @@ class TestPassCounts:
         h = sphere_handle(iid3)
         phi = two_phis()[0]
         ibp_residuals(iid3, Norm2(), phi, 1, (1.0, 2.0), 20_000, seed=3)
+        ibp_battery(iid3, Norm2(), [phi, ONE], (1, 3), (1.0, 2.0), 20_000, seed=3)
         ibp_residual(h, phi, 2)
         trace_eval(h, phi)
         hausdorff_compare(h, phi)
         positivity_scan(iid3, Norm2(), (1.0, 2.0), 20_000, seed=5)
-        assert len(passes) == 5
+        assert len(passes) == 6
 
     def test_runner_disintegrate_job_makes_two_passes(self, tmp_path, passes):
         cfg = parse_config("model iid_gaussian\ndim 3\nformats csv json\n"

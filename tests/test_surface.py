@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (Constant, Coordinate, Linear, Norm2, SublevelBump,
+from glset import (Constant, Coordinate, Linear, Norm2, Product, SublevelBump,
                    SurfaceMeasureHandle, build_model, hausdorff_compare,
                    hyperplane_quadrature, ibp_residual, ibp_residuals,
                    positivity_scan, sphere_quadrature, surface_integral,
@@ -164,6 +164,22 @@ class TestQuadratureOracles:
     def test_hyperplane_d2_r0_closed_form(self):
         quad = hyperplane_quadrature(ONE, np.array([1.0]), 2, 0.0)
         assert quad == pytest.approx(0.39894, abs=1e-5)
+
+    @pytest.mark.parametrize("w", [(0.6, -0.3, 0.8, 0.2, 0.5),
+                                   (1.0, 0.5, -0.4, 0.3, 0.2, 0.7)])
+    @pytest.mark.parametrize("r", [0.0, 0.7])
+    def test_hyperplane_outer_blocks_match_closed_forms(self, w, r):
+        # d = 5 and 6 leave 4 and 5 free dimensions: more than the 3 of one
+        # block, so the outer-block loop of hyperplane_blocks runs
+        w = np.asarray(w)
+        wn = np.linalg.norm(w)
+        mass = float(stats.norm.pdf(r / wn)) / wn
+        second_moment = 1.0 - (w[0] / wn) ** 2 + (w[0] * r / wn ** 2) ** 2
+        xi1_sq = Product(Coordinate(1), Coordinate(1))
+        assert hyperplane_quadrature(ONE, w, len(w), r, nodes=8) == pytest.approx(
+            mass, rel=1e-14)
+        assert hyperplane_quadrature(xi1_sq, w, len(w), r, nodes=8) == pytest.approx(
+            second_moment * mass, rel=1e-14)
 
     def test_sphere_blocks_concatenate_to_the_product_grid(self):
         blocks = list(sphere_blocks(5, 8))
