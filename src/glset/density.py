@@ -55,7 +55,8 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     any worker count because chunks are generated from per-index substreams
     and stored by index.  Each worker call runs in a
     :func:`~glset.functionals.chunk_scope` of its points, so finite-difference
-    stencils at them are evaluated once per functional per chunk.
+    stencils and the kept derivatives at them are evaluated once per
+    functional per chunk.
     """
     layout = chunk_layout(n)
 
@@ -221,7 +222,10 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     Per chunk the work that depends on G alone is done once: its values and
     their stable sort, and when a divergence query is present the gradient,
     the kernel divergence with its exclusion mask and the Hill tail sample.
-    Each distinct weight is evaluated once per chunk; each query then builds
+    Each distinct weight is evaluated once per chunk, and a divergence
+    query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``, which
+    for an integration-by-parts weight reads the kernel's ``(D^2 G) grad G``
+    from the chunk memo.  Each query then builds
     its own integrand and prefix sums, and its own ``(chunks, grid)`` array
     is reduced by :func:`batch_mean_stderr`, so a query gives the same bits
     alone or alongside others.  Mollified queries use ``epsilon``, by default
@@ -263,7 +267,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                 integ = pv * kd
                 if not isinstance(phi, Constant):
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        cross = rowsum(phi.gradient(pts) * grad) / s
+                        cross = phi.jvp(pts, grad) / s
                     integ = integ + np.where(excluded, 0.0, cross)
                 integ = np.where(excluded, 0.0, integ)
                 check_finite(integ, "divergence integrand", G.name)

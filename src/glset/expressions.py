@@ -518,7 +518,8 @@ def simplify(node):
 
 class ExpressionFunctional(Functional):
     """A parsed expression exposed as a scalar functional with symbolic
-    derivatives."""
+    derivatives; its value, gradient and ``hvp`` at the points of a chunk
+    are kept for the chunk (:meth:`Functional._kept`)."""
 
     analytic_gradient = True
 
@@ -556,10 +557,13 @@ class ExpressionFunctional(Functional):
 
     def value(self, xi):
         self._check_dim(xi)
-        return evaluate(self.ast, xi)
+        return self._kept("value", xi, None, lambda: evaluate(self.ast, xi))
 
     def gradient(self, xi):
         self._check_dim(xi)
+        return self._kept("gradient", xi, None, lambda: self._gradient(xi))
+
+    def _gradient(self, xi):
         out = np.zeros_like(xi)
         memo = {}
         for k in self._active(xi.shape[1]):
@@ -580,6 +584,9 @@ class ExpressionFunctional(Functional):
 
     def hvp(self, xi, u):
         self._check_dim(xi)
+        return self._kept("hvp", xi, u, lambda: self._hvp(xi, u))
+
+    def _hvp(self, xi, u):
         out = np.zeros_like(xi)
         memo = {}
         active = self._active(xi.shape[1])

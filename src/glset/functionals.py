@@ -2,10 +2,14 @@
 
 A functional evaluates on batches: ``value(xi)`` maps an ``(n, d)`` array of
 points to an ``(n,)`` array.  Its derivatives are ``gradient`` (``(n, d)``),
-``laplacian`` (``(n,)``) and ``hvp(xi, u)``, the Hessian-vector product
-``(D^2 f) u`` row by row (``(n, d)``); ``g^T H g`` and ``D(D_k f)`` are both
-Hessian-vector products.  Analytic derivatives are optional; anything
-missing falls back to central finite differences:
+``laplacian`` (``(n,)``), ``jvp(xi, u)``, the directional derivative
+``grad f . u`` row by row (``(n,)``), and ``hvp(xi, u)``, the
+Hessian-vector product ``(D^2 f) u`` row by row (``(n, d)``); ``g^T H g`` and
+``D(D_k f)`` are both Hessian-vector products, and by the symmetry of the
+Hessian ``D(D_k f) . u`` is the k-th entry of ``hvp(xi, u)``.  ``jvp``
+defaults to ``rowsum(gradient * u)``; the classes that can skip the
+``(n, d)`` gradient override it.  Analytic derivatives are optional;
+anything missing falls back to central finite differences:
 
 * the gradient and the Laplacian from the coordinate stencil
   ``xi +- h e_k`` with per-row step ``h = fd_step * (1 + |xi_k|)``
@@ -14,9 +18,13 @@ missing falls back to central finite differences:
   ``|u| / (2 fd_step)``.
 
 Every coordinate stencil perturbs one reused copy of its input.  Inside a
-chunk of a stream pass (:func:`chunk_scope`) the stencil sides at the chunk
-points are evaluated once per functional and the gradient and Laplacian
-there are read from them; the memo dies with the chunk.  Oracles must be
+chunk of a stream pass (:func:`chunk_scope`) one memo per thread keeps, at
+the chunk points, the stencil sides of every functional and the ``value``,
+``gradient`` and ``hvp`` of callback and expression functionals
+(:meth:`Functional._kept`); later calls read them, and the memo dies with
+the chunk.  Closed-form builtins and the product wrappers are recomputed:
+a density pass asks each of them once per chunk, so keeping them would only
+add copies.  Oracles must be
 pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
 called on a buffer that is perturbed again after they return.
 """
@@ -158,13 +166,14 @@ _chunk = threading.local()
 
 @contextmanager
 def chunk_scope(points):
-    """Share FD stencils at ``points`` between calls in this thread.
+    """Keep derivatives at ``points`` for later calls in this thread.
 
-    Until the block ends, the finite-difference ``gradient`` and
-    ``laplacian`` of a functional at exactly this array (``xi is points``)
-    evaluate the ``2d`` sides of its stencil once and keep them; the
-    Laplacian adds the centre value when it is asked for.  The points must
-    not be written to inside the block.
+    Until the block ends, a quantity that :meth:`Functional._kept` keeps is
+    computed once per functional (and direction ``u``) at exactly this array
+    (``xi is points``) and read back by later calls; the finite-difference
+    ``gradient`` and ``laplacian`` evaluate the ``2d`` sides of their
+    stencil once and share them.  Neither the points nor a direction passed
+    to a kept quantity may be written to inside the block.
     """
     outer = getattr(_chunk, "scope", None)
     _chunk.scope = (points, {})
@@ -172,6 +181,12 @@ def chunk_scope(points):
         yield
     finally:
         _chunk.scope = outer
+
+
+def _chunk_memo(xi):
+    """The memo of the current chunk when ``xi`` is its points, else None."""
+    scope = getattr(_chunk, "scope", None)
+    return scope[1] if scope is not None and scope[0] is xi else None
 
 
 # ----------------------------- scalar functionals -----------------------------
@@ -191,19 +206,31 @@ class Functional:
     def value(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _kept(self, quantity, xi, u, compute):
+        """``compute()``, the ``quantity`` of this functional at ``xi`` along
+        ``u`` (None for none).  At the points of the current
+        :func:`chunk_scope` it is computed on first use and kept until the
+        chunk ends, under the key ``(quantity, functional, u)``; every call
+        gets its own copy, so a caller may write to what it gets."""
+        memo = _chunk_memo(xi)
+        if memo is None:
+            return compute()
+        key = (quantity, id(self), id(u))
+        entry = memo.get(key)
+        if entry is None:
+            # the entry holds self and u, so neither id is reused in the chunk
+            entry = memo[key] = (self, u, compute())
+        return entry[2].copy()
+
     def _stencil(self, xi):
         """The sides of the coordinate stencil at ``xi``, as :func:`fd_sides`
         yields them; at the points of the current :func:`chunk_scope` they
-        are evaluated on first use and kept until the chunk ends."""
-        scope = getattr(_chunk, "scope", None)
-        if scope is None or scope[0] is not xi:
+        are evaluated on first use and kept until the chunk ends (a kept
+        list is copied, its arrays are shared and only read)."""
+        if _chunk_memo(xi) is None:
             return fd_sides(self.value, xi, self.fd_step)
-        memo = scope[1]
-        entry = memo.get(id(self))
-        if entry is None:
-            # the entry holds self, so its id is not reused within the scope
-            entry = memo[id(self)] = (self, list(fd_sides(self.value, xi, self.fd_step)))
-        return entry[1]
+        return self._kept("stencil", xi, None,
+                          lambda: list(fd_sides(self.value, xi, self.fd_step)))
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         return _central_gradient(self._stencil(xi), xi)
@@ -214,6 +241,11 @@ class Functional:
         for k, h, hi, lo in self._stencil(xi):
             lap += (hi - two_centre + lo) / (h * h)
         return lap
+
+    def jvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Directional derivative ``grad f . u`` row-wise: the first-order
+        twin of :meth:`hvp`."""
+        return rowsum(self.gradient(xi) * u)
 
     def hvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Hessian-vector product ``(D^2 f) u`` row-wise: the central
@@ -245,12 +277,14 @@ class UserFunctional(Functional):
         self.analytic_gradient = grad is not None
 
     def value(self, xi):
-        return np.asarray(self._eval(xi), dtype=float)
+        return self._kept("value", xi, None,
+                          lambda: np.asarray(self._eval(xi), dtype=float))
 
     def gradient(self, xi):
         if self._grad is None:
-            return super().gradient(xi)
-        return np.asarray(self._grad(xi), dtype=float)
+            return self._kept("gradient", xi, None, lambda: Functional.gradient(self, xi))
+        return self._kept("gradient", xi, None,
+                          lambda: np.asarray(self._grad(xi), dtype=float))
 
     def hessian(self, xi):
         return np.asarray(self._hess(xi), dtype=float)
@@ -262,8 +296,9 @@ class UserFunctional(Functional):
 
     def hvp(self, xi, u):
         if self._hess is None:
-            return super().hvp(xi, u)
-        return np.einsum("nij,nj->ni", self.hessian(xi), u)
+            return self._kept("hvp", xi, u, lambda: Functional.hvp(self, xi, u))
+        return self._kept("hvp", xi, u,
+                          lambda: np.einsum("nij,nj->ni", self.hessian(xi), u))
 
 
 class Constant(Functional):
@@ -280,6 +315,9 @@ class Constant(Functional):
         return np.zeros_like(xi)
 
     def laplacian(self, xi):
+        return np.zeros(xi.shape[0])
+
+    def jvp(self, xi, u):
         return np.zeros(xi.shape[0])
 
     def hvp(self, xi, u):
@@ -407,11 +445,17 @@ class RadialClamp(Functional):
         r = np.sqrt(rowsum(xi * xi))
         return np.clip(2.0 - r / self.m, 0.0, 1.0)
 
-    def gradient(self, xi):
+    def _scale(self, xi):
+        """The gradient over ``xi``: ``-1/(m |xi|)`` on the ramp, else 0."""
         r = np.sqrt(rowsum(xi * xi))
         on_ramp = (r > self.m) & (r < 2.0 * self.m)
-        scale = np.where(on_ramp, -1.0 / (self.m * np.maximum(r, 1e-300)), 0.0)
-        return xi * scale[:, None]
+        return np.where(on_ramp, -1.0 / (self.m * np.maximum(r, 1e-300)), 0.0)
+
+    def gradient(self, xi):
+        return xi * self._scale(xi)[:, None]
+
+    def jvp(self, xi, u):
+        return self._scale(xi) * rowsum(xi * u)
 
 
 class SublevelBump(Functional):
@@ -459,13 +503,19 @@ class Product(Functional):
         gv = self.g.value(xi)
         return self.f.gradient(xi) * gv[:, None] + self.g.gradient(xi) * fv[:, None]
 
+    def jvp(self, xi, u):
+        return self.f.jvp(xi, u) * self.g.value(xi) + self.g.jvp(xi, u) * self.f.value(xi)
+
 
 class ProductWithPartial(Functional):
     """``phi * D_k G``: the test function appearing on the surface side of
     the integration-by-parts residual.
 
     Gradient by the product rule; the ``D(D_k G)`` factor is the
-    Hessian-vector product ``(D^2 G) e_k``.
+    Hessian-vector product ``(D^2 G) e_k``.  Along a direction u the
+    symmetry of the Hessian gives ``D(D_k G) . u = ((D^2 G) u)_k``, so
+    :meth:`jvp` needs one product ``(D^2 G) u`` for every k; along the
+    gradient of G that is the product the kernel divergence takes.
     """
 
     def __init__(self, phi: Functional, G: Functional, k: int):
@@ -485,6 +535,11 @@ class ProductWithPartial(Functional):
         out = self.G.hvp(xi, e_k) * self.phi.value(xi)[:, None]
         out += self.phi.gradient(xi) * self.G.gradient(xi)[:, [self.k - 1]]
         return out
+
+    def jvp(self, xi, u):
+        j = self.k - 1
+        return (self.phi.value(xi) * self.G.hvp(xi, u)[:, j]
+                + self.G.gradient(xi)[:, j] * self.phi.jvp(xi, u))
 
 
 # ----------------------------- H-vector fields -----------------------------

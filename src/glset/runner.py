@@ -3,8 +3,8 @@
 Executes the jobs of a :class:`RunConfig` in order and writes one CSV and/or
 JSON artifact per job plus a manifest.  Files are written atomically (temp
 file + rename) and contain no timestamps, so identical configurations yield
-byte-identical bodies; the manifest holds the config hash, library versions
-and the wall-clock time of the run.
+byte-identical bodies; the manifest holds the config hash, library versions,
+the wall-clock time of the run and the runtime of every selftest criterion.
 
 Exit codes: 0 success, 1 numerical or I/O fault, 2 acceptance failure in a
 selftest job.
@@ -213,9 +213,17 @@ def _run_hausdorff(job, model, G, phis, out_base, formats):
 
 
 def write_selftest(out_base: Path, results) -> list[Path]:
-    """The acceptance battery's report, always as ``out_base.json``."""
-    return write_artifacts(out_base, ("json",), None,
-                           {"results": [dataclasses.asdict(r) for r in results]})
+    """The acceptance battery's report, always as ``out_base.json``; the
+    runtimes are left out (:func:`selftest_runtimes` gives them to the
+    manifest), so the same verdicts give the same bytes."""
+    return write_artifacts(out_base, ("json",), None, {"results": [
+        {k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_s"}
+        for r in results]})
+
+
+def selftest_runtimes(results) -> dict[str, float]:
+    """Seconds per criterion, keyed by its number, for a manifest."""
+    return {str(r.number): r.runtime_s for r in results}
 
 
 _EXECUTORS = {
@@ -234,6 +242,7 @@ def run(config: RunConfig, output_dir=None) -> int:
     model = resolve_model(config.model)
     defs = dict(config.functionals)
     written: list[str] = []
+    runtimes = {}
     exit_code = 0
     for i, job in enumerate(config.jobs, 1):
         base = out / f"job{i:02d}_{job.kind}"
@@ -243,6 +252,7 @@ def run(config: RunConfig, output_dir=None) -> int:
 
                 results = run_acceptance(verbose=True)
                 files = write_selftest(base, results)
+                runtimes[base.name] = selftest_runtimes(results)
                 if not all(r.passed for r in results):
                     exit_code = 2
             else:
@@ -261,6 +271,8 @@ def run(config: RunConfig, output_dir=None) -> int:
         "files": written,
         "exit_code": exit_code,
     }
+    if runtimes:
+        manifest["runtime_s"] = runtimes
     write_json(out / "manifest.json", manifest)
     return exit_code
 

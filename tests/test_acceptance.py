@@ -22,3 +22,9 @@ def test_criterion(results, number):
     print(f"[{status}] criterion {res.number:2d} {res.name}: {res.detail} "
           f"[{res.runtime_s:.1f}s]")
     assert res.passed, f"criterion {number} ({res.name}): {res.detail}"
+
+
+def test_details_hold_no_timings(results):
+    # the details go into the report body, which must not depend on how
+    # long a criterion took
+    assert [r.number for r in results.values() if "runtime" in r.detail] == []

@@ -6,18 +6,22 @@ coordinate stencil ``xi +- fd_step (1 + |xi_k|) e_k`` (plus the centre value
 for the Laplacian), and ``hvp(xi, u)`` from the gradient at
 ``xi +- fd_step u/|u|``.  Inside a ``map_chunks`` worker the ``2d`` sides of
 the coordinate stencil at the chunk points are evaluated once per
-functional; everywhere the results keep the bits of the plain central
-differences.
+functional, and the value, gradient and ``hvp`` of a callback or expression
+functional once per functional and direction; everywhere the results keep
+the bits of the plain central differences.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from glset import (Constant, DensityJob, UserFunctional, estimate_density,
-                   hypothesis_diagnostics, ibp_residuals)
+                   hypothesis_diagnostics, ibp_battery, ibp_residuals)
+from glset import expressions
 from glset.density import map_chunks
+from glset.expressions import ExpressionFunctional
 from glset.functionals import fd_gradient
 
 
@@ -47,15 +51,22 @@ class TestValueCalls:
         estimate_density(DensityJob(model=iid5, G=G, phi=Constant(1.0),
                                     r_grid=(1.0, 3.0), n=2000, seed=1,
                                     epsilon=0.1, estimator="both"))
-        # value + 2d sides + centre + 2 x 2d for hvp(g); 46 without sharing
-        assert G._eval.calls <= 32
+        # value + 2d sides + 2 x 2d for hvp(g); the Laplacian's centre is the
+        # kept value; 46 without sharing
+        assert G._eval.calls == 31
 
     def test_ibp_pass(self, iid5):
         G = fd_functional()
         ibp_residuals(iid5, G, Constant(1.0), 1, (3.0,), 2000, 1)
-        # the density pass plus 2 x 2d for hvp(e_1); the D_1 G of the
-        # weight reads the stencil; 70 without sharing
-        assert G._eval.calls <= 52
+        # the density pass alone: the D_1 G of the weight reads the kept
+        # gradient, and its cross term the kept hvp(g); 70 without sharing
+        assert G._eval.calls == 31
+
+    def test_ibp_battery(self, iid5):
+        G = fd_functional()
+        ibp_battery(iid5, G, [Constant(1.0)], (1, 2, 3), (3.0,), 2000, 1)
+        # every k reads the same kept gradient and hvp(g)
+        assert G._eval.calls == 31
 
     def test_gradient_only_pass(self, iid5):
         G = fd_functional()
@@ -129,6 +140,38 @@ class TestChunkScope:
         assert np.allclose(view.gradient(pts)[:, 0], 1.0)
 
 
+def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):
+    # an ibp battery over k = 1..3 asks phi's value and gradient and G's
+    # value, gradient and hvp(grad G) in every column of a chunk
+    phi = ExpressionFunctional("exp(-norm2())*xi(1)", name="phi")
+    G = ExpressionFunctional("norm2() + xi(1)^3", name="G")
+    roots = {phi.ast: "phi", G.ast: "G"}
+    calls = Counter()
+    evaluate = expressions.evaluate
+
+    def counted_evaluate(node, xi, memo=None):
+        if node in roots:
+            calls[roots[node], "value"] += 1
+        return evaluate(node, xi, memo)
+
+    def counted(quantity):
+        method = getattr(ExpressionFunctional, "_" + quantity)
+
+        def run(self, *args):
+            calls[self.name, quantity] += 1
+            return method(self, *args)
+        return run
+
+    monkeypatch.setattr(expressions, "evaluate", counted_evaluate)
+    for quantity in ("gradient", "hvp"):
+        monkeypatch.setattr(ExpressionFunctional, "_" + quantity, counted(quantity))
+    ibp_battery(iid5, G, [phi], (1, 2, 3), (3.0,), 40_000, 1)
+    chunks = 3
+    assert calls == {("phi", "value"): chunks, ("phi", "gradient"): chunks,
+                     ("G", "value"): chunks, ("G", "gradient"): chunks,
+                     ("G", "hvp"): chunks}
+
+
 def test_threads_do_not_change_fd_output(iid5, monkeypatch):
     # the memo is per thread; 4 workers on 5 chunks with a short switch
     # interval interleave the chunks of one pass
@@ -138,8 +181,11 @@ def test_threads_do_not_change_fd_output(iid5, monkeypatch):
                                              r_grid=(1.0, 3.0, 5.0), n=70_000,
                                              seed=7, estimator="both"))
         records = ibp_residuals(iid5, G, Constant(1.0), 1, (3.0, 5.0), 70_000, 7)
+        # an expression weight whose cross term reads the kept hvp of G
+        battery = ibp_battery(iid5, G, [ExpressionFunctional("exp(-norm2())*xi(1)")],
+                              (1, 2), (3.0, 5.0), 70_000, 7)
         return ([(c.estimates.tobytes(), c.stderrs.tobytes(), c.flags)
-                 for c in curves.values()], records)
+                 for c in curves.values()], records, battery)
 
     monkeypatch.setenv("GLSET_THREADS", "1")
     serial = bodies()

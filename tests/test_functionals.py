@@ -5,7 +5,7 @@ from glset import (BmEndpoint, Constant, Coordinate, Linear, LinearCombination,
                    Norm2, Product, ProductWithPartial, RadialClamp, SublevelBump,
                    UserFunctional, build_model)
 from glset.expressions import ExpressionFunctional
-from glset.functionals import fd_gradient
+from glset.functionals import Functional, fd_gradient, rowsum
 
 
 ANALYTIC = [
@@ -119,6 +119,54 @@ def test_product_with_partial_is_phi_times_dkg(rng):
     assert np.allclose(f.value(xi), phi.value(xi) * 2 * xi[:, 1], rtol=1e-14)
     numeric = fd_gradient(f.value, xi, 1e-5)
     assert np.allclose(f.gradient(xi), numeric, atol=1e-7)
+
+
+def _value_only(f):
+    return UserFunctional(eval=f.value, name=f"fd({f.name})")
+
+
+GAUSS = ExpressionFunctional("exp(-norm2())")
+JVP = [
+    Constant(2.5),
+    Linear([0.5, -1.5, 2.0]),
+    Coordinate(2),
+    Norm2(),
+    BmEndpoint(build_model(("kl_brownian", 3))),
+    LinearCombination([(2.0, Norm2()), (-1.0, Coordinate(1))]),
+    RadialClamp(1.0),
+    SublevelBump(Norm2(), c=3.0, delta=1.0),
+    Product(GAUSS, RadialClamp(1.0)),
+    ProductWithPartial(GAUSS, Norm2(), 2),  # its FD-G twin is checked below
+    HVP[4],  # a callback with gradient and Hessian
+    _value_only(ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3")),
+    ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3"),
+]
+
+
+@pytest.mark.parametrize("f", JVP, ids=lambda f: f.name)
+def test_jvp_is_the_gradient_along_u(f, rng):
+    # an override matches the default to 1e-12 relative; a class without one
+    # gives the default's bits
+    xi = 1.5 * rng.standard_normal((200, 3))
+    u = rng.standard_normal((200, 3))
+    got = f.jvp(xi, u)
+    want = rowsum(f.gradient(xi) * u)
+    assert got.shape == (200,)
+    if "jvp" in vars(type(f)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    else:
+        assert type(f).jvp is Functional.jvp
+        assert got.tobytes() == want.tobytes()
+
+
+def test_finite_difference_product_with_partial_jvp(rng):
+    # the cross term of an ibp weight with a value-only G, against analytic G
+    xi = rng.standard_normal((200, 3))
+    u = 2.0 * xi  # the direction the pass uses: the gradient of norm2
+    for k in (1, 2, 3):
+        exact = ProductWithPartial(GAUSS, Norm2(), k).jvp(xi, u)
+        fd = ProductWithPartial(GAUSS, _value_only(Norm2()), k).jvp(xi, u)
+        assert np.max(np.abs(fd - exact)) <= 1e-5 * np.max(np.abs(exact))
 
 
 def test_bm_endpoint_is_linear(kl8, rng):

@@ -220,3 +220,72 @@ def test_fd_stencils_perturb_one_buffer():
     offenders = perturbed_copies(ast.parse(path.read_text()))
     assert offenders == [], (f"perturb copies of an input through "
                              f"functionals.{STENCIL_HELPER}: {path.name} lines {offenders}")
+
+
+# ----------------------------- directional derivative guard -----------------------------
+
+DIRECTIONAL = "jvp"
+
+
+def _is_gradient_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "gradient")
+
+
+def _contracted(node):
+    """The operands that ``node`` multiplies and sums along a row, if any:
+    ``rowsum(a * b)``, ``np.sum(a * b, ...)``, ``(a * b).sum(...)``,
+    ``a @ b``, ``np.einsum(spec, a, b)``, ``np.dot(a, b)`` or ``np.inner(a, b)``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return [node.left, node.right]
+    if not isinstance(node, ast.Call):
+        return []
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("einsum", "dot", "inner"):
+        return node.args
+    if name == "rowsum" or name == "sum" and isinstance(func, ast.Attribute):
+        on_np = name == "sum" and isinstance(func.value, ast.Name) and func.value.id == "np"
+        summed = node.args[:1] if name == "rowsum" or on_np else [func.value]
+        return [side for p in summed if isinstance(p, ast.BinOp) and isinstance(p.op, ast.Mult)
+                for side in (p.left, p.right)]
+    return []
+
+
+def gradient_contractions(tree):
+    """Lines that contract a ``<x>.gradient(...)`` call with a vector outside
+    a ``jvp`` method, which is where a directional derivative is taken."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == DIRECTIONAL
+        if not inside and any(_is_gradient_call(op) for op in _contracted(node)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_guard_sees_gradient_contractions():
+    code = ("import numpy as np\n"
+            "a = rowsum(phi.gradient(xi) * g) / s\n"
+            "b = np.sum(g * f.gradient(xi), axis=1)\n"
+            "c = (f.gradient(xi) * u).sum(axis=-1)\n"
+            "d = np.einsum('ij,ij->i', f.gradient(xi), u)\n"
+            "e = f.gradient(xi) @ w\n"
+            "f = rowsum(g * g) + f.gradient(xi)[:, 0] * v\n"
+            "h = f.gradient(xi) * scale[:, None]\n"
+            "class F:\n"
+            "    def jvp(self, xi, u):\n"
+            "        return rowsum(self.gradient(xi) * u)\n")
+    assert gradient_contractions(ast.parse(code)) == [2, 3, 4, 5, 6]
+
+
+def test_directional_derivatives_go_through_jvp():
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in gradient_contractions(ast.parse(path.read_text()))]
+    assert offenders == [], ("take grad f . u as f.jvp(xi, u), which may skip the "
+                             "(n, d) gradient: " + ", ".join(offenders))

@@ -1,7 +1,7 @@
 """Planted defects: each test breaks one piece of the program and asserts
 that a named check catches it.
 
-The check is a nonzero closed form of the integration-by-parts identity.
+The first check is a nonzero closed form of the integration-by-parts identity.
 For G = norm2 on iid d = 5, phi = xi_1 and k = 1 the sublevel side is
 
     E[(D_1 phi - xi_1 phi) 1{G < r}] = E[(1 - xi_1^2) 1{G < r}] = F_5(r) - F_7(r),
@@ -12,12 +12,22 @@ defect that scales one side; this one can.  Over seeds 1-8 at n = 10^6 the
 clean sides lie within 2 s.e. of the closed form, a 5 % scale on
 ``Norm2.hvp`` moves the surface side by -5.1 to -9.1 s.e. and a dropped
 Hessian term by more than -160 s.e.
+
+The second check compares Hessian-vector products along two directions,
+taken inside a chunk where the memo keeps them, with the same products
+outside any chunk.  A stream pass asks ``hvp`` of G along one direction
+only, the gradient of G, so no end-to-end number sees a memo that mixes up
+directions; this check does.
 """
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from glset import Coordinate, Norm2, ProductWithPartial, ibp_residuals
+from glset import Coordinate, Norm2, ProductWithPartial, UserFunctional, ibp_residuals
+from glset import functionals
+from glset.density import map_chunks
+from glset.expressions import ExpressionFunctional
 
 R = 3.0
 N = 10 ** 6
@@ -53,9 +63,51 @@ def test_scaled_hessian_vector_product_is_caught(iid5, monkeypatch):
 
 
 def test_dropped_hessian_term_is_caught(iid5, monkeypatch):
-    def gradient(self, xi):
-        # the product rule without its (D^2 G) e_k term
-        return self.phi.gradient(xi) * self.G.gradient(xi)[:, [self.k - 1]]
+    def jvp(self, xi, u):
+        # the product rule without its phi (D^2 G u)_k term
+        return self.G.gradient(xi)[:, self.k - 1] * self.phi.jvp(xi, u)
 
-    monkeypatch.setattr(ProductWithPartial, "gradient", gradient)
+    monkeypatch.setattr(ProductWithPartial, "jvp", jvp)
     assert [m[:3] for m in closed_form_misses(iid5)] == ["rhs"]
+
+
+def kept_hvp_misses(model):
+    """Names of the functionals whose ``hvp`` at the points of a chunk, along
+    ``e_1`` and then along the points, differs from the same product outside
+    the chunk: a value-only callback (finite differences) and an expression."""
+    fs = [UserFunctional(lambda xi: np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1],
+                         name="fd"),
+          ExpressionFunctional("exp(-norm2())*xi(1)")]
+
+    def worker(index, pts):
+        e_1 = np.zeros_like(pts)
+        e_1[:, 0] = 1.0
+        directions = (e_1, pts.copy())
+        return pts.copy(), directions, [[f.hvp(pts, u) for u in directions] for f in fs]
+
+    misses = []
+    for pts, directions, kept in map_chunks(model, 2000, 3, worker):
+        for f, products in zip(fs, kept):
+            if any(got.tobytes() != f.hvp(pts, u).tobytes()
+                   for u, got in zip(directions, products)):
+                misses.append(f.name)
+    return misses
+
+
+def test_kept_hvp_matches_a_fresh_product(iid5):
+    assert kept_hvp_misses(iid5) == []
+
+
+def test_hvp_memo_keyed_without_direction_is_caught(iid5, monkeypatch):
+    def kept(self, quantity, xi, u, compute):
+        # the chunk memo with a key that leaves out the direction u
+        memo = functionals._chunk_memo(xi)
+        if memo is None:
+            return compute()
+        key = (quantity, id(self))
+        if key not in memo:
+            memo[key] = (self, u, compute())
+        return memo[key][2].copy()
+
+    monkeypatch.setattr(functionals.Functional, "_kept", kept)
+    assert kept_hvp_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]

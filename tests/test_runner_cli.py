@@ -176,6 +176,47 @@ class TestSelftestJob:
         payload = json.loads((out / "job01_selftest.json").read_text())
         assert [r["passed"] for r in payload["results"]] == [True, False]
 
+    def test_body_holds_no_timings(self, tmp_path):
+        from glset.runner import write_selftest
+        from glset.selftest import CriterionResult
+
+        def results(*runtimes):
+            return [CriterionResult(1, "ok", True, "fine", runtimes[0]),
+                    CriterionResult(2, "broken", False, "nope", runtimes[1])]
+
+        [a] = write_selftest(tmp_path / "a", results(0.25, 12.0))
+        [b] = write_selftest(tmp_path / "b", results(3.5, 0.0))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_manifest_holds_the_runtimes(self, tmp_path, monkeypatch):
+        import glset.selftest as selftest_mod
+        from glset.selftest import CriterionResult
+
+        monkeypatch.setattr(
+            selftest_mod, "run_acceptance",
+            lambda verbose=True: [CriterionResult(1, "ok", True, "fine", 0.5),
+                                  CriterionResult(2, "ok", True, "fine", 1.25)])
+        cfg = parse_config("model iid_gaussian\ndim 2\njob selftest\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["runtime_s"] == {"job01_selftest": {"1": 0.5, "2": 1.25}}
+        body = json.loads((tmp_path / "job01_selftest.json").read_text())
+        assert all("runtime_s" not in r for r in body["results"])
+
+    def test_cli_report_and_manifest(self, tmp_path, monkeypatch):
+        import glset.selftest as selftest_mod
+        from glset.selftest import CriterionResult
+
+        monkeypatch.setattr(
+            selftest_mod, "run_acceptance",
+            lambda verbose=True: [CriterionResult(1, "ok", True, "fine", 0.75)])
+        assert main(["selftest", "--output", str(tmp_path)]) == 0
+        body = json.loads((tmp_path / "selftest.json").read_text())
+        assert body == {"results": [{"number": 1, "name": "ok", "passed": True,
+                                     "detail": "fine"}]}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["runtime_s"] == {"selftest": {"1": 0.75}}
+
     def test_all_pass_maps_to_exit_zero(self, tmp_path, monkeypatch):
         import glset.selftest as selftest_mod
         from glset.selftest import CriterionResult
