@@ -11,23 +11,22 @@ reproduces the surface measure.
 import numpy as np
 from scipy import stats
 
-from glset import (Coordinate, SurfaceMeasureHandle, build_model,
-                   conditional_vs_surface, disintegrate, support_check,
-                   verify_disintegration)
+from glset import (Coordinate, build_model, conditional_vs_surface,
+                   disintegrate, support_check, verify_disintegration)
 from glset import ExpressionFunctional
 
 model = build_model(("iid_gaussian", 3))
 n = 500_000
-D = disintegrate(model, Coordinate(1), n, seed=51, bins=100)
+# one pass bins the samples and sums every weight per bin
+phi = ExpressionFunctional("exp(-norm2())")
+D = disintegrate(model, Coordinate(1), n, seed=51, bins=100,
+                 phis=[phi, Coordinate(1)])
+gauss_sums, xi1_sums = D.binned
 
 print(f"disintegrated {n:,} samples into {D.bins} quantile bins")
 print("weights sum to:", D.weights.sum(), "| empty bins:", len(D.empty_bins))
 rec = support_check(D)
 print("every bin's G-range within its width:", rec.contained)
-
-# one more pass gives the per-bin sums of every weight at once
-phi = ExpressionFunctional("exp(-norm2())")
-gauss_sums, xi1_sums = D.bin_sums([phi, Coordinate(1)])
 
 # tower identity: weighted conditional means reassemble the plain mean
 tower = verify_disintegration(D, gauss_sums)
@@ -43,10 +42,8 @@ for j in picks:
     print(f"  bin {j}: center {mids[j]:+.3f}, conditional mean {cond[j]:+.3f}")
 
 # the conditional measure at a thin bin around r, scaled by q1(r), matches
-# the surface measure there
-h = SurfaceMeasureHandle(model=model, G=Coordinate(1), r=1.0, n=n, seed=51,
-                         estimator="divergence")
-rec = conditional_vs_surface(D, h, Coordinate(1), xi1_sums)
+# the surface measure there; one more pass of D's stream gives every level
+rec, = conditional_vs_surface(D, Coordinate(1), [1.0])
 print(f"\nconditional route: q1 * E[xi_1 | bin] = {rec.product:.5f}")
 print(f"surface route:     q_(xi_1)(1)         = {rec.surface_value:.5f}")
 print(f"normal pdf at 1 (both should track it): "

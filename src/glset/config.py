@@ -255,6 +255,11 @@ def _check_job(kind, values, lines, job_line, resolve, dim, error):
     for key in ("k_list", "trace") if kind == "surface" else ():
         if values.get(key) and not values.get("phi"):
             error(lines[key], f"{key}: needs phi or phi_list")
+    refs = values.get("phi", ())
+    names = [resolve(ref).name for ref in refs]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # a run keys its output by weight name
+            error(lines["phi_list"], f"phi_list: {refs[i]!r} is a second weight named {name!r}")
     if (kind == "hausdorff" or values.get("hausdorff")) and "G" in values:
         issue = quadrature_issue(resolve(values["G"]), dim)
         if issue:

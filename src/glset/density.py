@@ -36,7 +36,7 @@ import numpy as np
 from .calculus import HILL_K, KernelField, hill_tail_index, moment_diverging, smallest_norms
 from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsum,
                           stable_argsort)
-from .model import CHUNK_SIZE, GaussianModel, chunk_layout, draw_chunk
+from .model import GaussianModel, chunk_layout, draw_chunk
 
 VARIANCE_UNRELIABLE = "variance unreliable"
 
@@ -159,7 +159,7 @@ def default_bandwidth(model: GaussianModel, G: Functional, n: int, seed: int) ->
     The IQR is taken over the first sample chunk (enough for a bandwidth);
     the n^(-1/3) factor uses the full job size.
     """
-    pts = draw_chunk(model, seed, 0, min(n, CHUNK_SIZE))
+    pts = draw_chunk(model, seed, *chunk_layout(n)[0])
     gv = check_finite(G.value(pts), "G", G.name)
     q25, q75 = np.quantile(gv, [0.25, 0.75])
     return float(max(0.01, 2.0 * (q75 - q25) * n ** (-1.0 / 3.0)))

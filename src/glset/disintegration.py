@@ -11,10 +11,10 @@ density value, approximates the surface measure there.
 Empty bins are retained with zero weight and flagged, never interpolated:
 conditional measures are only defined where the image measure puts mass.
 
-Binning takes one pass over the stream for the G values;
-:meth:`EmpiricalDisintegration.bin_sums` takes one more for the per-bin sums
-of any number of weights, and every conditional quantity, including the
-conditional side of :func:`conditional_vs_surface`, is read off those sums.
+:func:`disintegrate` makes one pass: each chunk keeps its G values and the
+values of every bin weight (8 bytes per row each); edges and per-bin sums
+follow the pass.  :func:`conditional_vs_surface` reads those sums and adds
+one pass of the same stream for the surface side of all of its levels.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import map_chunks
+from .density import Query, map_chunks, stream_pass
 from .functionals import Constant, Functional, check_finite, stable_argsort
-from .model import CHUNK_SIZE, GaussianModel
-from .surface import SurfaceMeasureHandle, surface_integrals
+from .model import GaussianModel, chunk_layout
 
 
 @dataclass
@@ -48,10 +47,11 @@ class EmpiricalDisintegration:
     ``order`` sorts samples by G-value and ``start`` delimits bins inside
     it, so bin j's particle indices are ``order[start[j]:start[j+1]]``.
     Weights sum to one exactly and every sample lies in exactly one bin.
+    ``binned`` holds the :class:`BinSums` of every weight, in order.
     """
 
     model: GaussianModel
-    g_name: str
+    G: Functional
     edges: np.ndarray
     order: np.ndarray
     start: np.ndarray
@@ -60,6 +60,7 @@ class EmpiricalDisintegration:
     n: int
     seed: int
     scheme: str
+    binned: list[BinSums]
 
     @property
     def bins(self) -> int:
@@ -82,35 +83,6 @@ class EmpiricalDisintegration:
     def bin_indices(self, j: int) -> np.ndarray:
         return self.order[self.start[j]:self.start[j + 1]]
 
-    def bin_sums(self, phis) -> list[BinSums]:
-        """:class:`BinSums` of every phi from one pass over the shared stream.
-
-        Samples are assigned to bins by their stored G values, so G is not
-        evaluated again.
-        """
-        inner = self.edges[1:-1]
-
-        def worker(index, pts):
-            start = index * CHUNK_SIZE
-            bin_index = np.searchsorted(inner, self.g_values[start:start + len(pts)],
-                                        side="right")
-            out = []
-            for phi in phis:
-                pv = check_finite(np.broadcast_to(phi.value(pts), (len(pts),)),
-                                  "phi", phi.name)
-                out.append((np.bincount(bin_index, weights=pv, minlength=self.bins),
-                            np.bincount(bin_index, weights=pv * pv,
-                                        minlength=self.bins),
-                            float(np.sum(pv))))
-            return out
-
-        chunks = map_chunks(self.model, self.n, self.seed, worker)
-        return [BinSums(phi_name=phi.name,
-                        sums=np.sum([c[i][0] for c in chunks], axis=0),
-                        sumsq=np.sum([c[i][1] for c in chunks], axis=0),
-                        total=float(np.sum([c[i][2] for c in chunks])))
-                for i, phi in enumerate(phis)]
-
     def conditional_means(self, binned: BinSums) -> np.ndarray:
         """Per-bin means; NaN on empty bins (no conditional measure there)."""
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -118,11 +90,13 @@ class EmpiricalDisintegration:
 
 
 def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
-                 bins: int, scheme: str = "quantile") -> EmpiricalDisintegration:
-    """Bin n samples by G-value into conditional measures.
+                 bins: int, phis=(), scheme: str = "quantile") -> EmpiricalDisintegration:
+    """Bin n samples by G-value into conditional measures, with the
+    :class:`BinSums` of every weight in ``phis``, from one pass.
 
     ``quantile`` bins (the default) hold near-equal counts; ``fixed`` bins
-    split the empirical range evenly.
+    split the empirical range evenly.  Weights must have distinct names,
+    which key their sums.
     """
     if bins < 2:
         raise ValueError("need at least two bins")
@@ -130,33 +104,49 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
         raise ValueError("need at least one sample per bin")
     if scheme not in ("quantile", "fixed"):
         raise ValueError(f"unknown binning scheme {scheme!r}")
-    g_values = np.concatenate(map_chunks(model, n, seed, lambda i, pts: G.value(pts)))
-    check_finite(g_values, "G", G.name)
+    if len({phi.name for phi in phis}) < len(phis):
+        raise ValueError("bin weights must have distinct names")
+    # chunks write into arrays of the whole pass: kept chunk blocks fragment the heap
+    bounds = np.cumsum([0] + [size for _, size in chunk_layout(n)])
+    g_values, values = np.empty(n), np.empty((len(phis), n))
 
+    def worker(index, pts):
+        rows = slice(bounds[index], bounds[index + 1])
+        g_values[rows] = check_finite(G.value(pts), "G", G.name)
+        for phi, out in zip(phis, values):
+            out[rows] = check_finite(phi.value(pts), "phi", phi.name)
+
+    map_chunks(model, n, seed, worker)
     order = stable_argsort(g_values)
-    g_sorted = g_values[order]
     if scheme == "quantile":
-        # np.quantile reads order statistics, which sorting keeps, and is
-        # faster on sorted input; but which of -0.0 and +0.0 lands on a rank
-        # depends on the input order, so mixed zero signs take the unsorted
-        # values
-        zeros = np.signbit(g_sorted[np.searchsorted(g_sorted, 0.0, side="left"):
-                                    np.searchsorted(g_sorted, 0.0, side="right")])
-        mixed_zeros = zeros.any() and not zeros.all()
-        edges = np.quantile(g_values if mixed_zeros else g_sorted,
-                            np.linspace(0.0, 1.0, bins + 1))
+        # np.quantile is faster on sorted values, but which of -0.0 and +0.0
+        # lands on a rank depends on the input order, so zeros of both signs
+        # take the values in stream order
+        q = np.linspace(0.0, 1.0, bins + 1)
+        signs = np.signbit(g_values[g_values == 0.0])
+        edges = (np.quantile(g_values, q) if signs.any() and not signs.all()
+                 else np.quantile(g_values[order], q, overwrite_input=True))
     else:
         edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
     # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
-    start = np.empty(bins + 1, dtype=np.intp)
-    start[0] = 0
+    start = np.searchsorted(g_values[order], edges, side="left")
     start[-1] = n
-    start[1:-1] = np.searchsorted(g_sorted, edges[1:-1], side="left")
-    counts = np.diff(start)
-    return EmpiricalDisintegration(model=model, g_name=G.name, edges=edges,
-                                   order=order, start=start, counts=counts,
+    # each sample's bin, in stream order, from its place in the sort
+    bin_index = np.empty(n, dtype=np.intp)
+    for j in range(bins):
+        bin_index[order[start[j]:start[j + 1]]] = j
+    binned = []
+    for phi, pv in zip(phis, values):
+        parts = [(bin_index[lo:hi], pv[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        sums = [np.bincount(b, weights=v, minlength=bins) for b, v in parts]
+        sumsq = [np.bincount(b, weights=v * v, minlength=bins) for b, v in parts]
+        binned.append(BinSums(phi_name=phi.name, sums=np.sum(sums, axis=0),
+                              sumsq=np.sum(sumsq, axis=0),
+                              total=float(np.sum([float(np.sum(v)) for _, v in parts]))))
+    return EmpiricalDisintegration(model=model, G=G, edges=edges, order=order,
+                                   start=start, counts=np.diff(start),
                                    g_values=g_values, n=n, seed=seed,
-                                   scheme=scheme)
+                                   scheme=scheme, binned=binned)
 
 
 @dataclass
@@ -178,7 +168,7 @@ class TowerRecord:
 
 def verify_disintegration(D: EmpiricalDisintegration, binned: BinSums) -> TowerRecord:
     """Check ``E[phi] = sum_j weight_j E[phi | bin j]`` on shared samples,
-    from the sums of one :meth:`EmpiricalDisintegration.bin_sums` pass."""
+    from the :class:`BinSums` of phi."""
     cond = D.conditional_means(binned)
     occupied = D.counts > 0
     weighted = float(np.sum(D.weights[occupied] * cond[occupied]))
@@ -203,11 +193,9 @@ def support_check(D: EmpiricalDisintegration) -> SupportRecord:
     """The particles of each bin span at most the bin width (by construction)."""
     g_sorted = D.g_values[D.order]
     widths = np.diff(D.edges)
+    occupied = D.counts > 0
     spans = np.zeros(D.bins)
-    for j in range(D.bins):
-        lo, hi = D.start[j], D.start[j + 1]
-        if hi > lo:
-            spans[j] = g_sorted[hi - 1] - g_sorted[lo]
+    spans[occupied] = g_sorted[D.start[1:][occupied] - 1] - g_sorted[D.start[:-1][occupied]]
     excess = float(np.max(spans - widths)) if D.bins else 0.0
     return SupportRecord(widths=widths, in_bin_range=spans, max_excess=excess)
 
@@ -241,43 +229,54 @@ class ConditionalSurfaceRecord:
         return self.unresolved or abs(self.difference) <= self.band
 
 
-def conditional_vs_surface(D: EmpiricalDisintegration, h: SurfaceMeasureHandle,
-                           phi: Functional, binned: BinSums) -> ConditionalSurfaceRecord:
-    """Compare ``q1(r) E[phi | G in bin(r)]`` with the surface integral of phi.
+def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
+                           estimator: str = "divergence",
+                           epsilon: float | None = None) -> list[ConditionalSurfaceRecord]:
+    """Compare ``q1(r) E[phi | G in bin(r)]`` with the surface integral of phi
+    at every level r of ``r_grid``, one record per level.
 
-    The conditional side is read off ``binned``, the :class:`BinSums` of phi
-    from :meth:`EmpiricalDisintegration.bin_sums`, so the bin sums of one
-    pass serve every level; the surface side (``q1`` and the integral of
-    phi) is one pass of the handle.
+    The conditional side is read off phi's :class:`BinSums` in ``D.binned``;
+    the surface side (``q1`` and the integral of phi, by ``estimator``) is
+    one pass of D's ``(model, G, n, seed)`` stream for all the levels.
     """
-    if binned.phi_name != phi.name:
-        raise ValueError(f"bin sums are of {binned.phi_name!r}, not of {phi.name!r}")
-    j = D.bin_of(h.r)
-    width = float(D.edges[j + 1] - D.edges[j])
+    if estimator not in ("divergence", "mollified"):
+        raise ValueError(f"estimator must be divergence or mollified, got {estimator!r}")
+    binned = next((b for b in D.binned if b.phi_name == phi.name), None)
+    if binned is None:
+        raise ValueError(f"{phi.name!r} is not a bin weight of the disintegration")
+    levels = [(float(r), D.bin_of(r)) for r in r_grid]
+    q1s, surfs = stream_pass(D.model, D.G, D.n, D.seed, r_grid,
+                             [Query(Constant(1.0), estimator), Query(phi, estimator)],
+                             epsilon=epsilon).results
     cond = D.conditional_means(binned)
-    (q1, q1_se), (surf, surf_se) = surface_integrals(h, [Constant(1.0), phi])
-    if D.counts[j] == 0:
-        return ConditionalSurfaceRecord(
-            phi_name=phi.name, r=h.r, bin_index=j, bin_width=width,
-            conditional_mean=np.nan, q1=q1, product=np.nan, surface_value=surf,
-            band=np.nan, unresolved=True)
-    cm = float(cond[j])
-    # population variance of phi in the bin, as np.std computes it
-    var = max(float(binned.sumsq[j]) / D.counts[j] - cm * cm, 0.0)
-    cm_se = float(np.sqrt(var / D.counts[j]))
-    # discretization allowance: local slope of the conditional mean times
-    # the half width, from neighboring occupied bins
-    lo, hi = max(j - 1, 0), min(j + 1, D.bins - 1)
-    slope = 0.0
-    if hi > lo and D.counts[lo] > 0 and D.counts[hi] > 0:
-        mids = 0.5 * (D.edges[:-1] + D.edges[1:])
-        denom = mids[hi] - mids[lo]
-        if denom > 0 and np.isfinite(cond[hi]) and np.isfinite(cond[lo]):
-            slope = (cond[hi] - cond[lo]) / denom
-    allowance = abs(slope) * width / 2.0 * max(q1, 0.0)
-    product_se = np.hypot(q1 * cm_se, cm * q1_se)
-    band = 4.0 * float(np.hypot(product_se, surf_se)) + allowance
-    return ConditionalSurfaceRecord(
-        phi_name=phi.name, r=h.r, bin_index=j, bin_width=width,
-        conditional_mean=cm, q1=q1, product=q1 * cm, surface_value=surf,
-        band=band)
+    mids = 0.5 * (D.edges[:-1] + D.edges[1:])
+    records = []
+    for (r, j), q1, q1_se, surf, surf_se in zip(
+            levels, q1s.estimates.tolist(), q1s.stderrs.tolist(),
+            surfs.estimates.tolist(), surfs.stderrs.tolist()):
+        width = float(D.edges[j + 1] - D.edges[j])
+        level = dict(phi_name=phi.name, r=r, bin_index=j, bin_width=width, q1=q1,
+                     surface_value=surf)
+        if D.counts[j] == 0:
+            records.append(ConditionalSurfaceRecord(
+                **level, conditional_mean=np.nan, product=np.nan, band=np.nan,
+                unresolved=True))
+            continue
+        cm = float(cond[j])
+        # population variance of phi in the bin, as np.std computes it
+        var = max(float(binned.sumsq[j]) / D.counts[j] - cm * cm, 0.0)
+        cm_se = float(np.sqrt(var / D.counts[j]))
+        # discretization allowance: local slope of the conditional mean times
+        # the half width, from neighboring occupied bins
+        lo, hi = max(j - 1, 0), min(j + 1, D.bins - 1)
+        slope = 0.0
+        if hi > lo and D.counts[lo] > 0 and D.counts[hi] > 0:
+            denom = mids[hi] - mids[lo]
+            if denom > 0 and np.isfinite(cond[hi]) and np.isfinite(cond[lo]):
+                slope = (cond[hi] - cond[lo]) / denom
+        allowance = abs(slope) * width / 2.0 * max(q1, 0.0)
+        product_se = np.hypot(q1 * cm_se, cm * q1_se)
+        band = 4.0 * float(np.hypot(product_se, surf_se)) + allowance
+        records.append(ConditionalSurfaceRecord(
+            **level, conditional_mean=cm, product=q1 * cm, band=band))
+    return records

@@ -24,7 +24,8 @@ the chunk points, the stencil sides of every functional and the ``value``,
 (:meth:`Functional._kept`); later calls read them, and the memo dies with
 the chunk.  Closed-form builtins and the product wrappers are recomputed:
 a density pass asks each of them once per chunk, so keeping them would only
-add copies.  Oracles must be
+add copies.  The one exception is ``|xi|``, which every
+:class:`RadialClamp` level of a trace reads twice per chunk.  Oracles must be
 pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
 called on a buffer that is perturbed again after they return.
 """
@@ -441,13 +442,17 @@ class RadialClamp(Functional):
         self.m = float(m)
         self.name = f"clamp({self.m!r})"
 
+    def _radius(self, xi):
+        """``|xi|``, kept under the class, so a chunk takes one for all clamps."""
+        return Functional._kept(RadialClamp, "radius", xi, None,
+                                lambda: np.sqrt(rowsum(xi * xi)))
+
     def value(self, xi):
-        r = np.sqrt(rowsum(xi * xi))
-        return np.clip(2.0 - r / self.m, 0.0, 1.0)
+        return np.clip(2.0 - self._radius(xi) / self.m, 0.0, 1.0)
 
     def _scale(self, xi):
         """The gradient over ``xi``: ``-1/(m |xi|)`` on the ramp, else 0."""
-        r = np.sqrt(rowsum(xi * xi))
+        r = self._radius(xi)
         on_ramp = (r > self.m) & (r < 2.0 * self.m)
         return np.where(on_ramp, -1.0 / (self.m * np.maximum(r, 1e-300)), 0.0)
 

@@ -174,10 +174,9 @@ def _run_ibp(job, model, G, phis, out_base, formats):
 
 
 def _run_disintegrate(job, model, G, phis, out_base, formats):
-    D = disintegrate(model, G, job.n, job.seed, job.bins, scheme=job.scheme)
-    binned = D.bin_sums(phis)
-    cond = {b.phi_name: D.conditional_means(b) for b in binned}
-    towers = [verify_disintegration(D, b) for b in binned]
+    D = disintegrate(model, G, job.n, job.seed, job.bins, phis, scheme=job.scheme)
+    cond = {b.phi_name: D.conditional_means(b) for b in D.binned}
+    towers = [verify_disintegration(D, b) for b in D.binned]
     support = support_check(D)
     header = ["bin_lo", "bin_hi", "weight", "count"]
     header += [f"cond_mean_{name}" for name in cond]

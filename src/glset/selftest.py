@@ -178,22 +178,19 @@ def criterion_6_disintegration():
     ]
     worst_tower = 0.0
     for i, (model, G, r_values) in enumerate(cases):
-        D = disintegrate(model, G, 10 ** 6, 2606 + i, bins=200)
-        one_sums, gauss_sums = D.bin_sums([Constant(1.0), gauss_phi])
-        for binned in (one_sums, gauss_sums):
+        D = disintegrate(model, G, 10 ** 6, 2606 + i, bins=200,
+                         phis=[Constant(1.0), gauss_phi])
+        for binned in D.binned:
             tower = verify_disintegration(D, binned)
             worst_tower = max(worst_tower, tower.rel_error)
             if tower.rel_error > 1e-12:
                 return _result(6, "disintegration", False,
                                f"tower rel err {tower.rel_error:.2e} > 1e-12", t0)
-        for r in r_values:
-            h = SurfaceMeasureHandle(model=model, G=G, r=r, n=10 ** 6,
-                                     seed=2606 + i, estimator="divergence")
-            rec = conditional_vs_surface(D, h, gauss_phi, gauss_sums)
+        for rec in conditional_vs_surface(D, gauss_phi, r_values):
             if not rec.within_band:
                 return _result(
                     6, "disintegration", False,
-                    f"case {i} r={r}: |{rec.product:.5f} - {rec.surface_value:.5f}|"
+                    f"case {i} r={rec.r}: |{rec.product:.5f} - {rec.surface_value:.5f}|"
                     f" > band {rec.band:.1e}", t0)
     return _result(6, "disintegration", True,
                    f"tower rel err <= {worst_tower:.2e} (<=1e-12); "

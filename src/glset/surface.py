@@ -74,12 +74,6 @@ def surface_integral(h: SurfaceMeasureHandle, phi: Functional):
     return _value(surface_integral_curve(h, phi))
 
 
-def surface_integrals(h: SurfaceMeasureHandle, phis) -> list[tuple[float, float]]:
-    """(value, stderr) of the integral of every phi, from one pass."""
-    return [_value(c) for c in h.stream_pass([Query(phi, h.estimator)
-                                              for phi in phis]).results]
-
-
 # ----------------------------- integration by parts -----------------------------
 
 @dataclass

@@ -277,6 +277,16 @@ REJECTED = {
                                     "  estimator mollified\n"), 6, "estimator"),
     "definition of a builtin name": (_job("density\n  G f\n  phi 1\n  r_grid 1\n",
                                           head="functional f = norm2\n"), 3, "functional 'f'"),
+    # weights key the output columns by name; "1" and "1.0" are both "1.0"
+    "surface weights of one name": (_job("surface\n  G norm2\n  r 2\n"
+                                         "  phi_list 1 gauss 1.0\n", head=GAUSS), 7,
+                                    "'1.0' is a second weight named '1.0'"),
+    "ibp weights of one name": (_job("ibp\n  G norm2\n  phi_list 1.0 1\n  k_list 1\n"
+                                     "  r 2\n"), 5, "'1' is a second weight named '1.0'"),
+    "disintegrate weights of one name": (
+        _job("disintegrate\n  G norm2\n  phi_list a exp(-norm2()) 1 1.0\n  bins 4\n",
+             head="functional a = exp(-norm2())\n"), 6,
+        "'1.0' is a second weight named '1.0'"),
 }
 
 

@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (Constant, Coordinate, Norm2, SurfaceMeasureHandle,
-                   UserFunctional, build_model, conditional_vs_surface,
-                   disintegrate, disintegration, support_check,
-                   verify_disintegration)
+from glset import (Constant, Coordinate, Norm2, UserFunctional,
+                   conditional_vs_surface, disintegrate, disintegration,
+                   support_check, verify_disintegration)
 from glset.expressions import ExpressionFunctional
+from glset.model import chunk_layout, sample
 
 ONE = Constant(1.0)
+
+# a smooth G, one with an atom (ties) and one with zeros of both signs
+TIE_GS = [
+    Norm2(),
+    ExpressionFunctional("min(norm2(), 6)"),
+    # about a third of the values are zeros, of both signs
+    UserFunctional(lambda xi: np.where(np.abs(xi[:, 0]) < 0.4, 0.0 * xi[:, 0],
+                                       xi[:, 0]), name="signed-zeros"),
+]
 
 
 class TestDisintegrate:
@@ -18,13 +27,7 @@ class TestDisintegrate:
         assert np.all(np.abs(D.weights - 0.1) < 4 * se)
         assert D.weights.sum() == 1.0
 
-    @pytest.mark.parametrize("G", [
-        Norm2(),
-        ExpressionFunctional("min(norm2(), 6)"),
-        # about a third of the values are zeros, of both signs
-        UserFunctional(lambda xi: np.where(np.abs(xi[:, 0]) < 0.4, 0.0 * xi[:, 0],
-                                           xi[:, 0]), name="signed-zeros"),
-    ], ids=lambda G: G.name)
+    @pytest.mark.parametrize("G", TIE_GS, ids=lambda G: G.name)
     @pytest.mark.parametrize("bins", [7, 200])
     def test_quantile_edges_are_numpys(self, iid5, G, bins):
         # the edges are read off the sorted values; they must keep the bits of
@@ -32,6 +35,38 @@ class TestDisintegrate:
         D = disintegrate(iid5, G, 40_000, seed=71, bins=bins)
         want = np.quantile(D.g_values, np.linspace(0.0, 1.0, bins + 1))
         assert D.edges.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("G", TIE_GS, ids=lambda G: G.name)
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_bin_sums_match_per_chunk_bincount(self, iid5, G, threads, monkeypatch):
+        # reference: np.bincount of each chunk of the sample, summed in chunk
+        # order; the pass must give its bits at any worker count
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        n, bins = 40_000, 200
+        phis = [ONE, ExpressionFunctional("exp(-norm2())")]
+        D = disintegrate(iid5, G, n, seed=71, bins=bins, phis=phis)
+        points = sample(iid5, n, seed=71).points
+        ends = np.cumsum([size for _, size in chunk_layout(n)])[:-1]
+        chunks = [(np.searchsorted(D.edges[1:-1], G.value(pts), side="right"), pts)
+                  for pts in np.split(points, ends)]
+        for phi, got in zip(phis, D.binned):
+            per_chunk = [np.broadcast_to(phi.value(pts), (len(pts),))
+                         for _, pts in chunks]
+            want = [np.sum([np.bincount(b, weights=w, minlength=bins)
+                            for (b, _), w in zip(chunks, per_chunk)], axis=0),
+                    np.sum([np.bincount(b, weights=w * w, minlength=bins)
+                            for (b, _), w in zip(chunks, per_chunk)], axis=0)]
+            assert got.phi_name == phi.name
+            assert got.sums.tobytes() == want[0].tobytes()
+            assert got.sumsq.tobytes() == want[1].tobytes()
+            assert got.total == float(np.sum([float(np.sum(w)) for w in per_chunk]))
+        assert np.array_equal(D.counts, np.sum([np.bincount(b, minlength=bins)
+                                                for b, _ in chunks], axis=0))
+
+    def test_duplicate_weight_names_rejected(self, iid3):
+        with pytest.raises(ValueError, match="distinct names"):
+            disintegrate(iid3, Coordinate(1), 1000, seed=1, bins=5,
+                         phis=[ONE, Constant(1.0)])
 
     def test_fixed_bins_match_chi5_probabilities(self, iid5):
         n = 2 * 10 ** 5
@@ -81,28 +116,32 @@ class TestTowerIdentity:
                                      ExpressionFunctional("exp(-norm2())")],
                              ids=["one", "xi1", "gauss"])
     def test_exact_with_shared_samples(self, iid3, phi):
-        D = disintegrate(iid3, Coordinate(1), 2 * 10 ** 5, seed=19, bins=50)
-        rec = verify_disintegration(D, *D.bin_sums([phi]))
+        D = disintegrate(iid3, Coordinate(1), 2 * 10 ** 5, seed=19, bins=50,
+                         phis=[phi])
+        rec = verify_disintegration(D, *D.binned)
         assert rec.rel_error <= 1e-12
 
     def test_constant_weight_gives_one(self, iid3):
-        D = disintegrate(iid3, Coordinate(1), 10 ** 4, seed=23, bins=20)
-        rec = verify_disintegration(D, *D.bin_sums([ONE]))
+        D = disintegrate(iid3, Coordinate(1), 10 ** 4, seed=23, bins=20, phis=[ONE])
+        rec = verify_disintegration(D, *D.binned)
         assert rec.plain_mean == 1.0
         assert rec.weighted_sum == pytest.approx(1.0, abs=1e-14)
 
     def test_centered_weight_near_zero(self, iid3):
-        D = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=29, bins=20)
-        rec = verify_disintegration(D, *D.bin_sums([Coordinate(1)]))
+        D = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=29, bins=20,
+                         phis=[Coordinate(1)])
+        rec = verify_disintegration(D, *D.binned)
         assert abs(rec.plain_mean) < 4 / np.sqrt(10 ** 5)
         assert rec.rel_error <= 1e-12
 
     def test_partition_independent(self, iid3):
         phi = ExpressionFunctional("exp(-norm2())")
-        coarse = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=25)
-        fine = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=50)
-        a = verify_disintegration(coarse, *coarse.bin_sums([phi]))
-        b = verify_disintegration(fine, *fine.bin_sums([phi]))
+        coarse = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=25,
+                              phis=[phi])
+        fine = disintegrate(iid3, Coordinate(1), 10 ** 5, seed=31, bins=50,
+                            phis=[phi])
+        a = verify_disintegration(coarse, *coarse.binned)
+        b = verify_disintegration(fine, *fine.binned)
         assert a.plain_mean == b.plain_mean
         assert a.weighted_sum == pytest.approx(b.weighted_sum, rel=1e-12)
 
@@ -131,11 +170,9 @@ class TestConditionalVsSurface:
         # G = xi_1, phi = xi_1: conditional mean in the bin at r=1 is ~1 and
         # the product q1 * 1 matches the surface moment q_{xi1}(1) = gamma(1)
         n = 10 ** 6
-        D = disintegrate(iid3, Coordinate(1), n, seed=47, bins=200)
-        h = SurfaceMeasureHandle(model=iid3, G=Coordinate(1), r=1.0, n=n,
-                                 seed=47, estimator="divergence")
         xi1 = Coordinate(1)
-        rec = conditional_vs_surface(D, h, xi1, *D.bin_sums([xi1]))
+        D = disintegrate(iid3, Coordinate(1), n, seed=47, bins=200, phis=[xi1])
+        rec, = conditional_vs_surface(D, xi1, [1.0])
         assert rec.conditional_mean == pytest.approx(1.0, abs=0.02)
         assert rec.product == pytest.approx(float(stats.norm.pdf(1.0)), rel=0.02)
         assert rec.surface_value == pytest.approx(float(stats.norm.pdf(1.0)),
@@ -144,58 +181,54 @@ class TestConditionalVsSurface:
 
     def test_normalization_constant_weight(self, iid5):
         n = 2 * 10 ** 5
-        D = disintegrate(iid5, Norm2(), n, seed=53, bins=100)
-        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=4.0, n=n, seed=53,
-                                 estimator="divergence")
-        rec = conditional_vs_surface(D, h, ONE, *D.bin_sums([ONE]))
+        D = disintegrate(iid5, Norm2(), n, seed=53, bins=100, phis=[ONE])
+        rec, = conditional_vs_surface(D, ONE, [4.0])
         assert rec.conditional_mean == 1.0
         assert rec.product == rec.q1
         assert rec.within_band
 
     def test_odd_weight_both_routes_zero(self, iid5):
         n = 2 * 10 ** 5
-        D = disintegrate(iid5, Norm2(), n, seed=59, bins=100)
-        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=5.0, n=n, seed=59,
-                                 estimator="divergence")
         xi2 = Coordinate(2)
-        rec = conditional_vs_surface(D, h, xi2, *D.bin_sums([xi2]))
+        D = disintegrate(iid5, Norm2(), n, seed=59, bins=100, phis=[xi2])
+        rec, = conditional_vs_surface(D, xi2, [5.0])
         assert abs(rec.product) <= rec.band
         assert abs(rec.surface_value) <= rec.band
         assert rec.within_band
 
     def test_level_outside_range_rejected(self, iid5):
-        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20)
-        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=-3.0, n=10 ** 4,
-                                 seed=61)
+        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20, phis=[ONE])
         with pytest.raises(ValueError):
-            conditional_vs_surface(D, h, ONE, *D.bin_sums([ONE]))
+            conditional_vs_surface(D, ONE, [-3.0])
 
-    def test_bin_sums_of_another_weight_rejected(self, iid5):
-        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20)
-        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=4.0, n=10 ** 4,
-                                 seed=61)
-        with pytest.raises(ValueError):
-            conditional_vs_surface(D, h, ONE, *D.bin_sums([Coordinate(1)]))
+    def test_phi_not_among_weights_rejected(self, iid5):
+        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20,
+                         phis=[Coordinate(1)])
+        with pytest.raises(ValueError, match="not a bin weight"):
+            conditional_vs_surface(D, ONE, [4.0])
 
     def test_empty_bin_reports_unresolved(self, iid5):
         # prepend bins below the data so an interior-by-index bin is empty
         import dataclasses
 
         D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20,
-                         scheme="fixed")
+                         phis=[ONE], scheme="fixed")
         lo = float(D.g_values.min())
         edges = np.concatenate([[lo - 2.0, lo - 1.0], D.edges])
         g_sorted = D.g_values[D.order]
         start = np.empty(len(edges), dtype=D.start.dtype)
         start[0], start[-1] = 0, D.n
         start[1:-1] = np.searchsorted(g_sorted, edges[1:-1], side="left")
+        # the prepended bins hold no sample, so their sums are zero
+        sums, = D.binned
+        zeros = np.zeros(2)
+        binned = dataclasses.replace(sums, sums=np.concatenate([zeros, sums.sums]),
+                                     sumsq=np.concatenate([zeros, sums.sumsq]))
         D2 = dataclasses.replace(D, edges=edges, start=start,
-                                 counts=np.diff(start))
+                                 counts=np.diff(start), binned=[binned])
         assert 0 in D2.empty_bins and 1 in D2.empty_bins
-        h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=lo - 1.5,
-                                 n=10 ** 4, seed=61, estimator="mollified",
-                                 epsilon=0.2)
-        rec = conditional_vs_surface(D2, h, ONE, *D2.bin_sums([ONE]))
+        rec, = conditional_vs_surface(D2, ONE, [lo - 1.5], estimator="mollified",
+                                      epsilon=0.2)
         assert rec.unresolved
         assert rec.within_band  # unresolved records never fail the band
 
@@ -204,12 +237,10 @@ class TestConditionalVsSurface:
         # discretization allowance
         phi = ExpressionFunctional("exp(-norm2())")
         n = 2 * 10 ** 5
-        h = SurfaceMeasureHandle(model=iid3, G=Coordinate(1), r=0.5, n=n,
-                                 seed=67, estimator="divergence")
         recs = []
         for bins in (100, 200):
-            D = disintegrate(iid3, Coordinate(1), n, seed=67, bins=bins)
-            recs.append(conditional_vs_surface(D, h, phi, *D.bin_sums([phi])))
+            D = disintegrate(iid3, Coordinate(1), n, seed=67, bins=bins, phis=[phi])
+            recs += conditional_vs_surface(D, phi, [0.5])
         assert abs(recs[0].product - recs[1].product) <= \
             recs[0].band + recs[1].band
         assert recs[1].bin_width < recs[0].bin_width

@@ -17,12 +17,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from glset import (Constant, DensityJob, UserFunctional, estimate_density,
-                   hypothesis_diagnostics, ibp_battery, ibp_residuals)
-from glset import expressions
+from glset import (Constant, DensityJob, Norm2, RadialClamp, SurfaceMeasureHandle,
+                   UserFunctional, estimate_density, hypothesis_diagnostics,
+                   ibp_battery, ibp_residuals, trace_eval)
+from glset import expressions, functionals
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
-from glset.functionals import fd_gradient
+from glset.functionals import chunk_scope, fd_gradient
 
 
 class Counted:
@@ -170,6 +171,34 @@ def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):
     assert calls == {("phi", "value"): chunks, ("phi", "gradient"): chunks,
                      ("G", "value"): chunks, ("G", "gradient"): chunks,
                      ("G", "hvp"): chunks}
+
+
+def test_clamp_levels_share_one_radius_per_chunk(iid5, monkeypatch):
+    # the 6 trace levels ask |xi| for the value and the jvp of every clamp
+    kept = functionals.Functional._kept
+    calls = []
+
+    def counted(self, quantity, xi, u, compute):
+        def run():
+            calls.append((quantity, len(xi)))
+            return compute()
+        return kept(self, quantity, xi, u, run)
+
+    monkeypatch.setattr(functionals.Functional, "_kept", counted)
+    h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=3.0, n=40_000, seed=5)
+    report = trace_eval(h, ExpressionFunctional("exp(-norm2())"))
+    radii = sorted(size for quantity, size in calls if quantity == "radius")
+    assert radii == [40_000 - 2 * 16384, 16384, 16384]
+    assert len(report.levels) == 6
+
+    pts = np.random.default_rng(3).standard_normal((500, 5)) * 3.0
+    u = np.random.default_rng(4).standard_normal((500, 5))
+    clamps = [RadialClamp(m) for m in (1.0, 2.0, 4.0)]
+    outside = [(c.value(pts), c.jvp(pts, u), c.gradient(pts)) for c in clamps]
+    with chunk_scope(pts):
+        inside = [(c.value(pts), c.jvp(pts, u), c.gradient(pts)) for c in clamps]
+    assert [[a.tobytes() for a in row] for row in inside] == \
+        [[a.tobytes() for a in row] for row in outside]
 
 
 def test_threads_do_not_change_fd_output(iid5, monkeypatch):

@@ -289,3 +289,39 @@ def test_directional_derivatives_go_through_jvp():
                  for line in gradient_contractions(ast.parse(path.read_text()))]
     assert offenders == [], ("take grad f . u as f.jvp(xi, u), which may skip the "
                              "(n, d) gradient: " + ", ".join(offenders))
+
+
+# ----------------------------- chunk layout guard -----------------------------
+
+LAYOUT_OWNER = "model.py"
+
+
+def chunk_size_names(tree):
+    """Lines that name ``CHUNK_SIZE``: an import of it, a bare name or an
+    attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(node.lineno for alias in node.names if alias.name == "CHUNK_SIZE")
+        elif isinstance(node, ast.Name) and node.id == "CHUNK_SIZE" \
+                or isinstance(node, ast.Attribute) and node.attr == "CHUNK_SIZE":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_guard_sees_chunk_size_names():
+    code = ("from .model import GaussianModel, CHUNK_SIZE\n"
+            "from . import model\n"
+            "start = index * CHUNK_SIZE\n"
+            "size = min(n, model.CHUNK_SIZE)\n"
+            "layout = model.chunk_layout(n)\n"
+            "chunk_size = 16384\n")
+    assert chunk_size_names(ast.parse(code)) == [1, 3, 4]
+
+
+def test_only_the_model_knows_the_chunk_size():
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != LAYOUT_OWNER
+                 for line in chunk_size_names(ast.parse(path.read_text()))]
+    assert offenders == [], ("take chunk boundaries from model.chunk_layout, the "
+                             "layout's one definition: " + ", ".join(offenders))

@@ -61,8 +61,8 @@ def two_phis():
     return [ExpressionFunctional("exp(-norm2())"), Coordinate(1)]
 
 
-def sphere_handle(iid3, estimator="divergence", n=50_000):
-    return SurfaceMeasureHandle(model=iid3, G=Norm2(), r=2.0, n=n, seed=211,
+def sphere_handle(iid3, estimator="divergence"):
+    return SurfaceMeasureHandle(model=iid3, G=Norm2(), r=2.0, n=50_000, seed=211,
                                 estimator=estimator)
 
 
@@ -85,20 +85,20 @@ class TestPassCounts:
         positivity_scan(iid3, Norm2(), (1.0, 2.0), 20_000, seed=5)
         assert len(passes) == 6
 
-    def test_runner_disintegrate_job_makes_two_passes(self, tmp_path, passes):
+    def test_runner_disintegrate_job_makes_one_pass(self, tmp_path, passes):
         cfg = parse_config("model iid_gaussian\ndim 3\nformats csv json\n"
                            "job disintegrate\n  G norm2\n  phi_list 1 exp(-norm2())\n"
                            "  bins 20\n  n 40000\n  seed 5\n")
         assert run(cfg, output_dir=tmp_path) == 0
-        assert len(passes) <= 2
+        assert len(passes) == 1
 
     def test_conditional_vs_surface_makes_one_pass(self, iid3, passes):
-        D = disintegrate(iid3, Norm2(), 40_000, seed=7, bins=20)
         phi = two_phis()[0]
-        binned, = D.bin_sums([phi])
+        D = disintegrate(iid3, Norm2(), 40_000, seed=7, bins=20, phis=[phi])
         del passes[:]
-        conditional_vs_surface(D, sphere_handle(iid3, n=40_000), phi, binned)
+        records = conditional_vs_surface(D, phi, (1.0, 2.0, 3.0))
         assert len(passes) == 1
+        assert [rec.r for rec in records] == [1.0, 2.0, 3.0]
 
     def test_runner_ibp_job_makes_one_pass(self, tmp_path, passes):
         assert run(parse_config(IBP_CONFIG), output_dir=tmp_path) == 0
