@@ -8,32 +8,33 @@ integrals, integration-by-parts residuals, traces and the positivity
 interval all computable from the density machinery.
 """
 
-import numpy as np
 from scipy import stats
 
-from glset import (Constant, Norm2, SublevelBump, SurfaceMeasureHandle,
-                   build_model, ibp_battery, positivity_scan,
-                   surface_integral, trace_eval)
+from glset import (Norm2, SublevelBump, SurfaceMeasureHandle, build_model,
+                   ibp_battery, positivity_scan, surface_report)
 from glset import ExpressionFunctional
 
 model = build_model(("iid_gaussian", 5))
 handle = SurfaceMeasureHandle(model=model, G=Norm2(), r=5.0, n=500_000,
                               seed=31, estimator="divergence")
 
+# one pass over the handle's stream answers the total mass, the integral of
+# every weight and, on request, the trace of the first weight
+bump = SublevelBump(Norm2(), c=4.0, delta=0.5)
+phi = ExpressionFunctional("exp(-norm2())")
+report = surface_report(handle, [phi, bump], with_trace=True)
+
 # total mass of the surface measure = the chi-square density at the level
-mass, se = surface_integral(handle, Constant(1.0))
-print(f"surface mass at r=5: {mass:.5f} +- {se:.5f} "
-      f"(chi2_5 pdf: {stats.chi2.pdf(5, 5):.5f})")
+print(f"surface mass at r=5: {report.total_mass:.5f} +- "
+      f"{report.total_mass_stderr:.5f} (chi2_5 pdf: {stats.chi2.pdf(5, 5):.5f})")
 
 # a weight vanishing near the level set integrates to zero: the measure is
 # supported on G^-1(r)
-bump = SublevelBump(Norm2(), c=4.0, delta=0.5)
-away, se_away = surface_integral(handle, bump)
+away, se_away = report.integrals[bump.name]
 print(f"weight supported in {{G<4}}: {away:.5f} +- {se_away:.5f} (~0)")
 
 # integration by parts: sublevel integral of D_k phi - xi_k phi equals the
 # surface integral of phi D_k G
-phi = ExpressionFunctional("exp(-norm2())")
 print("\nIBP residuals for phi = exp(-norm2()), k = 1 and 2 from one pass:")
 for rec in ibp_battery(model, Norm2(), [phi], (1, 2), (3.0, 5.0), 500_000, 33):
     print(f"  k={rec.k} r={rec.r:.0f}: lhs={rec.lhs:+.5f} "
@@ -42,7 +43,7 @@ for rec in ibp_battery(model, Norm2(), [phi], (1, 2), (3.0, 5.0), 500_000, 33):
 
 # traces: clamped truncations phi_m -> phi; once the clamp saturates on all
 # samples the surface integrals agree exactly
-rep = trace_eval(handle, phi)
+rep = report.trace
 print("\ntrace sequence |q_(phi_m) - q_phi|:",
       ["%.2e" % d for d in rep.diffs])
 print("converged:", rep.converged, "| exact at the top clamp:", rep.exact_tail)

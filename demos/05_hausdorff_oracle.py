@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from glset import (Constant, Coordinate, Norm2, SurfaceMeasureHandle,
-                   build_model, hausdorff_compare, sphere_quadrature)
+                   build_model, sphere_quadrature, surface_report)
 from glset import ExpressionFunctional
 
 # sphere in d=3 at r=1: the quadrature value equals the chi-square(3)
@@ -24,7 +24,7 @@ print("chi2_3 pdf at 1:       ", stats.chi2.pdf(1.0, df=3))
 m3 = build_model(("iid_gaussian", 3))
 h_sphere = SurfaceMeasureHandle(model=m3, G=Norm2(), r=1.0, n=10 ** 6,
                                 seed=41, estimator="mollified")
-rec = hausdorff_compare(h_sphere, Constant(1.0))
+rec = surface_report(h_sphere, [], with_hausdorff=True).hausdorff  # phi = 1
 print(f"\nMC vs quadrature on the sphere: {rec.mc_value:.5f} vs "
       f"{rec.quad_value:.5f} (rel err {rec.rel_error:.3%})")
 
@@ -33,7 +33,7 @@ print(f"\nMC vs quadrature on the sphere: {rec.mc_value:.5f} vs "
 m2 = build_model(("iid_gaussian", 2))
 h_plane = SurfaceMeasureHandle(model=m2, G=Coordinate(1), r=0.0, n=10 ** 6,
                                seed=43, estimator="divergence")
-rec = hausdorff_compare(h_plane, Constant(1.0))
+rec = surface_report(h_plane, [], with_hausdorff=True).hausdorff
 print(f"MC vs quadrature on the hyperplane: {rec.mc_value:.5f} vs "
       f"{rec.quad_value:.5f} (rel err {rec.rel_error:.3%})")
 
@@ -42,7 +42,7 @@ print(f"MC vs quadrature on the hyperplane: {rec.mc_value:.5f} vs "
 m5 = build_model(("iid_gaussian", 5))
 phi = ExpressionFunctional("exp(-norm2())")
 h5 = SurfaceMeasureHandle(model=m5, G=Norm2(), r=3.0, n=500_000, seed=47)
-rec = hausdorff_compare(h5, phi)
+rec = surface_report(h5, [phi], with_hausdorff=True).hausdorff
 print(f"\nd=5 sphere, phi=exp(-norm2()): {rec.mc_value:.5f} vs "
       f"{rec.quad_value:.5f}")
 print("factorized check exp(-3) chi2_5(3):",

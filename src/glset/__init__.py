@@ -18,14 +18,12 @@ from .functionals import (BmEndpoint, Constant, ConstantField, Coordinate,
 from .calculus import (GradientTooSmall, HypothesisReport, KernelField,
                        divergence_mu, h_gradient, hypothesis_diagnostics,
                        kernel_divergence)
-from .density import (DensityCurve, DensityJob, Query, cdf_estimate,
-                      default_bandwidth, density_divergence, density_mollified,
+from .density import (DensityCurve, DensityJob, Query, default_bandwidth,
                       estimate_density, smoothness_check, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
-                      SurfaceReport, hausdorff_compare, hyperplane_quadrature,
-                      ibp_battery, ibp_residual, ibp_residuals, positivity_scan,
-                      sphere_quadrature, surface_integral, surface_report,
-                      trace_eval)
+                      SurfaceReport, hyperplane_quadrature, ibp_battery,
+                      ibp_residuals, positivity_scan, sphere_quadrature,
+                      surface_report)
 from .disintegration import (BinSums, ConditionalSurfaceRecord,
                              EmpiricalDisintegration,
                              conditional_vs_surface, disintegrate, support_check,
@@ -48,13 +46,11 @@ __all__ = [
     "IdentityField", "ZeroField", "NumericalFault",
     "KernelField", "GradientTooSmall", "HypothesisReport", "divergence_mu",
     "h_gradient", "kernel_divergence", "hypothesis_diagnostics",
-    "DensityJob", "DensityCurve", "cdf_estimate", "density_divergence",
-    "density_mollified", "estimate_density", "default_bandwidth",
+    "DensityJob", "DensityCurve", "estimate_density", "default_bandwidth",
     "smoothness_check", "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",
-    "surface_integral", "surface_report", "ibp_battery", "ibp_residual",
-    "ibp_residuals", "positivity_scan", "trace_eval",
-    "hausdorff_compare", "sphere_quadrature", "hyperplane_quadrature",
+    "surface_report", "ibp_battery", "ibp_residuals", "positivity_scan",
+    "sphere_quadrature", "hyperplane_quadrature",
     "EmpiricalDisintegration", "ConditionalSurfaceRecord", "BinSums", "disintegrate",
     "verify_disintegration", "support_check", "conditional_vs_surface",
     "ExpressionFunctional", "ExpressionError", "parse_expression", "GRAMMAR",

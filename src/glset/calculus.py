@@ -134,7 +134,12 @@ def smallest_norms(norms: np.ndarray, k: int) -> np.ndarray:
 # Divergence is declared when the estimated tail index sits at or below the
 # moment order, with a margin for estimator noise and boundary (log) cases.
 HILL_MARGIN = 1.15
-HILL_K = 2000  # smallest gradient norms kept for a density pass's tail index
+
+
+def hill_k(n: int) -> int:
+    """Order statistics behind the tail index of an n-row pass, in a density
+    pass and in :func:`hypothesis_diagnostics` alike."""
+    return max(100, min(2000, n // 100))
 
 
 def moment_diverging(hill_alpha: float, q: float) -> bool:
@@ -187,21 +192,20 @@ class HypothesisReport:
 
 
 def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: int,
-                           inv_orders=(1, 2, 4),
-                           hill_k: int | None = None) -> HypothesisReport:
+                           inv_orders=(1, 2, 4)) -> HypothesisReport:
     """Estimate moments of ``|D_H G|`` and flag diverging inverse moments.
 
     One :func:`~glset.density.map_chunks` pass.  Each chunk returns its
     :class:`KernelField` floor exclusions, its sums of ``|D_H G|^a`` over all
     samples and of ``|D_H G|^-q`` and its square over the samples above the
-    floor, and the ``hill_k + 1`` smallest norms above the floor.  Chunk
+    floor, and the :func:`hill_k` + 1 smallest norms above the floor.  Chunk
     results are reduced in chunk order, so the report does not depend on
     ``GLSET_THREADS``.
     """
     from .density import map_chunks  # density imports this module
 
     pos_orders = (1, 2)
-    k_hill = hill_k if hill_k is not None else max(100, min(2000, n // 100))
+    k_hill = hill_k(n)
     kernel = KernelField(G)
 
     def worker(index, pts):

@@ -18,8 +18,10 @@ For a functional G and weight phi, the engine estimates
 
 One sample stream is reused for every grid point, estimator and weight
 (common random numbers): :func:`stream_pass` answers a list of
-:class:`Query` columns in a single pass, which makes monotonicity in r and
-linearity in phi hold sample-exactly.  Per-chunk partial sums are collected
+:class:`Query` columns (divergence, mollified or the sublevel integral
+``F_phi``) in a single pass, which makes monotonicity in r and linearity in
+phi hold sample-exactly; :func:`estimate_density` runs the estimators of a
+:class:`DensityJob` as such a pass.  Per-chunk partial sums are collected
 into arrays indexed by chunk and reduced in fixed order, so results do not
 depend on how many workers ran the chunks.  Standard errors come from batch
 means over chunks.
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import HILL_K, KernelField, hill_tail_index, moment_diverging, smallest_norms
+from .calculus import KernelField, hill_k, hill_tail_index, moment_diverging, smallest_norms
 from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsum,
                           stable_argsort)
 from .model import GaussianModel, chunk_layout, draw_chunk
@@ -42,10 +44,15 @@ VARIANCE_UNRELIABLE = "variance unreliable"
 
 
 def thread_count() -> int:
+    """Chunk workers per pass: ``GLSET_THREADS``, a positive integer, default 1."""
+    text = os.environ.get("GLSET_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GLSET_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"GLSET_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def map_chunks(model: GaussianModel, n: int, seed: int, worker):
@@ -239,6 +246,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     if "mollified" in routes and epsilon is None:
         epsilon = default_bandwidth(model, G, n, seed)
     kernel = KernelField(G) if want_div else None
+    tail_k = hill_k(n)
 
     def worker(index, pts):
         gv = check_finite(G.value(pts), "G", G.name)
@@ -255,7 +263,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
             s = rowsum(grad * grad)
             kd, excluded = kernel.divergence(pts, grad=grad, grad_norm2=s)
             st.excl = int(np.count_nonzero(excluded))
-            st.bottom_g = smallest_norms(np.sqrt(s)[~excluded], HILL_K)
+            st.bottom_g = smallest_norms(np.sqrt(s)[~excluded], tail_k)
         values = {}
         for q in queries:
             phi = q.phi
@@ -284,7 +292,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     counts = np.array([st.count for st in stats], dtype=float)
     if want_div:
         excluded_fraction = int(np.sum([st.excl for st in stats])) / n
-        bottom = smallest_norms(np.concatenate([st.bottom_g for st in stats]), HILL_K)
+        bottom = smallest_norms(np.concatenate([st.bottom_g for st in stats]), tail_k)
         unreliable = moment_diverging(hill_tail_index(bottom), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)
@@ -316,31 +324,14 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
 
 
 def estimate_density(job: DensityJob) -> dict[str, DensityCurve]:
-    """Run the job's estimator(s) on one shared sample stream."""
+    """The job's curves keyed by estimator (``divergence``, ``mollified`` or
+    both), from one shared sample stream."""
     routes = [route for route in ("divergence", "mollified")
               if job.estimator in (route, "both")]
     res = stream_pass(job.model, job.G, job.n, job.seed, job.r_grid,
                       [Query(job.phi, route) for route in routes],
                       epsilon=job.epsilon)
     return dict(zip(routes, res.results))
-
-
-def density_divergence(job: DensityJob) -> DensityCurve:
-    """Density curve by the divergence-formula estimator."""
-    return estimate_density(replace(job, estimator="divergence"))["divergence"]
-
-
-def density_mollified(job: DensityJob) -> DensityCurve:
-    """Density curve by the symmetric difference quotient of the CDF."""
-    return estimate_density(replace(job, estimator="mollified"))["mollified"]
-
-
-def cdf_estimate(model: GaussianModel, G: Functional, phi: Functional,
-                 r: float, n: int, seed: int):
-    """Estimate ``F_phi(r) = E[phi 1_{G<r}]``; returns (value, stderr)."""
-    value, se = stream_pass(model, G, n, seed, (float(r),),
-                            [Query(phi, "cdf")]).results[0]
-    return float(value[0]), float(se[0])
 
 
 @dataclass

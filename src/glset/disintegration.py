@@ -12,9 +12,10 @@ Empty bins are retained with zero weight and flagged, never interpolated:
 conditional measures are only defined where the image measure puts mass.
 
 :func:`disintegrate` makes one pass: each chunk keeps its G values and the
-values of every bin weight (8 bytes per row each); edges and per-bin sums
-follow the pass.  :func:`conditional_vs_surface` reads those sums and adds
-one pass of the same stream for the surface side of all of its levels.
+values of every bin weight that is not a constant (8 bytes per row each);
+edges and per-bin sums follow the pass.  :func:`conditional_vs_surface`
+reads those sums and adds one pass of the same stream for the surface side
+of all of its levels.
 """
 
 from __future__ import annotations
@@ -106,14 +107,16 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
         raise ValueError(f"unknown binning scheme {scheme!r}")
     if len({phi.name for phi in phis}) < len(phis):
         raise ValueError("bin weights must have distinct names")
-    # chunks write into arrays of the whole pass: kept chunk blocks fragment the heap
+    # chunks write into arrays of the whole pass: kept chunk blocks fragment the
+    # heap; a constant weight's values are made per chunk after the pass
     bounds = np.cumsum([0] + [size for _, size in chunk_layout(n)])
-    g_values, values = np.empty(n), np.empty((len(phis), n))
+    held = [phi for phi in phis if not isinstance(phi, Constant)]
+    g_values, values = np.empty(n), np.empty((len(held), n))
 
     def worker(index, pts):
         rows = slice(bounds[index], bounds[index + 1])
         g_values[rows] = check_finite(G.value(pts), "G", G.name)
-        for phi, out in zip(phis, values):
+        for phi, out in zip(held, values):
             out[rows] = check_finite(phi.value(pts), "phi", phi.name)
 
     map_chunks(model, n, seed, worker)
@@ -135,14 +138,18 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
     bin_index = np.empty(n, dtype=np.intp)
     for j in range(bins):
         bin_index[order[start[j]:start[j + 1]]] = j
-    binned = []
-    for phi, pv in zip(phis, values):
-        parts = [(bin_index[lo:hi], pv[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        sums = [np.bincount(b, weights=v, minlength=bins) for b, v in parts]
-        sumsq = [np.bincount(b, weights=v * v, minlength=bins) for b, v in parts]
+    binned, columns = [], iter(values)
+    for phi in phis:
+        pv = None if isinstance(phi, Constant) else next(columns)
+        sums, sumsq, totals = [], [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            v = (check_finite(np.full(hi - lo, phi.c), "phi", phi.name) if pv is None
+                 else pv[lo:hi])
+            sums.append(np.bincount(bin_index[lo:hi], weights=v, minlength=bins))
+            sumsq.append(np.bincount(bin_index[lo:hi], weights=v * v, minlength=bins))
+            totals.append(float(np.sum(v)))
         binned.append(BinSums(phi_name=phi.name, sums=np.sum(sums, axis=0),
-                              sumsq=np.sum(sumsq, axis=0),
-                              total=float(np.sum([float(np.sum(v)) for _, v in parts]))))
+                              sumsq=np.sum(sumsq, axis=0), total=float(np.sum(totals))))
     return EmpiricalDisintegration(model=model, G=G, edges=edges, order=order,
                                    start=start, counts=np.diff(start),
                                    g_values=g_values, n=n, seed=seed,

@@ -26,9 +26,8 @@ from .config import RunConfig, resolve_functional, resolve_model, serialize_conf
 from .density import DensityJob, estimate_density
 from .disintegration import disintegrate, support_check, verify_disintegration
 from .expressions import ExpressionError
-from .functionals import Constant, NumericalFault
-from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_battery, \
-    surface_report
+from .functionals import NumericalFault
+from .surface import SurfaceMeasureHandle, ibp_battery, surface_report
 
 
 # ----------------------------- formatting -----------------------------
@@ -201,7 +200,7 @@ def _run_disintegrate(job, model, G, phis, out_base, formats):
 
 
 def _run_hausdorff(job, model, G, phis, out_base, formats):
-    rec = hausdorff_compare(_handle(job, model, G), phis[0] if phis else Constant(1.0))
+    rec = surface_report(_handle(job, model, G), phis[:1], with_hausdorff=True).hausdorff
     table = (["G", "phi", "r", "geometry", "mc_value", "mc_stderr", "quad_value",
               "rel_error"],
              [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,

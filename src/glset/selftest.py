@@ -19,13 +19,12 @@ import numpy as np
 from scipy import stats
 
 from .config import parse_config
-from .density import DensityJob, VARIANCE_UNRELIABLE, density_divergence, \
-    estimate_density
+from .density import DensityJob, VARIANCE_UNRELIABLE, estimate_density
 from .expressions import ExpressionFunctional
 from .functionals import BmEndpoint, Constant, Coordinate, Norm2
 from .model import build_model
-from .surface import SurfaceMeasureHandle, hausdorff_compare, ibp_battery, \
-    positivity_scan
+from .surface import SurfaceMeasureHandle, ibp_battery, positivity_scan, \
+    surface_report
 from .disintegration import conditional_vs_surface, disintegrate, \
     verify_disintegration
 from .runner import run
@@ -57,7 +56,7 @@ def criterion_1_normal_density():
     grid = (-2.0, -1.0, 0.0, 1.0, 2.0)
     job = DensityJob(model=model, G=Coordinate(1), phi=Constant(1.0),
                      r_grid=grid, n=10 ** 6, seed=2101, estimator="divergence")
-    curve = density_divergence(job)
+    curve = estimate_density(job)["divergence"]
     elapsed = time.perf_counter() - t0
     oracle = stats.norm.pdf(np.asarray(grid))
     rel = np.abs(curve.estimates - oracle) / oracle
@@ -75,7 +74,7 @@ def criterion_2_chi_square():
     grid = (1.0, 3.0, 5.0, 8.0)
     job = DensityJob(model=model, G=Norm2(), phi=Constant(1.0), r_grid=grid,
                      n=10 ** 6, seed=2202, estimator="divergence")
-    curve = density_divergence(job)
+    curve = estimate_density(job)["divergence"]
     oracle = stats.chi2.pdf(np.asarray(grid), df=5)
     err = np.abs(curve.estimates - oracle)
     tol = np.maximum(0.02 * oracle, 4.0 * curve.stderrs)
@@ -155,11 +154,11 @@ def criterion_5_hausdorff():
     sphere = SurfaceMeasureHandle(model=sphere_model, G=Norm2(), r=1.0,
                                   n=4 * 10 ** 6, seed=2505,
                                   estimator="mollified")
-    rec_s = hausdorff_compare(sphere, Constant(1.0))
+    rec_s = surface_report(sphere, [], with_hausdorff=True).hausdorff
     plane_model = build_model(("iid_gaussian", 2))
     plane = SurfaceMeasureHandle(model=plane_model, G=Coordinate(1), r=0.0,
                                  n=10 ** 6, seed=2506, estimator="divergence")
-    rec_p = hausdorff_compare(plane, Constant(1.0))
+    rec_p = surface_report(plane, [], with_hausdorff=True).hausdorff
     ok = rec_s.rel_error <= 0.01 and rec_p.rel_error <= 0.01
     detail = (f"sphere d=3 r=1: mc {rec_s.mc_value:.5f} vs quad "
               f"{rec_s.quad_value:.5f} (rel {rec_s.rel_error:.4%}); hyperplane "
@@ -227,7 +226,7 @@ def criterion_8_kl_truncation():
         oracle = float(stats.norm.pdf(0.0, scale=np.sqrt(sigma2)))
         job = DensityJob(model=model, G=G, phi=Constant(1.0), r_grid=(0.0,),
                          n=2 * 10 ** 6, seed=2808, estimator="divergence")
-        est = float(density_divergence(job).estimates[0])
+        est = float(estimate_density(job)["divergence"].estimates[0])
         estimates[d] = (est, oracle)
         if abs(est - oracle) / oracle > 0.02:
             return _result(8, "KL truncation stability", False,

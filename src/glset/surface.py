@@ -5,9 +5,9 @@ a test function phi against it IS evaluating the density ``q_phi(r)``, so a
 :class:`SurfaceMeasureHandle` is just (G, r) plus the estimator
 configuration, and every surface operation reduces to density estimates plus
 deterministic oracles.  Each operation is a set of weight columns of one
-:func:`~glset.density.stream_pass`, so every entry point below draws the
-``(model, G, n, seed)`` stream once, and :func:`surface_report` answers all
-of its queries from a single pass:
+:func:`~glset.density.stream_pass`: :func:`surface_report` answers every
+question about one level from a single pass, :func:`ibp_battery` every
+(phi, k, level) identity and :func:`positivity_scan` a whole grid:
 
 * integration-by-parts residuals compare the sublevel integral of
   ``D_k phi - xi_k phi`` with the surface integral of ``phi D_k G``,
@@ -15,7 +15,8 @@ of its queries from a single pass:
   through a clamped approximating sequence,
 * on spheres and hyperplanes the measure has a closed geometric form
   (Gaussian-weighted Hausdorff measure over ``|D_H G|``), evaluated here by
-  Gauss-Legendre / Gauss-Hermite product quadrature as an independent oracle.
+  Gauss-Legendre / Gauss-Hermite product quadrature (:func:`tensor_blocks`)
+  as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityCurve, PassResult, Query, stream_pass
+from .density import DensityCurve, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           ProductWithPartial, RadialClamp)
 from .model import GaussianModel
@@ -37,9 +38,8 @@ TRACE_LEVELS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 class SurfaceMeasureHandle:
     """Access to the surface measure of G at level r through an estimator.
 
-    All integrals computed through one handle share the sample stream, so
-    ``integral(1)`` equals the total mass estimate exactly.  The stream is
-    drawn once per :meth:`stream_pass`, whatever the number of weights.
+    All integrals of one :func:`surface_report` share the sample stream, so
+    the integral of 1 equals the total mass estimate exactly.
     """
 
     model: GaussianModel
@@ -54,24 +54,6 @@ class SurfaceMeasureHandle:
         if self.estimator not in ("divergence", "mollified"):
             raise ValueError(f"handle estimator must be divergence or mollified, "
                              f"got {self.estimator!r}")
-
-    def stream_pass(self, queries) -> PassResult:
-        """Answer every query at level r from one pass over the stream."""
-        return stream_pass(self.model, self.G, self.n, self.seed, (float(self.r),),
-                           queries, epsilon=self.epsilon)
-
-
-def surface_integral_curve(h: SurfaceMeasureHandle, phi: Functional) -> DensityCurve:
-    return h.stream_pass([Query(phi, h.estimator)]).results[0]
-
-
-def _value(curve: DensityCurve):
-    return float(curve.estimates[0]), float(curve.stderrs[0])
-
-
-def surface_integral(h: SurfaceMeasureHandle, phi: Functional):
-    """``integral of phi d sigma_r = q_phi(r)``; returns (value, stderr)."""
-    return _value(surface_integral_curve(h, phi))
 
 
 # ----------------------------- integration by parts -----------------------------
@@ -156,12 +138,6 @@ def ibp_residuals(model: GaussianModel, G: Functional, phi: Functional, k: int,
     return ibp_battery(model, G, [phi], [k], r_grid, n, seed, estimator, epsilon)
 
 
-def ibp_residual(h: SurfaceMeasureHandle, phi: Functional, k: int) -> IbpRecord:
-    """Single-level integration-by-parts residual through a handle."""
-    return ibp_battery(h.model, h.G, [phi], [k], (h.r,), h.n, h.seed, h.estimator,
-                       h.epsilon)[0]
-
-
 # ----------------------------- traces -----------------------------
 
 @dataclass
@@ -191,26 +167,6 @@ class TraceReport:
     @property
     def exact_tail(self) -> bool:
         return self.diffs[-1] == 0.0
-
-
-def _trace_queries(phi: Functional, route) -> list[Query]:
-    return [Query(Product(phi, RadialClamp(m)), route) for m in TRACE_LEVELS]
-
-
-def _trace_report(h, phi, target: DensityCurve, clamped) -> TraceReport:
-    target, target_se = _value(target)
-    values = [_value(c) for c in clamped]
-    return TraceReport(phi_name=phi.name, r=h.r, target=target,
-                       target_stderr=target_se, levels=TRACE_LEVELS,
-                       estimates=tuple(est for est, _ in values),
-                       stderrs=tuple(se for _, se in values),
-                       diffs=tuple(abs(est - target) for est, _ in values))
-
-
-def trace_eval(h: SurfaceMeasureHandle, phi: Functional) -> TraceReport:
-    target, *clamped = h.stream_pass(
-        [Query(phi, h.estimator)] + _trace_queries(phi, h.estimator)).results
-    return _trace_report(h, phi, target, clamped)
 
 
 # ----------------------------- positivity interval -----------------------------
@@ -266,49 +222,50 @@ def _gl_nodes(a: float, b: float, m: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def unit_sphere_grid(d: int, nodes: int = QUAD_NODES):
-    """Product quadrature grid on the unit sphere in R^d.
+def tensor_blocks(rules, base, lift):
+    """Yield the tensor product of the 1-D rules ``(x_j, w_j)``, j = 1..k, in
+    blocks of (points, weights).
 
-    Returns (points, weights) with ``sum(weights)`` the sphere area.  The
-    grid has ``2`` points for d=1 and ``nodes^(d-1)`` otherwise; callers
-    wanting d > 4 should iterate :func:`sphere_blocks` instead of holding
-    the product in memory.
+    A rule's nodes extend the points of the rules after it: ``lift(x,
+    pts)`` gives the points of node ``x`` (a scalar, or one node per row)
+    over ``pts``, and ``base`` is the one point below the last rule.  The
+    block of the last ``min(k, 3)`` rules is built once, so memory stays at
+    three rules' worth of points whatever k; each block yielded lifts it by
+    one combination of the leading rules' nodes, the first rule slowest.
+    Point weights are ``w_1 (w_2 (... (w_{k-1} w_k)))``.
     """
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        th, w = _gl_nodes(0.0, 2.0 * np.pi, nodes)
-        return np.stack([np.cos(th), np.sin(th)], axis=1), w
-    sub_pts, sub_w = unit_sphere_grid(d - 1, nodes)
+    split = len(rules) - min(len(rules), 3)
+    pts, w = base[None, :], np.ones(1)
+    for xj, wj in reversed(rules[split:]):
+        pts = lift(np.repeat(xj, len(w)), np.tile(pts, (len(xj), 1)))
+        w = np.multiply.outer(wj, w).ravel()
+    for idx in np.ndindex(*(len(xj) for xj, _ in rules[:split])):
+        block_pts, block_w = pts, w
+        for (xj, wj), i in reversed(list(zip(rules, idx))):
+            block_pts, block_w = lift(xj[i], block_pts), wj[i] * block_w
+        yield block_pts, block_w
+
+
+def sphere_rules(d: int, nodes: int = QUAD_NODES):
+    """The 1-D rules of the d - 1 angles of the unit sphere in R^d, d >= 2:
+    the polar angles on [0, pi] with Jacobians ``sin^(d-2), ..., sin``, then
+    the azimuth on [0, 2 pi]."""
     th, w = _gl_nodes(0.0, np.pi, nodes)
-    m = len(sub_w)
-    pts = np.empty((nodes * m, d))
-    pts[:, 0] = np.repeat(np.cos(th), m)
-    pts[:, 1:] = np.repeat(np.sin(th), m)[:, None] * np.tile(sub_pts, (nodes, 1))
-    weights = np.repeat(w * np.sin(th) ** (d - 2), m) * np.tile(sub_w, nodes)
-    return pts, weights
+    # one scalar power per node: numpy's vectorised pow can differ from it
+    # in the last bit
+    polar = [(th, np.array([wi * si ** p for wi, si in zip(w, np.sin(th))]))
+             for p in range(d - 2, 0, -1)]
+    return polar + [_gl_nodes(0.0, 2.0 * np.pi, nodes)]
 
 
-def sphere_blocks(d: int, nodes: int = QUAD_NODES):
-    """Yield (points, weights) blocks covering the unit sphere in R^d.
-
-    The grid on the sphere in R^min(d, 4) is built once; each outer angle
-    beyond it scales that one block.
-    """
-    yield from _lifted_blocks(d, nodes, unit_sphere_grid(min(d, 4), nodes))
-
-
-def _lifted_blocks(d, nodes, base):
-    if d <= 4:
-        yield base
-        return
-    th, w = _gl_nodes(0.0, np.pi, nodes)
-    for i in range(nodes):
-        for sub_pts, sub_w in _lifted_blocks(d - 1, nodes, base):
-            pts = np.empty((len(sub_w), d))
-            pts[:, 0] = np.cos(th[i])
-            pts[:, 1:] = np.sin(th[i]) * sub_pts
-            yield pts, w[i] * np.sin(th[i]) ** (d - 2) * sub_w
+def _sphere_lift(theta, sub):
+    """``(cos theta, sin theta * sub)``: sphere points one dimension up.  The
+    azimuth lifts the point ``(1,)`` to the circle, each polar angle the
+    sphere below it."""
+    pts = np.empty((len(sub), sub.shape[1] + 1))
+    pts[:, 0] = np.cos(theta)
+    pts[:, 1:] = np.sin(theta)[..., None] * sub
+    return pts
 
 
 def sphere_quadrature(phi: Functional, d: int, r: float,
@@ -323,8 +280,10 @@ def sphere_quadrature(phi: Functional, d: int, r: float,
         raise ValueError("sphere level must be positive")
     R = np.sqrt(r)
     const = (2.0 * np.pi) ** (-d / 2.0) * np.exp(-r / 2.0) / (2.0 * R)
+    if d == 1:  # the sphere {1, -1}
+        return const * float(np.sum(phi.value(np.array([[R], [-R]]))))
     total = 0.0
-    for pts, w in sphere_blocks(d, nodes):
+    for pts, w in tensor_blocks(sphere_rules(d, nodes), np.ones(1), _sphere_lift):
         total += float(np.sum(w * phi.value(R * pts)))
     return const * R ** (d - 1) * total
 
@@ -343,34 +302,9 @@ def _householder_complement(u: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
-def hyperplane_blocks(dim_free: int, nodes: int = QUAD_NODES):
-    """Yield (y, w) blocks for the standard Gaussian integral over R^dim_free.
-
-    Gauss-Hermite with the probabilists' substitution: sum of
-    ``w * f(y)`` approximates ``integral f(y) (2 pi)^(-k/2) e^(-|y|^2/2) dy``.
-    """
-    t, wt = np.polynomial.hermite.hermgauss(nodes)
-    y1 = np.sqrt(2.0) * t
-    w1 = wt / np.sqrt(np.pi)
-    if dim_free == 0:
-        yield np.zeros((1, 0)), np.ones(1)
-        return
-    inner = min(dim_free, 3)
-    grids = np.meshgrid(*([y1] * inner), indexing="ij")
-    pts_inner = np.stack([g.ravel() for g in grids], axis=1)
-    w_inner = np.prod(np.stack(np.meshgrid(*([w1] * inner), indexing="ij"), axis=0),
-                      axis=0).ravel()
-    outer = dim_free - inner
-    if outer == 0:
-        yield pts_inner, w_inner
-        return
-    for idx in np.ndindex(*(nodes,) * outer):
-        y_out = np.array([y1[i] for i in idx])
-        w_out = float(np.prod([w1[i] for i in idx]))
-        pts = np.empty((len(w_inner), dim_free))
-        pts[:, :outer] = y_out
-        pts[:, outer:] = pts_inner
-        yield pts, w_out * w_inner
+def _prepend(y, sub):
+    """The coordinate ``y`` in front of the points ``sub``."""
+    return np.column_stack([np.broadcast_to(y, len(sub)), sub])
 
 
 def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float,
@@ -379,7 +313,9 @@ def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float
 
     The level set is the hyperplane ``{w . xi = r}``; the measure is the
     (d-1)-dimensional Gaussian there, scaled by the normal-direction density
-    and divided by the constant gradient norm ``|w|``.
+    and divided by the constant gradient norm ``|w|``.  The Gaussian is
+    integrated by Gauss-Hermite with the probabilists' substitution: the sum
+    of ``w f(y)`` approximates ``integral f(y) (2 pi)^(-1/2) e^(-y^2/2) dy``.
     """
     w = np.zeros(d)
     w[: len(weights)] = weights
@@ -390,8 +326,10 @@ def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float
     base = (r / wn) * u
     U = _householder_complement(u)
     normal_density = np.exp(-0.5 * (r / wn) ** 2) / np.sqrt(2.0 * np.pi)
+    t, wt = np.polynomial.hermite.hermgauss(nodes)
+    rules = [(np.sqrt(2.0) * t, wt / np.sqrt(np.pi))] * (d - 1)
     total = 0.0
-    for y, wq in hyperplane_blocks(d - 1, nodes):
+    for y, wq in tensor_blocks(rules, np.zeros(0), _prepend):
         pts = base[None, :] + y @ U.T
         total += float(np.sum(wq * phi.value(pts)))
     return normal_density / wn * total
@@ -437,7 +375,7 @@ def quadrature_issue(G: Functional, d: int) -> str | None:
     return None
 
 
-def _quadrature(h: SurfaceMeasureHandle, phi: Functional, nodes: int):
+def _quadrature(h: SurfaceMeasureHandle, phi: Functional):
     """(geometry, value) of the weighted Hausdorff form of the handle's level
     set."""
     d = h.model.dim
@@ -445,24 +383,8 @@ def _quadrature(h: SurfaceMeasureHandle, phi: Functional, nodes: int):
     if issue:
         raise ValueError(issue)
     if isinstance(h.G, Norm2):
-        return "sphere", sphere_quadrature(phi, d, h.r, nodes)
-    return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r, nodes)
-
-
-def _hausdorff_record(h, phi, nodes, quadrature, curve: DensityCurve) -> HausdorffRecord:
-    geometry, quad = quadrature
-    mc, mc_se = _value(curve)
-    return HausdorffRecord(g_name=h.G.name, phi_name=phi.name, r=h.r,
-                           geometry=geometry, mc_value=mc, mc_stderr=mc_se,
-                           quad_value=quad, nodes=nodes)
-
-
-def hausdorff_compare(h: SurfaceMeasureHandle, phi: Functional,
-                      nodes: int = QUAD_NODES) -> HausdorffRecord:
-    """Compare a surface integral with exact quadrature of the weighted
-    Hausdorff form; only spheres (norm2) and hyperplanes (linear G)."""
-    quadrature = _quadrature(h, phi, nodes)
-    return _hausdorff_record(h, phi, nodes, quadrature, surface_integral_curve(h, phi))
+        return "sphere", sphere_quadrature(phi, d, h.r)
+    return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r)
 
 
 # ----------------------------- aggregate report -----------------------------
@@ -486,23 +408,33 @@ class SurfaceReport:
     flags: tuple[str, ...] = ()
 
 
+def _value(curve: DensityCurve):
+    """(value, stderr) of a one-level curve."""
+    return float(curve.estimates[0]), float(curve.stderrs[0])
+
+
 def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
                    k_list=(), with_trace=False, with_hausdorff=False) -> SurfaceReport:
     """Total mass, the integral of every phi, the IBP residual of every
     (phi, k), the trace of the first phi and the Hausdorff comparison of the
-    first phi (or of 1), all from one pass over the handle's stream."""
+    first phi (or of 1), all from one pass over the handle's stream.
+
+    A level set without a quadrature oracle raises ``ValueError`` before
+    the pass when ``with_hausdorff`` is set.
+    """
     route = h.estimator
     mass = Constant(1.0)
     first = phis[0] if phis else mass
-    quadrature = _quadrature(h, first, QUAD_NODES) if with_hausdorff else None
+    quadrature = _quadrature(h, first) if with_hausdorff else None
     pairs = [(phi, k) for phi in phis for k in k_list]
     traced = with_trace and bool(phis)
     queries = [Query(phi, route) for phi in [mass, *phis]]
     queries += _ibp_columns(h.model, h.G, pairs, route)
     if traced:
-        queries += _trace_queries(first, route)
+        queries += [Query(Product(first, RadialClamp(m)), route) for m in TRACE_LEVELS]
 
-    results = iter(h.stream_pass(queries).results)
+    results = iter(stream_pass(h.model, h.G, h.n, h.seed, (float(h.r),), queries,
+                               epsilon=h.epsilon).results)
     mass_curve = next(results)
     curves = [next(results) for _ in phis]
     total_mass, total_mass_stderr = _value(mass_curve)
@@ -513,10 +445,17 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     for phi, curve in zip(phis, curves):
         report.integrals[phi.name] = _value(curve)
     report.ibp = _ibp_records(pairs, results)
-    first_curve = curves[0] if phis else mass_curve
+    value, stderr = _value(curves[0] if phis else mass_curve)
     if traced:
-        report.trace = _trace_report(h, first, first_curve, list(results))
+        clamped = [_value(c) for c in results]
+        report.trace = TraceReport(
+            phi_name=first.name, r=h.r, target=value, target_stderr=stderr,
+            levels=TRACE_LEVELS, estimates=tuple(est for est, _ in clamped),
+            stderrs=tuple(se for _, se in clamped),
+            diffs=tuple(abs(est - value) for est, _ in clamped))
     if with_hausdorff:
-        report.hausdorff = _hausdorff_record(h, first, QUAD_NODES, quadrature,
-                                             first_curve)
+        geometry, quad = quadrature
+        report.hausdorff = HausdorffRecord(
+            g_name=h.G.name, phi_name=first.name, r=h.r, geometry=geometry,
+            mc_value=value, mc_stderr=stderr, quad_value=quad, nodes=QUAD_NODES)
     return report

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from glset import (ConstantField, Coordinate, GradientTooSmall, IdentityField,
-                   KernelField, Norm2, UserFunctional, ZeroField, divergence_mu,
-                   h_gradient, hypothesis_diagnostics, kernel_divergence, sample)
+from glset import (Constant, ConstantField, Coordinate, DensityJob, GradientTooSmall,
+                   IdentityField, KernelField, Norm2, UserFunctional, ZeroField,
+                   divergence_mu, estimate_density, h_gradient, hypothesis_diagnostics,
+                   kernel_divergence, sample)
+from glset.density import VARIANCE_UNRELIABLE
 from glset.expressions import ExpressionFunctional
 from glset.functionals import GradientScaledField
 
@@ -154,3 +156,16 @@ class TestHypothesisDiagnostics:
         assert not rep.inv_moments[2].diverging
         assert rep.inv_moments[4].diverging
         assert rep.pos_moments[2] == pytest.approx(4.0 * 3.0, rel=0.02)
+
+    @pytest.mark.parametrize("n", [20_000, 50_000, 100_000])
+    def test_density_pass_and_diagnostics_agree_on_variance(self, iid5, n):
+        # both tail indices take the same number of order statistics, so the
+        # density curve's flag and the report's verdict are one verdict
+        verdicts = []
+        for seed in range(30):
+            job = DensityJob(model=iid5, G=Norm2(), phi=Constant(1.0), r_grid=(1.0,),
+                             n=n, seed=seed, estimator="divergence")
+            flagged = VARIANCE_UNRELIABLE in estimate_density(job)["divergence"].flags
+            report = hypothesis_diagnostics(Norm2(), iid5, n, seed)
+            verdicts.append((flagged, report.variance_unreliable))
+        assert [seed for seed, (a, b) in enumerate(verdicts) if a != b] == []

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glset import (ConfigError, Constant, Norm2, RunConfig, SurfaceMeasureHandle,
-                   hausdorff_compare, parse_config, resolve_functional, resolve_model,
-                   run, serialize_config)
+from glset import (ConfigError, Norm2, RunConfig, SurfaceMeasureHandle,
+                   parse_config, resolve_functional, resolve_model, run,
+                   serialize_config, surface_report)
 from glset.config import _JOBS, _PARAMS, JobSpec, ModelSpec
 from glset.functionals import fd_gradient
 from glset.surface import quadrature_issue
@@ -326,7 +326,7 @@ class TestJobSchema:
         issue = quadrature_issue(G, 4)
         h = SurfaceMeasureHandle(model=m, G=G, r=1.0, n=10, seed=0)
         with pytest.raises(ValueError, match=re.escape(issue)):
-            hausdorff_compare(h, Constant(1.0))
+            surface_report(h, [], with_hausdorff=True)
 
 
 class TestResolve:

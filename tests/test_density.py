@@ -3,29 +3,34 @@ import pytest
 from scipy import stats
 
 from glset import (BmEndpoint, Constant, Coordinate, DensityJob,
-                   LinearCombination, Norm2, build_model, cdf_estimate,
-                   density_divergence, density_mollified, estimate_density,
-                   smoothness_check)
-from glset.density import VARIANCE_UNRELIABLE, batch_mean_stderr
+                   LinearCombination, Norm2, Query, build_model, estimate_density,
+                   smoothness_check, stream_pass)
+from glset.density import VARIANCE_UNRELIABLE, batch_mean_stderr, thread_count
 from glset.expressions import ExpressionFunctional
 
 
 ONE = Constant(1.0)
 
 
+def sublevel_integral(model, G, phi, r, n, seed):
+    """``F_phi(r) = E[phi 1_{G<r}]`` as (value, stderr)."""
+    (value, se), = stream_pass(model, G, n, seed, (r,), [Query(phi, "cdf")]).results
+    return float(value[0]), float(se[0])
+
+
 class TestCdfEstimate:
     def test_total_mass(self, iid3):
-        value, se = cdf_estimate(iid3, Coordinate(1), ONE, 1e9, 10 ** 5, seed=3)
+        value, se = sublevel_integral(iid3, Coordinate(1), ONE, 1e9, 10 ** 5, seed=3)
         assert value == pytest.approx(1.0, abs=4 * max(se, 1e-12))
         assert value == 1.0  # every sample is below r
 
     def test_symmetry_at_zero(self, iid3):
-        value, se = cdf_estimate(iid3, Coordinate(1), ONE, 0.0, 10 ** 5, seed=5)
+        value, se = sublevel_integral(iid3, Coordinate(1), ONE, 0.0, 10 ** 5, seed=5)
         assert abs(value - 0.5) <= 4 * se
 
     def test_chi_square_cdf(self, iid5):
         # oracle: P(chi2_5 < 5) = 0.58412
-        value, se = cdf_estimate(iid5, Norm2(), ONE, 5.0, 10 ** 6, seed=7)
+        value, se = sublevel_integral(iid5, Norm2(), ONE, 5.0, 10 ** 6, seed=7)
         oracle = float(stats.chi2.cdf(5.0, df=5))
         assert oracle == pytest.approx(0.58412, abs=1e-5)
         assert abs(value - oracle) <= 4 * se
@@ -35,7 +40,7 @@ class TestDivergenceEstimator:
     def test_normal_density_at_zero(self, iid3):
         job = DensityJob(model=iid3, G=Coordinate(1), phi=ONE, r_grid=(0.0,),
                          n=10 ** 6, seed=11, estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         target = 1.0 / np.sqrt(2 * np.pi)
         assert curve.estimates[0] == pytest.approx(target, rel=0.01)
         assert abs(curve.estimates[0] - target) <= 4 * curve.stderrs[0]
@@ -43,7 +48,7 @@ class TestDivergenceEstimator:
     def test_chi5_density(self, iid5):
         job = DensityJob(model=iid5, G=Norm2(), phi=ONE, r_grid=(5.0,),
                          n=10 ** 6, seed=13, estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         oracle = float(stats.chi2.pdf(5.0, df=5))
         assert oracle == pytest.approx(0.12204, abs=1e-5)
         assert curve.estimates[0] == pytest.approx(oracle, rel=0.02)
@@ -55,7 +60,7 @@ class TestDivergenceEstimator:
         assert sigma2 == pytest.approx(0.98734, abs=5e-6)
         job = DensityJob(model=m, G=BmEndpoint(m), phi=ONE, r_grid=(0.0,),
                          n=10 ** 6, seed=17, estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         oracle = float(stats.norm.pdf(0.0, scale=np.sqrt(sigma2)))
         assert oracle == pytest.approx(0.40149, abs=1e-5)
         assert curve.estimates[0] == pytest.approx(oracle, rel=0.01)
@@ -64,7 +69,7 @@ class TestDivergenceEstimator:
         m = build_model(("iid_gaussian", 2))
         job = DensityJob(model=m, G=Norm2(), phi=ONE, r_grid=(1.0,),
                          n=2 * 10 ** 5, seed=19, estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         assert VARIANCE_UNRELIABLE in curve.flags
 
     def test_fd_gradient_flagged(self, iid3):
@@ -73,26 +78,26 @@ class TestDivergenceEstimator:
         G = UserFunctional(eval=lambda xi: xi[:, 0], name="xi1-cb")
         job = DensityJob(model=iid3, G=G, phi=ONE, r_grid=(0.0,),
                          n=10 ** 4, seed=23, estimator="divergence")
-        assert "approximate-gradient" in density_divergence(job).flags
+        assert "approximate-gradient" in estimate_density(job)["divergence"].flags
 
     def test_constant_G_is_all_excluded(self, iid3):
         # grad G = 0 at every sample: an empty sum reads 0 with stderr 0,
         # and only the flag says the curve holds no data
         job = DensityJob(model=iid3, G=Constant(1.0), phi=ONE, r_grid=(1.0, 2.0),
                          n=20000, seed=3, estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         assert curve.excluded_fraction == 1.0
         assert "all-excluded" in curve.flags
         job = DensityJob(model=iid3, G=Norm2(), phi=ONE, r_grid=(1.0, 2.0),
                          n=20000, seed=3, estimator="divergence")
-        assert "all-excluded" not in density_divergence(job).flags
+        assert "all-excluded" not in estimate_density(job)["divergence"].flags
 
 
 class TestMollifiedEstimator:
     def test_normal_density_at_one(self, iid3):
         job = DensityJob(model=iid3, G=Coordinate(1), phi=ONE, r_grid=(1.0,),
                          n=10 ** 6, seed=29, epsilon=0.05, estimator="mollified")
-        curve = density_mollified(job)
+        curve = estimate_density(job)["mollified"]
         target = float(stats.norm.pdf(1.0))
         # O(eps^2) smoothing bias plus Monte Carlo noise
         tol = target * 0.05 ** 2 + 4 * curve.stderrs[0]
@@ -102,13 +107,13 @@ class TestMollifiedEstimator:
         phi = Coordinate(2)
         job = DensityJob(model=iid5, G=Norm2(), phi=phi, r_grid=(3.0,),
                          n=10 ** 5, seed=31, estimator="mollified")
-        curve = density_mollified(job)
+        curve = estimate_density(job)["mollified"]
         assert abs(curve.estimates[0]) <= 4 * curve.stderrs[0]
 
     def test_empty_sublevel_is_exactly_zero(self, iid5):
         job = DensityJob(model=iid5, G=Norm2(), phi=ONE, r_grid=(-1.0,),
                          n=10 ** 4, seed=37, epsilon=0.5, estimator="mollified")
-        curve = density_mollified(job)
+        curve = estimate_density(job)["mollified"]
         assert curve.estimates[0] == 0.0
         assert curve.window_counts[0] == 0
         assert curve.unresolved[0]
@@ -117,7 +122,7 @@ class TestMollifiedEstimator:
     def test_default_bandwidth_reported(self, iid3):
         job = DensityJob(model=iid3, G=Coordinate(1), phi=ONE, r_grid=(0.0,),
                          n=10 ** 5, seed=41, estimator="mollified")
-        curve = density_mollified(job)
+        curve = estimate_density(job)["mollified"]
         assert curve.epsilon is not None and curve.epsilon > 0
         # bandwidth rule: max(0.01, 2 IQR n^(-1/3)); IQR of N(0,1) is 1.349
         assert curve.epsilon == pytest.approx(2 * 1.349 * (10 ** 5) ** (-1 / 3),
@@ -142,9 +147,9 @@ class TestInvariants:
         grid = (2.0, 4.0, 6.0)
         kw = dict(model=iid5, G=Norm2(), r_grid=grid, n=10 ** 5, seed=47,
                   estimator="divergence")
-        q_phi = density_divergence(DensityJob(phi=phi, **kw)).estimates
-        q_chi = density_divergence(DensityJob(phi=chi, **kw)).estimates
-        q_combo = density_divergence(DensityJob(phi=combo, **kw)).estimates
+        q_phi = estimate_density(DensityJob(phi=phi, **kw))["divergence"].estimates
+        q_chi = estimate_density(DensityJob(phi=chi, **kw))["divergence"].estimates
+        q_combo = estimate_density(DensityJob(phi=combo, **kw))["divergence"].estimates
         assert np.allclose(q_combo, 2.0 * q_phi - 3.0 * q_chi, rtol=1e-12,
                            atol=1e-15)
 
@@ -162,17 +167,17 @@ class TestInvariants:
         # weighted CDF exactly nondecreasing along the grid
         phi = ExpressionFunctional("exp(-norm2())")
         grid = np.linspace(0.1, 12.0, 40)
-        values = [cdf_estimate(iid5, Norm2(), phi, r, 10 ** 5, seed=59)[0]
+        values = [sublevel_integral(iid5, Norm2(), phi, r, 10 ** 5, seed=59)[0]
                   for r in grid]
         assert np.all(np.diff(values) >= 0.0)
 
     def test_bounded_density_stable_under_refinement(self, iid3):
         kw = dict(model=iid3, G=Coordinate(1), phi=ONE, n=2 * 10 ** 5, seed=61,
                   estimator="divergence")
-        coarse = density_divergence(DensityJob(
-            r_grid=tuple(np.linspace(-3, 3, 13)), **kw))
-        fine = density_divergence(DensityJob(
-            r_grid=tuple(np.linspace(-3, 3, 49)), **kw))
+        coarse = estimate_density(DensityJob(
+            r_grid=tuple(np.linspace(-3, 3, 13)), **kw))["divergence"]
+        fine = estimate_density(DensityJob(
+            r_grid=tuple(np.linspace(-3, 3, 49)), **kw))["divergence"]
         assert np.max(np.abs(fine.estimates)) <= np.max(np.abs(coarse.estimates)) + 0.01
         assert np.isfinite(fine.estimates).all()
 
@@ -181,14 +186,14 @@ class TestInvariants:
         job = DensityJob(model=iid3, G=Coordinate(1), phi=ONE,
                          r_grid=tuple(grid), n=10 ** 6, seed=67,
                          estimator="divergence")
-        curve = density_divergence(job)
+        curve = estimate_density(job)["divergence"]
         assert np.trapezoid(curve.estimates, grid) == pytest.approx(1.0, abs=0.02)
 
     def test_total_integral_near_one_mollified(self, iid5):
         grid = np.linspace(0.0, 25.0, 126)
         job = DensityJob(model=iid5, G=Norm2(), phi=ONE, r_grid=tuple(grid),
                          n=2 * 10 ** 5, seed=67, estimator="mollified")
-        curve = density_mollified(job)
+        curve = estimate_density(job)["mollified"]
         assert np.trapezoid(curve.estimates, grid) == pytest.approx(1.0, abs=0.02)
 
 
@@ -211,6 +216,12 @@ class TestDeterminism:
         b = estimate_density(job)
         for key in a:
             assert np.array_equal(a[key].estimates, b[key].estimates)
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-2", "1.5", ""])
+    def test_thread_count_must_be_a_positive_integer(self, monkeypatch, text):
+        monkeypatch.setenv("GLSET_THREADS", text)
+        with pytest.raises(ValueError, match="GLSET_THREADS"):
+            thread_count()
 
 
 class TestSmoothness:
@@ -304,4 +315,4 @@ class TestValidation:
         job = DensityJob(model=iid3, G=bad, phi=ONE, r_grid=(0.0,), n=100,
                          seed=1, estimator="mollified", epsilon=0.1)
         with pytest.raises(NumericalFault):
-            density_mollified(job)
+            estimate_density(job)["mollified"]

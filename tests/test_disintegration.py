@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -62,6 +64,18 @@ class TestDisintegrate:
             assert got.total == float(np.sum([float(np.sum(w)) for w in per_chunk]))
         assert np.array_equal(D.counts, np.sum([np.bincount(b, minlength=bins)
                                                 for b, _ in chunks], axis=0))
+
+    def test_constant_weight_holds_no_column(self, iid3):
+        # a held column of the weight's values would add 8 n bytes to the peak
+        n, peaks = 200_000, []
+        for phis in ([], [ONE]):
+            tracemalloc.start()
+            try:
+                disintegrate(iid3, Coordinate(1), n, seed=3, bins=20, phis=phis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * n
 
     def test_duplicate_weight_names_rejected(self, iid3):
         with pytest.raises(ValueError, match="distinct names"):

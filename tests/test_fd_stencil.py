@@ -19,7 +19,7 @@ import pytest
 
 from glset import (Constant, DensityJob, Norm2, RadialClamp, SurfaceMeasureHandle,
                    UserFunctional, estimate_density, hypothesis_diagnostics,
-                   ibp_battery, ibp_residuals, trace_eval)
+                   ibp_battery, ibp_residuals, surface_report)
 from glset import expressions, functionals
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
@@ -186,10 +186,10 @@ def test_clamp_levels_share_one_radius_per_chunk(iid5, monkeypatch):
 
     monkeypatch.setattr(functionals.Functional, "_kept", counted)
     h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=3.0, n=40_000, seed=5)
-    report = trace_eval(h, ExpressionFunctional("exp(-norm2())"))
+    report = surface_report(h, [ExpressionFunctional("exp(-norm2())")], with_trace=True)
     radii = sorted(size for quantity, size in calls if quantity == "radius")
     assert radii == [40_000 - 2 * 16384, 16384, 16384]
-    assert len(report.levels) == 6
+    assert len(report.trace.levels) == 6
 
     pts = np.random.default_rng(3).standard_normal((500, 5)) * 3.0
     u = np.random.default_rng(4).standard_normal((500, 5))

@@ -244,6 +244,15 @@ class TestCli:
         assert (out / "job01_density.csv").exists()
         assert not (out / "job01_density.json").exists()  # csv-only formats
 
+    def test_bad_threads_env_fails_the_job(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("model iid_gaussian\ndim 2\nformats csv\n"
+                       "job density\n  G norm2\n  phi 1\n  r_grid 1 2\n"
+                       "  n 5000\n  seed 2\n  estimator mollified\n")
+        monkeypatch.setenv("GLSET_THREADS", "0")
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        assert "job 1 (density) failed: GLSET_THREADS" in capsys.readouterr().err
+
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = parse_config(FULL_CONFIG)
         monkeypatch.setenv("GLSET_THREADS", "3")

@@ -13,13 +13,15 @@ import sys
 import numpy as np
 import pytest
 
-from glset import (Constant, Coordinate, Norm2, Query, SurfaceMeasureHandle,
-                   build_model, conditional_vs_surface, density, disintegrate,
-                   hausdorff_compare, hypothesis_diagnostics, ibp_battery,
-                   ibp_residual, ibp_residuals, model, parse_config, positivity_scan,
-                   resolve_functional, run, stream_pass, surface_integral,
-                   surface_report, trace_eval)
+from glset import (Constant, Coordinate, DensityJob, Norm2, Product, Query,
+                   RadialClamp, SurfaceMeasureHandle, build_model,
+                   conditional_vs_surface, density, disintegrate, estimate_density,
+                   hypothesis_diagnostics, hyperplane_quadrature, ibp_battery,
+                   ibp_residuals, model, parse_config, positivity_scan,
+                   resolve_functional, run, sphere_quadrature, stream_pass,
+                   surface_report)
 from glset.expressions import ExpressionFunctional
+from glset.surface import TRACE_LEVELS
 
 ONE = Constant(1.0)
 
@@ -79,11 +81,18 @@ class TestPassCounts:
         phi = two_phis()[0]
         ibp_residuals(iid3, Norm2(), phi, 1, (1.0, 2.0), 20_000, seed=3)
         ibp_battery(iid3, Norm2(), [phi, ONE], (1, 3), (1.0, 2.0), 20_000, seed=3)
-        ibp_residual(h, phi, 2)
-        trace_eval(h, phi)
-        hausdorff_compare(h, phi)
+        surface_report(h, [phi], k_list=(2,))
+        surface_report(h, [phi], with_trace=True)
+        surface_report(h, [phi], with_hausdorff=True)
         positivity_scan(iid3, Norm2(), (1.0, 2.0), 20_000, seed=5)
-        assert len(passes) == 6
+        estimate_density(DensityJob(model=iid3, G=Norm2(), phi=phi, r_grid=(1.0, 2.0),
+                                    n=20_000, seed=5, estimator="both"))
+        stream_pass(iid3, Norm2(), 20_000, 5, (1.0,), [Query(phi, "cdf")])
+        assert len(passes) == 8
+        # the oracles draw no sample
+        sphere_quadrature(phi, 3, 2.0, nodes=8)
+        hyperplane_quadrature(phi, np.array([1.0, 2.0]), 3, 0.5, nodes=8)
+        assert len(passes) == 8
 
     def test_runner_disintegrate_job_makes_one_pass(self, tmp_path, passes):
         cfg = parse_config("model iid_gaussian\ndim 3\nformats csv json\n"
@@ -138,12 +147,28 @@ class TestColumnIndependence:
         phis = two_phis()
         report = surface_report(h, phis, k_list=(1, 2), with_trace=True,
                                 with_hausdorff=True)
-        assert report.total_mass == surface_integral(h, ONE)[0]
+
+        def alone(phi):
+            curve, = stream_pass(iid3, Norm2(), h.n, h.seed, (h.r,),
+                                 [Query(phi, estimator)]).results
+            return float(curve.estimates[0]), float(curve.stderrs[0])
+
+        assert (report.total_mass, report.total_mass_stderr) == alone(ONE)
         for phi in phis:
-            assert report.integrals[phi.name] == surface_integral(h, phi)
-        assert report.ibp == [ibp_residual(h, phi, k) for phi in phis for k in (1, 2)]
-        assert report.trace == trace_eval(h, phis[0])
-        assert report.hausdorff == hausdorff_compare(h, phis[0])
+            assert report.integrals[phi.name] == alone(phi)
+        assert report.ibp == [rec for phi in phis for k in (1, 2)
+                              for rec in ibp_residuals(iid3, Norm2(), phi, k, (h.r,),
+                                                       h.n, h.seed, estimator)]
+        target, target_se = alone(phis[0])
+        clamped = [alone(Product(phis[0], RadialClamp(m))) for m in TRACE_LEVELS]
+        assert (report.trace.target, report.trace.target_stderr) == (target, target_se)
+        assert report.trace.estimates == tuple(v for v, _ in clamped)
+        assert report.trace.stderrs == tuple(se for _, se in clamped)
+        assert report.trace.diffs == tuple(abs(v - target) for v, _ in clamped)
+        rec = report.hausdorff
+        assert (rec.mc_value, rec.mc_stderr) == (target, target_se)
+        assert rec.quad_value == sphere_quadrature(phis[0], 3, h.r)
+        assert (rec.geometry, rec.phi_name, rec.nodes) == ("sphere", phis[0].name, 64)
 
     def test_query_bits_do_not_depend_on_companions(self, iid3):
         phi = two_phis()[0]

@@ -3,15 +3,19 @@ import pytest
 from scipy import stats
 
 from glset import (Constant, Coordinate, Linear, Norm2, Product, SublevelBump,
-                   SurfaceMeasureHandle, build_model, hausdorff_compare,
-                   hyperplane_quadrature, ibp_residual, ibp_residuals,
-                   positivity_scan, sphere_quadrature, surface_integral,
-                   surface_report, trace_eval)
+                   SurfaceMeasureHandle, build_model, hyperplane_quadrature,
+                   ibp_residuals, positivity_scan, sphere_quadrature,
+                   surface_report)
 from glset.expressions import ExpressionFunctional
-from glset.surface import sphere_blocks, unit_sphere_grid
+from glset.surface import sphere_rules, tensor_blocks
 
 ONE = Constant(1.0)
 GAMMA0 = float(stats.norm.pdf(0.0))
+
+
+def prepend(y, sub):
+    """The coordinate ``y`` in front of the points ``sub``: the plain product grid."""
+    return np.column_stack([np.broadcast_to(y, len(sub)), sub])
 
 
 def handle(model, G, r, n=2 * 10 ** 5, seed=101, estimator="divergence", **kw):
@@ -19,17 +23,37 @@ def handle(model, G, r, n=2 * 10 ** 5, seed=101, estimator="divergence", **kw):
                                 estimator=estimator, **kw)
 
 
+def integral(h, phi):
+    """(value, stderr) of the integral of phi against the handle's measure."""
+    return surface_report(h, [phi]).integrals[phi.name]
+
+
+def ibp_record(h, phi, k):
+    """The handle's level-r integration-by-parts record for (phi, k)."""
+    rec, = ibp_residuals(h.model, h.G, phi, k, (h.r,), h.n, h.seed, h.estimator,
+                         h.epsilon)
+    return rec
+
+
+def trace_of(h, phi):
+    return surface_report(h, [phi], with_trace=True).trace
+
+
+def hausdorff_of(h, phi):
+    return surface_report(h, [phi], with_hausdorff=True).hausdorff
+
+
 class TestSurfaceIntegral:
     def test_total_mass_is_chi5_density(self, iid5):
         h = handle(iid5, Norm2(), 5.0, n=10 ** 6)
-        value, se = surface_integral(h, ONE)
+        value, se = integral(h, ONE)
         oracle = float(stats.chi2.pdf(5.0, df=5))
         assert value == pytest.approx(oracle, rel=0.02)
         assert abs(value - oracle) <= 4 * se
 
     def test_odd_weight_vanishes_on_sphere(self, iid5):
         h = handle(iid5, Norm2(), 5.0)
-        value, se = surface_integral(h, Coordinate(2))
+        value, se = integral(h, Coordinate(2))
         assert abs(value) <= 4 * se
 
     def test_weight_supported_away_from_level_set(self, iid5):
@@ -37,12 +61,12 @@ class TestSurfaceIntegral:
         # integral must vanish despite a nontrivial sublevel integrand
         h = handle(iid5, Norm2(), 5.0)
         phi = SublevelBump(Norm2(), c=4.0, delta=0.5)
-        value, se = surface_integral(h, phi)
+        value, se = integral(h, phi)
         assert abs(value) <= 4 * se
 
     def test_total_mass_equals_handle_q1_exactly(self, iid5):
         h = handle(iid5, Norm2(), 3.0)
-        a, _ = surface_integral(h, ONE)
+        a, _ = integral(h, ONE)
         report = surface_report(h, [ONE])
         assert report.total_mass == a
 
@@ -50,7 +74,7 @@ class TestSurfaceIntegral:
 class TestIbp:
     def test_constant_weight_closed_form(self, iid3):
         # both sides equal the standard normal density at the level
-        rec = ibp_residual(handle(iid3, Coordinate(1), 0.0, n=10 ** 6), ONE, 1)
+        rec = ibp_record(handle(iid3, Coordinate(1), 0.0, n=10 ** 6), ONE, 1)
         assert rec.lhs == pytest.approx(GAMMA0, rel=0.01)
         assert rec.rhs == pytest.approx(GAMMA0, rel=0.01)
         assert rec.within_band
@@ -58,14 +82,14 @@ class TestIbp:
     def test_linear_weight_closed_form_zero(self, iid3):
         # E[1_{xi1<0}(1 - xi1^2)] = 0 and the surface moment of xi1 at the
         # hyperplane {xi1=0} is 0
-        rec = ibp_residual(handle(iid3, Coordinate(1), 0.0, n=10 ** 6),
-                           Coordinate(1), 1)
+        rec = ibp_record(handle(iid3, Coordinate(1), 0.0, n=10 ** 6),
+                         Coordinate(1), 1)
         assert abs(rec.lhs) <= 4 * rec.lhs_stderr
         assert abs(rec.rhs) <= 4 * rec.rhs_stderr
         assert rec.within_band
 
     def test_zero_weight_both_sides_zero(self, iid3):
-        rec = ibp_residual(handle(iid3, Coordinate(1), 0.5), Constant(0.0), 1)
+        rec = ibp_record(handle(iid3, Coordinate(1), 0.5), Constant(0.0), 1)
         assert rec.lhs == 0.0 and rec.rhs == 0.0
 
     def test_battery_within_bands(self, iid5):
@@ -78,13 +102,13 @@ class TestIbp:
 
     def test_direction_out_of_range(self, iid3):
         with pytest.raises(IndexError):
-            ibp_residual(handle(iid3, Norm2(), 2.0), ONE, 4)
+            ibp_record(handle(iid3, Norm2(), 2.0), ONE, 4)
 
 
 class TestTrace:
     def test_clamped_sequence_converges_and_saturates(self, iid5):
         phi = ExpressionFunctional("exp(-norm2())")
-        rep = trace_eval(handle(iid5, Norm2(), 4.0), phi)
+        rep = trace_of(handle(iid5, Norm2(), 4.0), phi)
         assert rep.converged
         # once the clamp radius exceeds every sampled |xi| the truncation is
         # the identity on the sample and the difference is exactly zero
@@ -93,13 +117,13 @@ class TestTrace:
 
     def test_nonnegative_weight_nonnegative_trace(self, iid5):
         phi = ExpressionFunctional("exp(-norm2())")
-        rep = trace_eval(handle(iid5, Norm2(), 4.0), phi)
+        rep = trace_of(handle(iid5, Norm2(), 4.0), phi)
         assert rep.target >= -4 * rep.target_stderr
 
     def test_constant_weight_traces_to_total_mass(self, iid5):
         h = handle(iid5, Norm2(), 4.0)
-        rep = trace_eval(h, ONE)
-        mass, _ = surface_integral(h, ONE)
+        rep = trace_of(h, ONE)
+        mass, _ = integral(h, ONE)
         assert rep.target == mass
         assert rep.estimates[-1] == mass
 
@@ -132,13 +156,13 @@ class TestPositivity:
 
 class TestQuadratureOracles:
     def test_unit_sphere_areas(self):
-        # sum of weights reproduces |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)
+        # the sphere rules' weights sum to |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)
         from scipy.special import gamma
 
-        for d in (2, 3, 4):
-            _, w = unit_sphere_grid(d)
+        for d in (2, 3, 4, 5, 6):
+            blocks = tensor_blocks(sphere_rules(d, 16), np.zeros(0), prepend)
             area = 2 * np.pi ** (d / 2) / gamma(d / 2)
-            assert np.sum(w) == pytest.approx(area, rel=1e-12)
+            assert sum(float(np.sum(w)) for _, w in blocks) == pytest.approx(area, rel=1e-12)
 
     def test_sphere_value_is_chi_density(self):
         # G = norm2: total surface mass equals the chi-square density
@@ -170,7 +194,7 @@ class TestQuadratureOracles:
     @pytest.mark.parametrize("r", [0.0, 0.7])
     def test_hyperplane_outer_blocks_match_closed_forms(self, w, r):
         # d = 5 and 6 leave 4 and 5 free dimensions: more than the 3 of one
-        # block, so the outer-block loop of hyperplane_blocks runs
+        # block, so the leading rules of tensor_blocks are used
         w = np.asarray(w)
         wn = np.linalg.norm(w)
         mass = float(stats.norm.pdf(r / wn)) / wn
@@ -181,12 +205,38 @@ class TestQuadratureOracles:
         assert hyperplane_quadrature(xi1_sq, w, len(w), r, nodes=8) == pytest.approx(
             second_moment * mass, rel=1e-14)
 
-    def test_sphere_blocks_concatenate_to_the_product_grid(self):
-        blocks = list(sphere_blocks(5, 8))
-        pts, w = unit_sphere_grid(5, 8)
-        assert len(blocks) == 8
-        assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
-        assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_tensor_blocks_concatenate_to_the_product_grid(self, k):
+        # blocks in order, first rule slowest, weights nested from the last rule
+        rng = np.random.default_rng(k)
+        sizes = (4, 3, 2, 3, 2)[:k]
+        rules = [(rng.standard_normal(m), rng.random(m)) for m in sizes]
+        blocks = list(tensor_blocks(rules, np.zeros(0), prepend))
+        # the last three rules make one block, the leading ones select it
+        assert len(blocks) == int(np.prod(sizes[:k - min(k, 3)]))
+        grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+        pts = np.concatenate([p for p, _ in blocks])
+        assert np.array_equal(pts, np.stack([g.ravel() for g in grids], axis=1))
+        want = np.ones(1)
+        for _, w in reversed(rules):
+            want = np.multiply.outer(w, want).ravel()
+        assert np.concatenate([w for _, w in blocks]).tobytes() == want.tobytes()
+
+    def test_empty_tensor_product_is_the_base_point(self):
+        blocks = list(tensor_blocks([], np.array([2.0, 3.0]), prepend))
+        assert [(p.tolist(), w.tolist()) for p, w in blocks] == [([[2.0, 3.0]], [1.0])]
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_sphere_second_moments(self, d):
+        # on the sphere |xi|^2 = r each xi_j^2 carries r/d of the mass, and
+        # the mixed moment vanishes
+        r = 2.0
+        mass = float(stats.chi2.pdf(r, df=d))
+        first, last = Coordinate(1), Coordinate(d)
+        for xi_sq in (Product(first, first), Product(last, last)):
+            assert sphere_quadrature(xi_sq, d, r, nodes=16) == pytest.approx(
+                r / d * mass, rel=1e-12)
+        assert abs(sphere_quadrature(Product(first, last), d, r, nodes=16)) <= 1e-14 * mass
 
     def test_sphere_level_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -197,14 +247,14 @@ class TestHausdorffCompare:
     def test_sphere_d3(self, iid3):
         h = handle(iid3, Norm2(), 1.0, n=10 ** 6, estimator="mollified",
                    seed=131)
-        rec = hausdorff_compare(h, ONE)
+        rec = hausdorff_of(h, ONE)
         assert rec.geometry == "sphere"
         assert rec.rel_error <= max(0.01, 4 * rec.mc_stderr / rec.quad_value)
 
     def test_sphere_d5_nontrivial_weight(self, iid5):
         phi = ExpressionFunctional("exp(-norm2())")
         h = handle(iid5, Norm2(), 3.0, n=2 * 10 ** 5, seed=137)
-        rec = hausdorff_compare(h, phi)
+        rec = hausdorff_of(h, phi)
         # oracle factorizes on the sphere: exp(-r) times the surface mass
         assert rec.quad_value == pytest.approx(
             np.exp(-3.0) * float(stats.chi2.pdf(3.0, df=5)), rel=1e-10)
@@ -213,7 +263,7 @@ class TestHausdorffCompare:
     def test_hyperplane_d2(self):
         m = build_model(("iid_gaussian", 2))
         h = handle(m, Coordinate(1), 0.0, n=10 ** 6, seed=139)
-        rec = hausdorff_compare(h, ONE)
+        rec = hausdorff_of(h, ONE)
         assert rec.geometry == "hyperplane"
         assert rec.quad_value == pytest.approx(GAMMA0, rel=1e-10)
         assert rec.rel_error <= max(0.01, 4 * rec.mc_stderr / rec.quad_value)
@@ -223,13 +273,13 @@ class TestHausdorffCompare:
         G = Linear([0.5, 0.5, 0.5, 0.5])
         phi = ExpressionFunctional("exp(-norm2())")
         h = handle(m, G, 0.3, n=4 * 10 ** 5, seed=149)
-        rec = hausdorff_compare(h, phi)
+        rec = hausdorff_of(h, phi)
         assert rec.rel_error <= max(0.01, 4 * rec.mc_stderr / abs(rec.quad_value))
 
     def test_tangential_odd_weight_zero_both_routes(self, iid3):
         h = handle(iid3, Coordinate(1), 0.5, n=2 * 10 ** 5, seed=151)
         phi = Coordinate(2)
-        rec = hausdorff_compare(h, phi)
+        rec = hausdorff_of(h, phi)
         assert abs(rec.quad_value) < 1e-12
         assert abs(rec.mc_value) <= 4 * rec.mc_stderr
 
@@ -237,12 +287,12 @@ class TestHausdorffCompare:
         phi = ExpressionFunctional("exp(-norm2())")
         h = handle(iid3, ExpressionFunctional("norm2() + xi(1)^4"), 1.0)
         with pytest.raises(ValueError):
-            hausdorff_compare(h, phi)
+            hausdorff_of(h, phi)
 
     def test_dimension_cap_rejected(self):
         m = build_model(("iid_gaussian", 7))
         with pytest.raises(ValueError):
-            hausdorff_compare(handle(m, Norm2(), 3.0, n=100), ONE)
+            hausdorff_of(handle(m, Norm2(), 3.0, n=100), ONE)
 
 
 class TestSurfaceReport:
