@@ -41,6 +41,7 @@ from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsu
 from .model import GaussianModel, chunk_layout, draw_chunk
 
 VARIANCE_UNRELIABLE = "variance unreliable"
+INSUFFICIENT_BATCHES = "insufficient-batches"
 
 
 def thread_count() -> int:
@@ -296,11 +297,13 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
         unreliable = moment_diverging(hill_tail_index(bottom), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)
+    # batch means need two chunks; with one the stderrs are NaN
+    batch_flags = [INSUFFICIENT_BATCHES] if len(stats) < 2 else []
     results = []
     for i, q in enumerate(queries):
         est, se = batch_mean_stderr(np.array([st.columns[i] for st in stats]), counts)
         if q.route == "divergence":
-            flags = []
+            flags = list(batch_flags)
             if not (G.analytic_gradient and q.phi.analytic_gradient):
                 flags.append("approximate-gradient")
             if unreliable:
@@ -312,11 +315,11 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                 excluded_fraction=excluded_fraction, n=n, seed=seed,
                 flags=tuple(flags)))
         elif q.route == "mollified":
+            unresolved = ["unresolved-bins"] if np.any(window_counts == 0) else []
             results.append(DensityCurve(
                 r=r, estimates=est, stderrs=se, estimator="mollified",
                 excluded_fraction=0.0, n=n, seed=seed, epsilon=epsilon,
-                window_counts=window_counts,
-                flags=("unresolved-bins",) if np.any(window_counts == 0) else ()))
+                window_counts=window_counts, flags=tuple(batch_flags + unresolved)))
         else:
             results.append((est, se))
     return PassResult(results=results, g_min=min(st.g_min for st in stats),

@@ -202,9 +202,9 @@ def _run_disintegrate(job, model, G, phis, out_base, formats):
 def _run_hausdorff(job, model, G, phis, out_base, formats):
     rec = surface_report(_handle(job, model, G), phis[:1], with_hausdorff=True).hausdorff
     table = (["G", "phi", "r", "geometry", "mc_value", "mc_stderr", "quad_value",
-              "rel_error"],
+              "nodes", "quad_error", "rel_error"],
              [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,
-               rec.mc_stderr, rec.quad_value, rec.rel_error]])
+               rec.mc_stderr, rec.quad_value, rec.nodes, rec.quad_error, rec.rel_error]])
     return write_artifacts(out_base, formats, table, dataclasses.asdict(rec) | {
         "rel_error": rec.rel_error, "within_tolerance": rec.within_tolerance,
         "job": dataclasses.asdict(job)})

@@ -16,7 +16,13 @@ question about one level from a single pass, :func:`ibp_battery` every
 * on spheres and hyperplanes the measure has a closed geometric form
   (Gaussian-weighted Hausdorff measure over ``|D_H G|``), evaluated here by
   Gauss-Legendre / Gauss-Hermite product quadrature (:func:`tensor_blocks`)
-  as an independent oracle.
+  as an independent oracle.  :func:`sphere_quadrature` and
+  :func:`hyperplane_quadrature` are fixed-node rules; the oracle doubles
+  their nodes per angle from 8 up to ``QUAD_NODES`` and stops at the first
+  ``m`` with ``|Q_m - Q_{m/2}| <= 1e-12 A_m``, ``A_m`` the same rule applied
+  to ``|phi|`` (an odd phi integrates to rounding, so ``|Q_m|`` alone is no
+  scale).  The record keeps the nodes used and that last difference; a rule
+  still apart at the cap is flagged ``quadrature-not-converged``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .functionals import (Constant, Functional, Linear, Norm2, Product,
 from .model import GaussianModel
 
 QUAD_NODES = 64
+QUAD_TOL = 1e-12
+QUADRATURE_NOT_CONVERGED = "quadrature-not-converged"
 TRACE_LEVELS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
@@ -268,9 +276,32 @@ def _sphere_lift(theta, sub):
     return pts
 
 
+class _RuleValue(float):
+    """The value ``const * sum w phi`` of a product rule, carrying the same
+    rule's absolute mass ``const * sum w |phi|`` as ``mass``: the scale of
+    its rounding error, which ``|value|`` is not when phi changes sign."""
+
+    def __new__(cls, value: float, mass: float):
+        out = super().__new__(cls, value)
+        out.mass = mass
+        return out
+
+
+def _weighted_sums(phi: Functional, blocks):
+    """``(sum w phi, sum w |phi|)`` over the ``(points, weights)`` blocks."""
+    total = mass = 0.0
+    for pts, w in blocks:
+        v = phi.value(pts)
+        total += float(np.sum(w * v))
+        mass += float(np.sum(w * np.abs(v)))
+    return total, mass
+
+
 def sphere_quadrature(phi: Functional, d: int, r: float,
                       nodes: int = QUAD_NODES) -> float:
-    """Surface integral of phi against sigma_r for ``G = norm2``.
+    """Surface integral of phi against sigma_r for ``G = norm2``, by the
+    product rule of ``nodes`` nodes per angle; the value's ``mass`` is the
+    same rule applied to ``|phi|``.
 
     On the sphere of radius sqrt(r) the measure is the Gaussian-weighted
     Hausdorff measure divided by ``|D_H G| = 2 sqrt(r)``, all constant:
@@ -281,11 +312,13 @@ def sphere_quadrature(phi: Functional, d: int, r: float,
     R = np.sqrt(r)
     const = (2.0 * np.pi) ** (-d / 2.0) * np.exp(-r / 2.0) / (2.0 * R)
     if d == 1:  # the sphere {1, -1}
-        return const * float(np.sum(phi.value(np.array([[R], [-R]]))))
-    total = 0.0
-    for pts, w in tensor_blocks(sphere_rules(d, nodes), np.ones(1), _sphere_lift):
-        total += float(np.sum(w * phi.value(R * pts)))
-    return const * R ** (d - 1) * total
+        blocks = [(np.array([[R], [-R]]), 1.0)]
+    else:
+        const *= R ** (d - 1)
+        blocks = ((R * pts, w) for pts, w in
+                  tensor_blocks(sphere_rules(d, nodes), np.ones(1), _sphere_lift))
+    total, mass = _weighted_sums(phi, blocks)
+    return _RuleValue(const * total, const * mass)
 
 
 def _householder_complement(u: np.ndarray) -> np.ndarray:
@@ -309,7 +342,9 @@ def _prepend(y, sub):
 
 def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float,
                           nodes: int = QUAD_NODES) -> float:
-    """Surface integral of phi against sigma_r for linear ``G = w . xi``.
+    """Surface integral of phi against sigma_r for linear ``G = w . xi``, by
+    the product rule of ``nodes`` Gauss-Hermite nodes per direction; the
+    value's ``mass`` is the same rule applied to ``|phi|``.
 
     The level set is the hyperplane ``{w . xi = r}``; the measure is the
     (d-1)-dimensional Gaussian there, scaled by the normal-direction density
@@ -328,11 +363,10 @@ def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float
     normal_density = np.exp(-0.5 * (r / wn) ** 2) / np.sqrt(2.0 * np.pi)
     t, wt = np.polynomial.hermite.hermgauss(nodes)
     rules = [(np.sqrt(2.0) * t, wt / np.sqrt(np.pi))] * (d - 1)
-    total = 0.0
-    for y, wq in tensor_blocks(rules, np.zeros(0), _prepend):
-        pts = base[None, :] + y @ U.T
-        total += float(np.sum(wq * phi.value(pts)))
-    return normal_density / wn * total
+    total, mass = _weighted_sums(phi, ((base[None, :] + y @ U.T, wq) for y, wq in
+                                       tensor_blocks(rules, np.zeros(0), _prepend)))
+    const = normal_density / wn
+    return _RuleValue(const * total, const * mass)
 
 
 @dataclass
@@ -347,6 +381,8 @@ class HausdorffRecord:
     mc_stderr: float
     quad_value: float
     nodes: int
+    quad_error: float
+    flags: tuple[str, ...] = ()
 
     @property
     def abs_error(self) -> float:
@@ -359,9 +395,10 @@ class HausdorffRecord:
 
     @property
     def within_tolerance(self) -> bool:
-        """Relative error within max(1%, 4 relative standard errors)."""
+        """Relative error within max(1%, 4 standard errors plus the
+        quadrature's last difference, relative to the quadrature value)."""
         scale = max(abs(self.quad_value), 1e-300)
-        return self.rel_error <= max(0.01, 4.0 * self.mc_stderr / scale)
+        return self.rel_error <= max(0.01, (4.0 * self.mc_stderr + self.quad_error) / scale)
 
 
 def quadrature_issue(G: Functional, d: int) -> str | None:
@@ -375,16 +412,38 @@ def quadrature_issue(G: Functional, d: int) -> str | None:
     return None
 
 
-def _quadrature(h: SurfaceMeasureHandle, phi: Functional):
-    """(geometry, value) of the weighted Hausdorff form of the handle's level
-    set."""
+def _converge(rule):
+    """``(value, nodes, difference, converged)`` of the fixed-node ``rule``
+    doubled from 8 nodes: the first ``m`` whose value ``Q_m`` is within
+    ``QUAD_TOL`` times its absolute mass of ``Q_{m/2}``, or ``QUAD_NODES``
+    if none is; ``difference`` is the last ``|Q_m - Q_{m/2}|``."""
+    nodes, prev = 8, rule(8)
+    while True:
+        nodes *= 2
+        q = rule(nodes)
+        diff = abs(q - prev)
+        converged = diff <= QUAD_TOL * q.mass
+        if converged or nodes >= QUAD_NODES:
+            return float(q), nodes, float(diff), converged
+        prev = q
+
+
+def _quadrature(h: SurfaceMeasureHandle, phi: Functional) -> dict:
+    """The :class:`HausdorffRecord` fields of the weighted Hausdorff form of
+    the handle's level set: geometry, converged value, nodes per angle, last
+    difference and flags."""
     d = h.model.dim
     issue = quadrature_issue(h.G, d)
     if issue:
         raise ValueError(issue)
     if isinstance(h.G, Norm2):
-        return "sphere", sphere_quadrature(phi, d, h.r)
-    return "hyperplane", hyperplane_quadrature(phi, h.G.weights, d, h.r)
+        geometry, rule = "sphere", lambda m: sphere_quadrature(phi, d, h.r, m)
+    else:
+        geometry = "hyperplane"
+        rule = lambda m: hyperplane_quadrature(phi, h.G.weights, d, h.r, m)
+    value, nodes, diff, converged = _converge(rule)
+    return dict(geometry=geometry, quad_value=value, nodes=nodes, quad_error=diff,
+                flags=() if converged else (QUADRATURE_NOT_CONVERGED,))
 
 
 # ----------------------------- aggregate report -----------------------------
@@ -420,7 +479,8 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     first phi (or of 1), all from one pass over the handle's stream.
 
     A level set without a quadrature oracle raises ``ValueError`` before
-    the pass when ``with_hausdorff`` is set.
+    the pass when ``with_hausdorff`` is set; a quadrature that has not
+    converged at ``QUAD_NODES`` nodes adds its flag to the report's.
     """
     route = h.estimator
     mass = Constant(1.0)
@@ -454,8 +514,8 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
             stderrs=tuple(se for _, se in clamped),
             diffs=tuple(abs(est - value) for est, _ in clamped))
     if with_hausdorff:
-        geometry, quad = quadrature
         report.hausdorff = HausdorffRecord(
-            g_name=h.G.name, phi_name=first.name, r=h.r, geometry=geometry,
-            mc_value=value, mc_stderr=stderr, quad_value=quad, nodes=QUAD_NODES)
+            g_name=h.G.name, phi_name=first.name, r=h.r, mc_value=value,
+            mc_stderr=stderr, **quadrature)
+        report.flags += report.hausdorff.flags
     return report

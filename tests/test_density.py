@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +7,8 @@ from scipy import stats
 from glset import (BmEndpoint, Constant, Coordinate, DensityJob,
                    LinearCombination, Norm2, Query, build_model, estimate_density,
                    smoothness_check, stream_pass)
-from glset.density import VARIANCE_UNRELIABLE, batch_mean_stderr, thread_count
+from glset.density import (INSUFFICIENT_BATCHES, VARIANCE_UNRELIABLE, batch_mean_stderr,
+                           thread_count)
 from glset.expressions import ExpressionFunctional
 
 
@@ -295,6 +298,17 @@ class TestBatchMeans:
     def test_single_chunk_gives_nan_stderr(self):
         mean, se = batch_mean_stderr(np.array([5.0]), np.array([10.0]))
         assert mean == 0.5 and np.isnan(se)
+
+    def test_single_chunk_curves_say_why_stderrs_are_nan(self, iid3):
+        job = DensityJob(model=iid3, G=Norm2(), phi=ONE, r_grid=(1.0, 2.0),
+                         n=1000, seed=5, estimator="both")
+        for curve in estimate_density(job).values():
+            assert np.isnan(curve.stderrs).all()
+            assert INSUFFICIENT_BATCHES in curve.flags
+        two_chunks = dataclasses.replace(job, n=20000)
+        for curve in estimate_density(two_chunks).values():
+            assert np.isfinite(curve.stderrs).all()
+            assert INSUFFICIENT_BATCHES not in curve.flags
 
 
 class TestValidation:

@@ -18,14 +18,22 @@ taken inside a chunk where the memo keeps them, with the same products
 outside any chunk.  A stream pass asks ``hvp`` of G along one direction
 only, the gradient of G, so no end-to-end number sees a memo that mixes up
 directions; this check does.
+
+The third check holds the converged sphere quadrature to its closed form:
+on the sphere ``|xi|^2 = r`` the weight ``exp(-a norm2())`` is the constant
+``e^(-a r)``, so the oracle's value is ``e^(-a r)`` times the chi-square(d)
+density at r, to rounding.  At d = 5, r = 5 a rule stuck at 4 nodes per angle
+is off by 1.3e-2 relative; at d = 3 and r = 1 (criterion 5) by only 8e-6,
+far inside that criterion's 1 % band.
 """
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from glset import Coordinate, Norm2, ProductWithPartial, UserFunctional, ibp_residuals
-from glset import functionals
+from glset import (Coordinate, Norm2, ProductWithPartial, SurfaceMeasureHandle,
+                   UserFunctional, build_model, ibp_residuals, surface_report)
+from glset import functionals, surface
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
 
@@ -111,3 +119,30 @@ def test_hvp_memo_keyed_without_direction_is_caught(iid5, monkeypatch):
 
     monkeypatch.setattr(functionals.Functional, "_kept", kept)
     assert kept_hvp_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]
+
+
+def sphere_oracle_misses(dims, r=5.0):
+    """``(d, a)`` cases whose converged sphere quadrature of ``exp(-a norm2())``
+    at level r is not ``e^(-a r) chi2_d(r)`` to 1e-12 relative, or needed more
+    than 32 nodes per angle."""
+    misses = []
+    for d in dims:
+        h = SurfaceMeasureHandle(model=build_model(("iid_gaussian", d)), G=Norm2(), r=r,
+                                 n=1000, seed=SEED)
+        for a in (0.0, 0.5):
+            phi = ExpressionFunctional(f"exp(-{a}*norm2())")
+            rec = surface_report(h, [phi], with_hausdorff=True).hausdorff
+            exact = float(np.exp(-a * r) * stats.chi2.pdf(r, d))
+            if not (abs(rec.quad_value - exact) <= 1e-12 * exact and rec.nodes <= 32):
+                misses.append((d, a))
+    return misses
+
+
+def test_converged_sphere_quadrature_matches_closed_form():
+    assert sphere_oracle_misses(range(2, 7)) == []
+
+
+def test_quadrature_stuck_at_four_nodes_is_caught(monkeypatch):
+    monkeypatch.setattr(surface, "_converge",
+                        lambda rule: (float(rule(4)), 4, 0.0, True))
+    assert sphere_oracle_misses([5]) == [(5, 0.0), (5, 0.5)]

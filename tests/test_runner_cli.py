@@ -102,6 +102,23 @@ class TestArtifacts:
         assert payload["geometry"] == "hyperplane"
         assert payload["quad_value"] == pytest.approx(0.39894, abs=1e-5)
         assert payload["within_tolerance"]
+        assert (payload["nodes"], payload["flags"]) == (16, [])
+        header, row = (run_dir / "job05_hausdorff.csv").read_text().splitlines()
+        assert header.split(",")[6:9] == ["quad_value", "nodes", "quad_error"]
+        assert row.split(",")[7] == "16"
+
+    def test_unconverged_quadrature_is_flagged_in_json(self, tmp_path):
+        cfg = parse_config("model iid_gaussian\ndim 3\nformats json\n"
+                           "functional kink = abs(xi(1))\n"
+                           "job hausdorff\n  G norm2\n  phi kink\n  r 1\n  n 20000\n"
+                           "job surface\n  G norm2\n  phi kink\n  r 1\n  n 20000\n"
+                           "  hausdorff true\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        payload = json.loads((tmp_path / "job01_hausdorff.json").read_text())
+        assert (payload["nodes"], payload["flags"]) == (64, ["quadrature-not-converged"])
+        payload = json.loads((tmp_path / "job02_surface.json").read_text())
+        assert "quadrature-not-converged" in payload["flags"]
+        assert payload["hausdorff"]["flags"] == ["quadrature-not-converged"]
 
     def test_surface_json_contains_ibp_and_hausdorff(self, run_dir):
         payload = json.loads((run_dir / "job02_surface.json").read_text())

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (Constant, Coordinate, Linear, Norm2, Product, SublevelBump,
-                   SurfaceMeasureHandle, build_model, hyperplane_quadrature,
+from glset import (Constant, Coordinate, HausdorffRecord, Linear, Norm2, Product,
+                   SublevelBump, SurfaceMeasureHandle, build_model, hyperplane_quadrature,
                    ibp_residuals, positivity_scan, sphere_quadrature,
                    surface_report)
 from glset.expressions import ExpressionFunctional
-from glset.surface import sphere_rules, tensor_blocks
+from glset.surface import (QUAD_NODES, QUADRATURE_NOT_CONVERGED, sphere_rules,
+                           tensor_blocks)
 
 ONE = Constant(1.0)
 GAMMA0 = float(stats.norm.pdf(0.0))
@@ -282,6 +285,53 @@ class TestHausdorffCompare:
         rec = hausdorff_of(h, phi)
         assert abs(rec.quad_value) < 1e-12
         assert abs(rec.mc_value) <= 4 * rec.mc_stderr
+
+    @pytest.mark.parametrize("G, r, rule, by_nodes, tol", [
+        (Norm2(), 1.0, lambda phi, m: sphere_quadrature(phi, 3, 1.0, m),
+         (0.1246, 0.1219, 0.1212, 0.1210), 1e-4),
+        (Linear([1.0, 1.0]), 0.5,
+         lambda phi, m: hyperplane_quadrature(phi, np.array([1.0, 1.0]), 3, 0.5, m),
+         (0.158, 0.153, 0.158, 0.160), 1e-3)])
+    def test_kinked_weight_is_flagged_not_converged(self, iid3, G, r, rule, by_nodes, tol):
+        # |xi_1| has a kink on the level set, so doubling the nodes never
+        # settles the rule to rounding
+        phi = ExpressionFunctional("abs(xi(1))")
+        report = surface_report(handle(iid3, G, r, n=20000), [phi], with_hausdorff=True)
+        rec = report.hausdorff
+        assert (rec.nodes, rec.flags) == (QUAD_NODES, (QUADRATURE_NOT_CONVERGED,))
+        assert QUADRATURE_NOT_CONVERGED in report.flags
+        values = [rule(phi, m) for m in (8, 16, 32, 64)]
+        assert values == pytest.approx(by_nodes, abs=tol)
+        assert rec.quad_value == values[-1]
+        assert rec.quad_error == abs(values[-1] - values[-2]) > 1e-12 * rec.quad_value
+
+    def test_odd_weight_converges_by_sixteen_nodes(self, iid3):
+        # xi_1 integrates to rounding on the sphere: the stopping rule scales
+        # by the rule's absolute mass, not by |Q|
+        rec = hausdorff_of(handle(iid3, Norm2(), 1.0, n=20000), Coordinate(1))
+        mass = sphere_quadrature(ONE, 3, 1.0)
+        assert rec.nodes <= 16 and rec.flags == ()
+        assert abs(rec.quad_value) <= 1e-14 * mass
+        assert rec.quad_error <= 1e-12 * mass
+
+    def test_rule_carries_its_absolute_mass(self):
+        xi1, abs_xi1 = Coordinate(1), ExpressionFunctional("abs(xi(1))")
+        for nodes in (8, 16):
+            assert sphere_quadrature(xi1, 3, 1.0, nodes).mass == sphere_quadrature(
+                abs_xi1, 3, 1.0, nodes)
+            w = np.array([1.0, 1.0])
+            assert hyperplane_quadrature(xi1, w, 3, 0.5, nodes).mass == \
+                hyperplane_quadrature(abs_xi1, w, 3, 0.5, nodes)
+        assert sphere_quadrature(ONE, 3, 1.0).mass == sphere_quadrature(ONE, 3, 1.0)
+
+    def test_tolerance_counts_the_quadrature_difference(self):
+        rec = HausdorffRecord(g_name="norm2", phi_name="1", r=1.0, geometry="sphere",
+                              mc_value=1.05, mc_stderr=0.01, quad_value=1.0, nodes=64,
+                              quad_error=0.0)
+        # 4 s.e. = 0.04 and the difference 0.011 fall short apart, not together
+        assert not rec.within_tolerance
+        assert not dataclasses.replace(rec, mc_stderr=0.0, quad_error=0.011).within_tolerance
+        assert dataclasses.replace(rec, quad_error=0.011).within_tolerance
 
     def test_unsupported_geometry_rejected(self, iid3):
         phi = ExpressionFunctional("exp(-norm2())")
