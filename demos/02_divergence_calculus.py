@@ -11,16 +11,15 @@ visible instead of silent.
 
 import numpy as np
 
-from glset import (ConstantField, IdentityField, Norm2, build_model,
-                   divergence_mu, h_gradient, hypothesis_diagnostics,
-                   kernel_divergence, sample)
+from glset import (ConstantField, IdentityField, KernelField, Norm2, build_model,
+                   divergence_mu, hypothesis_diagnostics, sample)
 
 model = build_model(("iid_gaussian", 5))
-batch = sample(model, 200_000, seed=11)
-xi = batch.points
+xi = sample(model, 200_000, seed=11)
 
-# gradient of the squared norm is 2 xi
-print("h_gradient(norm2) at (1,1,1,1,1):", h_gradient(Norm2(), np.ones(5)))
+# the H-gradient of the squared norm is 2 xi
+G = Norm2()
+print("H-gradient of norm2 at (1,1,1,1,1):", G.gradient(np.ones((1, 5)))[0])
 
 # div_mu of a constant field v_1 is -xi_1; of the identity field, d - |xi|^2
 const = divergence_mu(ConstantField([1, 0, 0, 0, 0]), xi[:5])
@@ -30,9 +29,11 @@ ident = divergence_mu(IdentityField(), xi)
 print("mean div_mu(identity) over 2e5 samples:",
       round(float(ident.mean()), 5), "(zero-mean property)")
 
-# kernel divergence of norm2 in closed form: (d-2)/(2S) - 1/2
-kd, excluded = kernel_divergence(Norm2(), xi)
+# kernel divergence of norm2 in closed form: (d-2)/(2S) - 1/2; rows whose
+# gradient norm is below GRADIENT_FLOOR are excluded and counted
+g = G.gradient(xi)
 S = np.sum(xi * xi, axis=1)
+kd, excluded = KernelField(G).divergence(xi, g, np.sum(g * g, axis=1))
 print("kernel divergence matches (d-2)/(2S) - 1/2:",
       np.allclose(kd, 3 / (2 * S) - 0.5), "| excluded:", int(excluded.sum()))
 

@@ -7,19 +7,15 @@ integration-by-parts, trace, disintegration and weighted-Hausdorff
 identities at desk scale.
 """
 
-from .model import (GaussianModel, SampleBatch, build_model, chunk_layout,
-                    draw_chunk, endpoint_weights, iter_sample_chunks,
-                    render_ambient, render_path, sample, vhat)
+from .model import (GaussianModel, build_model, chunk_layout, draw_chunk,
+                    endpoint_weights, iter_sample_chunks, render_path, sample, vhat)
 from .functionals import (BmEndpoint, Constant, ConstantField, Coordinate,
-                          Functional, IdentityField, Linear, LinearCombination,
-                          Norm2, NumericalFault, Product, ProductWithPartial,
-                          RadialClamp, SublevelBump, UserFunctional, VectorField,
-                          ZeroField)
-from .calculus import (GradientTooSmall, HypothesisReport, KernelField,
-                       divergence_mu, h_gradient, hypothesis_diagnostics,
-                       kernel_divergence)
+                          Functional, IdentityField, Linear, Norm2, NumericalFault,
+                          Product, ProductWithPartial, RadialClamp, SublevelBump,
+                          UserFunctional, VectorField)
+from .calculus import HypothesisReport, KernelField, divergence_mu, hypothesis_diagnostics
 from .density import (DensityCurve, DensityJob, Query, default_bandwidth,
-                      estimate_density, smoothness_check, stream_pass)
+                      estimate_density, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
                       SurfaceReport, hyperplane_quadrature, ibp_battery,
                       ibp_residuals, positivity_scan, sphere_quadrature,
@@ -37,17 +33,16 @@ from .runner import run
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianModel", "SampleBatch", "build_model", "sample", "vhat",
-    "iter_sample_chunks", "chunk_layout", "draw_chunk", "render_ambient",
+    "GaussianModel", "build_model", "sample", "vhat",
+    "iter_sample_chunks", "chunk_layout", "draw_chunk",
     "render_path", "endpoint_weights",
     "Functional", "UserFunctional", "Constant", "Coordinate", "Linear", "Norm2",
-    "BmEndpoint", "LinearCombination", "Product", "ProductWithPartial",
+    "BmEndpoint", "Product", "ProductWithPartial",
     "RadialClamp", "SublevelBump", "VectorField", "ConstantField",
-    "IdentityField", "ZeroField", "NumericalFault",
-    "KernelField", "GradientTooSmall", "HypothesisReport", "divergence_mu",
-    "h_gradient", "kernel_divergence", "hypothesis_diagnostics",
+    "IdentityField", "NumericalFault",
+    "KernelField", "HypothesisReport", "divergence_mu", "hypothesis_diagnostics",
     "DensityJob", "DensityCurve", "estimate_density", "default_bandwidth",
-    "smoothness_check", "Query", "stream_pass",
+    "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",
     "surface_report", "ibp_battery", "ibp_residuals", "positivity_scan",
     "sphere_quadrature", "hyperplane_quadrature",

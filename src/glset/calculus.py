@@ -1,5 +1,7 @@
-"""H-differential calculus: gradients, the Gaussian divergence, and the
-kernel field ``psi = D_H G / |D_H G|^2``.
+"""H-differential calculus: the Gaussian divergence, the kernel field
+``psi = D_H G / |D_H G|^2`` and the moment diagnostics of ``|D_H G|``.
+
+The H-gradient itself is :meth:`~glset.functionals.Functional.gradient`.
 
 In whitened coordinates the Gaussian divergence of a field Psi is
 
@@ -12,7 +14,9 @@ S = |g|^2, to the composite form
     div_mu psi = (lap G - xi.g) / S - 2 (g^T H g) / S^2,
 
 which needs one fewer differentiation level than differentiating psi
-directly and is what the density estimators evaluate.
+directly and is what the density estimators evaluate, one batch at a time,
+through :meth:`KernelField.divergence`.  Rows with
+``|D_H G| < GRADIENT_FLOOR`` are excluded from it and counted.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ import numpy as np
 from .functionals import Functional, VectorField, check_finite, rowsum
 from .model import GaussianModel
 
-DEFAULT_GRADIENT_FLOOR = 1e-12
-
-
-def h_gradient(f: Functional, xi):
-    """H-gradient of f at a point or batch (coefficient rows w.r.t. {v_k})."""
-    batch = np.atleast_2d(np.asarray(xi, dtype=float))
-    g = f.gradient(batch)
-    return g[0] if np.asarray(xi).ndim == 1 else g
+# Rows whose |D_H G| falls below this are excluded from every divergence pass.
+GRADIENT_FLOOR = 1e-12
 
 
 def divergence_mu(field: VectorField, xi):
@@ -43,37 +41,28 @@ def divergence_mu(field: VectorField, xi):
     return float(div[0]) if np.asarray(xi).ndim == 1 else div
 
 
-class GradientTooSmall(ValueError):
-    """Single-point kernel query below the gradient-norm floor."""
-
-
 class KernelField:
-    """The field ``psi = D_H G / |D_H G|^2`` with a gradient-norm floor.
+    """The field ``psi = D_H G / |D_H G|^2`` with the gradient-norm floor.
 
-    Points where ``|D_H G|^2 < floor^2`` cannot be evaluated stably; batch
-    queries exclude them (and report the count), single-point queries raise
-    :class:`GradientTooSmall`.  Every pass excludes by this rule.
+    Rows where ``|D_H G| < GRADIENT_FLOOR`` cannot be evaluated stably; they
+    are excluded and counted.  Every pass excludes by this rule.
     """
 
-    def __init__(self, G: Functional, floor: float = DEFAULT_GRADIENT_FLOOR):
-        if floor <= 0:
-            raise ValueError("gradient floor must be positive")
+    def __init__(self, G: Functional):
         self.G = G
-        self.floor = float(floor)
 
-    def excluded(self, grad_norm2):
+    @staticmethod
+    def excluded(grad_norm2):
         """Rows whose squared gradient norm is below the squared floor."""
-        return grad_norm2 < self.floor * self.floor
+        return grad_norm2 < GRADIENT_FLOOR * GRADIENT_FLOOR
 
-    def divergence(self, xi, grad=None, grad_norm2=None):
-        """Composite-formula divergence over a batch.
+    def divergence(self, xi, g, s):
+        """Composite-formula divergence over a batch, given the gradient ``g``
+        of G at ``xi`` and its row-wise squared norm ``s``.
 
         Returns ``(values, excluded)``; excluded rows carry 0 and are counted
-        by the caller.  A caller that already has the gradient passes it as
-        ``grad``, and its row-wise squared norm as ``grad_norm2``.
+        by the caller.
         """
-        g = self.G.gradient(xi) if grad is None else grad
-        s = rowsum(g * g) if grad_norm2 is None else grad_norm2
         excluded = self.excluded(s)
         lap = self.G.laplacian(xi)
         quad = rowsum(g * self.G.hvp(xi, g))
@@ -83,23 +72,6 @@ class KernelField:
         check_finite(val[~excluded] if excluded.any() else val,
                      "kernel divergence", self.G.name)
         return val, excluded
-
-    def divergence_at(self, xi_point) -> float:
-        xi = np.atleast_2d(np.asarray(xi_point, dtype=float))
-        val, excluded = self.divergence(xi)
-        if excluded[0]:
-            raise GradientTooSmall(
-                f"|D_H {self.G.name}| below floor {self.floor} at query point")
-        return float(val[0])
-
-
-def kernel_divergence(G: Functional, xi):
-    """Convenience wrapper: ``div_mu(D_H G/|D_H G|^2)`` at a point or batch."""
-    kf = KernelField(G)
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim == 1:
-        return kf.divergence_at(arr)
-    return kf.divergence(arr)
 
 
 # ----------------------------- tail diagnostics -----------------------------
@@ -191,34 +163,38 @@ class HypothesisReport:
         return "  ".join(parts)
 
 
-def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: int,
-                           inv_orders=(1, 2, 4)) -> HypothesisReport:
+# Inverse moment orders q of |D_H G|^-q that a hypothesis report estimates;
+# the fourth decides ``variance_unreliable``.
+INVERSE_ORDERS = (1, 2, 4)
+
+
+def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int,
+                           seed: int) -> HypothesisReport:
     """Estimate moments of ``|D_H G|`` and flag diverging inverse moments.
 
     One :func:`~glset.density.map_chunks` pass.  Each chunk returns its
     :class:`KernelField` floor exclusions, its sums of ``|D_H G|^a`` over all
-    samples and of ``|D_H G|^-q`` and its square over the samples above the
-    floor, and the :func:`hill_k` + 1 smallest norms above the floor.  Chunk
-    results are reduced in chunk order, so the report does not depend on
-    ``GLSET_THREADS``.
+    samples and of ``|D_H G|^-q`` (q in :data:`INVERSE_ORDERS`) and its
+    square over the samples above the floor, and the :func:`hill_k` + 1
+    smallest norms above the floor.  Chunk results are reduced in chunk
+    order, so the report does not depend on ``GLSET_THREADS``.
     """
     from .density import map_chunks  # density imports this module
 
     pos_orders = (1, 2)
     k_hill = hill_k(n)
-    kernel = KernelField(G)
 
     def worker(index, pts):
         g = G.gradient(pts)
         s = rowsum(g * g)
         gnorm = np.sqrt(s)
         check_finite(gnorm, "gradient norm", G.name)
-        excluded = kernel.excluded(s)
+        excluded = KernelField.excluded(s)
         live = gnorm[~excluded] if excluded.any() else gnorm
         bottom = smallest_norms(live, k_hill)
         pos = {a: float(np.sum(gnorm ** float(a))) for a in pos_orders}
         inv = {}
-        for q in inv_orders:
+        for q in INVERSE_ORDERS:
             with np.errstate(divide="ignore", over="ignore"):
                 x = live ** (-float(q))
             inv[q] = (float(np.sum(x)), float(np.sum(x * x)))
@@ -232,7 +208,7 @@ def hypothesis_diagnostics(G: Functional, model: GaussianModel, n: int, seed: in
             pos_sums[a] += chunk_pos[a]
     n_live = sum(live_counts)
     inv_moments = {}
-    for q in inv_orders:
+    for q in INVERSE_ORDERS:
         if n_live:
             est = float(np.sum([c[q][0] for c in inv])) / n_live
             var = float(np.sum([c[q][1] for c in inv])) / n_live - est * est

@@ -262,7 +262,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
         if want_div:
             grad = G.gradient(pts)
             s = rowsum(grad * grad)
-            kd, excluded = kernel.divergence(pts, grad=grad, grad_norm2=s)
+            kd, excluded = kernel.divergence(pts, grad, s)
             st.excl = int(np.count_nonzero(excluded))
             st.bottom_g = smallest_norms(np.sqrt(s)[~excluded], tail_k)
         values = {}
@@ -335,44 +335,3 @@ def estimate_density(job: DensityJob) -> dict[str, DensityCurve]:
                       [Query(job.phi, route) for route in routes],
                       epsilon=job.epsilon)
     return dict(zip(routes, res.results))
-
-
-@dataclass
-class SmoothnessReport:
-    """Finite differences of the CDF against the divergence-route density."""
-
-    r: np.ndarray
-    h: float
-    fd_estimates: np.ndarray
-    fd_stderrs: np.ndarray
-    div_estimates: np.ndarray
-    div_stderrs: np.ndarray
-    max_normalized_discrepancy: float
-    flags: tuple[str, ...] = ()
-
-
-def smoothness_check(model: GaussianModel, G: Functional, phi: Functional,
-                     r_grid, n: int, seed: int, h: float) -> SmoothnessReport:
-    """Check differentiability of the weighted CDF along the grid.
-
-    Central differences of ``F_phi`` with step h are compared against the
-    divergence-route density on shared samples; the discrepancy is reported
-    in combined-standard-error units.
-    """
-    r = np.asarray(r_grid, dtype=float)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if len(r) > 1 and h >= np.min(np.diff(r)):
-        raise ValueError("h must be smaller than the grid spacing")
-    div, fd = stream_pass(model, G, n, seed, r, [Query(phi, "divergence"),
-                                                 Query(phi, "mollified")],
-                          epsilon=h).results
-    band = np.sqrt(div.stderrs ** 2 + fd.stderrs ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.abs(fd.estimates - div.estimates) / band
-    finite = normalized[np.isfinite(normalized)]
-    worst = float(np.max(finite)) if len(finite) else 0.0
-    return SmoothnessReport(r=r, h=h, fd_estimates=fd.estimates,
-                            fd_stderrs=fd.stderrs, div_estimates=div.estimates,
-                            div_stderrs=div.stderrs,
-                            max_normalized_discrepancy=worst, flags=div.flags)

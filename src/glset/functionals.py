@@ -12,10 +12,10 @@ defaults to ``rowsum(gradient * u)``; the classes that can skip the
 anything missing falls back to central finite differences:
 
 * the gradient and the Laplacian from the coordinate stencil
-  ``xi +- h e_k`` with per-row step ``h = fd_step * (1 + |xi_k|)``
+  ``xi +- h e_k`` with per-row step ``h = FD_STEP * (1 + |xi_k|)``
   (:func:`fd_sides`) and, for the Laplacian, the centre value;
-* ``hvp`` from the gradient at ``xi +- fd_step * u/|u|``, scaled by
-  ``|u| / (2 fd_step)``.
+* ``hvp`` from the gradient at ``xi +- FD_STEP * u/|u|``, scaled by
+  ``|u| / (2 FD_STEP)``.
 
 Every coordinate stencil perturbs one reused copy of its input.  Inside a
 chunk of a stream pass (:func:`chunk_scope`) one memo per thread keeps, at
@@ -28,6 +28,12 @@ add copies.  The one exception is ``|xi|``, which every
 :class:`RadialClamp` level of a trace reads twice per chunk.  Oracles must be
 pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
 called on a buffer that is perturbed again after they return.
+
+Sums and multiples of functionals are spelled as expressions
+(:class:`~glset.expressions.ExpressionFunctional`).  An H-vector field
+(:class:`VectorField`) gives its coefficient rows and the diagonal of its
+Jacobian, by default from the coordinate stencil; :class:`ConstantField` and
+:class:`IdentityField` have closed forms.
 """
 
 from __future__ import annotations
@@ -122,6 +128,10 @@ def stable_argsort(v: np.ndarray) -> np.ndarray:
 
 # ----------------------------- finite differences -----------------------------
 
+# Relative step of every central difference (functionals and vector fields).
+FD_STEP = 1e-5
+
+
 def fd_sides(f, xi, step):
     """Both sides of the central-difference stencil of ``f`` at ``xi``.
 
@@ -202,7 +212,6 @@ class Functional:
     name = "f"
     analytic_gradient = False
     min_dim = 1
-    fd_step = 1e-5
 
     def value(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -229,9 +238,9 @@ class Functional:
         are evaluated on first use and kept until the chunk ends (a kept
         list is copied, its arrays are shared and only read)."""
         if _chunk_memo(xi) is None:
-            return fd_sides(self.value, xi, self.fd_step)
+            return fd_sides(self.value, xi, FD_STEP)
         return self._kept("stencil", xi, None,
-                          lambda: list(fd_sides(self.value, xi, self.fd_step)))
+                          lambda: list(fd_sides(self.value, xi, FD_STEP)))
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         return _central_gradient(self._stencil(xi), xi)
@@ -253,9 +262,9 @@ class Functional:
         difference of the gradient along ``u/|u|``, scaled by ``|u|``."""
         norm = np.sqrt(rowsum(u * u))
         step = u / np.where(norm > 0.0, norm, 1.0)[:, None]
-        step *= self.fd_step
+        step *= FD_STEP
         out = self.gradient(xi + step) - self.gradient(xi - step)
-        out *= (norm / (2.0 * self.fd_step))[:, None]
+        out *= (norm / (2.0 * FD_STEP))[:, None]
         return out
 
     def __call__(self, xi):
@@ -393,40 +402,6 @@ class BmEndpoint(Linear):
         self.model = model
 
 
-class LinearCombination(Functional):
-    """``a*f + b*g + ...`` with derivatives delegated to the terms."""
-
-    def __init__(self, terms, name=None):
-        self.terms = [(float(a), f) for a, f in terms]
-        self.analytic_gradient = all(f.analytic_gradient for _, f in self.terms)
-        self.min_dim = max(f.min_dim for _, f in self.terms)
-        self.name = name or " + ".join(f"{a}*{f.name}" for a, f in self.terms)
-
-    def value(self, xi):
-        out = np.zeros(xi.shape[0])
-        for a, f in self.terms:
-            out += a * f.value(xi)
-        return out
-
-    def gradient(self, xi):
-        out = np.zeros_like(xi)
-        for a, f in self.terms:
-            out += a * f.gradient(xi)
-        return out
-
-    def laplacian(self, xi):
-        out = np.zeros(xi.shape[0])
-        for a, f in self.terms:
-            out += a * f.laplacian(xi)
-        return out
-
-    def hvp(self, xi, u):
-        out = np.zeros_like(xi)
-        for a, f in self.terms:
-            out += a * f.hvp(xi, u)
-        return out
-
-
 class RadialClamp(Functional):
     """Lipschitz radial cutoff: 1 for ``|xi| <= m``, 0 for ``|xi| >= 2m``.
 
@@ -553,8 +528,6 @@ class VectorField:
     """H-valued field; ``components(xi)`` returns the (n, d) coefficient rows."""
 
     name = "field"
-    analytic_jacobian = False
-    fd_step = 1e-5
 
     def components(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -562,14 +535,12 @@ class VectorField:
     def jacobian_diag(self, xi: np.ndarray) -> np.ndarray:
         """Diagonal entries ``D_k psi_k`` (finite differences by default)."""
         out = np.empty_like(xi)
-        for k, h, hi, lo in fd_sides(self.components, xi, self.fd_step):
+        for k, h, hi, lo in fd_sides(self.components, xi, FD_STEP):
             out[:, k] = (hi[:, k] - lo[:, k]) / (2.0 * h)
         return out
 
 
 class ConstantField(VectorField):
-    analytic_jacobian = True
-
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.name = "constant_field"
@@ -584,7 +555,6 @@ class ConstantField(VectorField):
 class IdentityField(VectorField):
     """``Psi(xi) = xi``."""
 
-    analytic_jacobian = True
     name = "identity_field"
 
     def components(self, xi):
@@ -592,29 +562,3 @@ class IdentityField(VectorField):
 
     def jacobian_diag(self, xi):
         return np.ones_like(xi)
-
-
-class ZeroField(VectorField):
-    analytic_jacobian = True
-    name = "zero_field"
-
-    def components(self, xi):
-        return np.zeros_like(xi)
-
-    def jacobian_diag(self, xi):
-        return np.zeros_like(xi)
-
-
-class GradientScaledField(VectorField):
-    """``Psi = c(xi) * D_H F`` for a scalar profile c; finite-difference diagonal."""
-
-    def __init__(self, F: Functional, profile=None, name=None):
-        self.F = F
-        self.profile = profile
-        self.name = name or f"grad({F.name})"
-
-    def components(self, xi):
-        g = self.F.gradient(xi)
-        if self.profile is None:
-            return g
-        return g * self.profile(xi)[:, None]

@@ -64,21 +64,6 @@ class GaussianModel:
         return xi
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Reproducible batch of whitened sample points.
-
-    Identical ``(seed, n, model)`` yield bit-identical ``points``.
-    """
-
-    points: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
 def build_model(spec) -> GaussianModel:
     """Build a model from a descriptor.
 
@@ -149,10 +134,10 @@ def iter_sample_chunks(model: GaussianModel, n: int,
         yield index, draw_chunk(model, seed, index, size)
 
 
-def sample(model: GaussianModel, n: int, seed: int) -> SampleBatch:
-    """Draw n whitened points; deterministic given (seed, n, chunking policy)."""
-    chunks = [pts for _, pts in iter_sample_chunks(model, n, seed)]
-    return SampleBatch(points=np.concatenate(chunks, axis=0), seed=seed)
+def sample(model: GaussianModel, n: int, seed: int) -> np.ndarray:
+    """The ``(n, dim)`` whitened points of the ``(seed, n)`` stream, bit-identical
+    for a given seed and n."""
+    return np.concatenate([pts for _, pts in iter_sample_chunks(model, n, seed)], axis=0)
 
 
 def vhat(model: GaussianModel, k: int, xi: np.ndarray):
@@ -167,12 +152,6 @@ def vhat(model: GaussianModel, k: int, xi: np.ndarray):
     if xi.ndim == 1:
         return float(xi[k - 1])
     return xi[:, k - 1]
-
-
-def render_ambient(model: GaussianModel, xi: np.ndarray) -> np.ndarray:
-    """Eigenbasis coefficients of the ambient point, ``x_k = sqrt(lambda_k) xi_k``."""
-    xi = model.validate_point(xi)
-    return xi * np.sqrt(model.spectrum)
 
 
 def render_path(model: GaussianModel, xi: np.ndarray, times=None) -> np.ndarray:

@@ -77,6 +77,7 @@ class IbpRecord:
     lhs_stderr: float
     rhs: float
     rhs_stderr: float
+    flags: tuple[str, ...]
 
     @property
     def residual(self) -> float:
@@ -121,9 +122,11 @@ def _ibp_columns(model, G, pairs, route) -> list[Query]:
 
 def _ibp_records(pairs, results) -> list[IbpRecord]:
     """Records of the :func:`_ibp_columns` of ``pairs``, read two at a time off
-    the ``results`` iterator, which is left at the first result after them."""
+    the ``results`` iterator, which is left at the first result after them;
+    each record carries the flags of its surface-side curve."""
     return [IbpRecord(phi_name=phi.name, k=k, r=float(r), lhs=float(l),
-                      lhs_stderr=float(ls), rhs=float(rv), rhs_stderr=float(rs))
+                      lhs_stderr=float(ls), rhs=float(rv), rhs_stderr=float(rs),
+                      flags=rhs.flags)
             for (phi, k), (lhs, lhs_se), rhs in zip(pairs, results, results)
             for r, l, ls, rv, rs in zip(rhs.r, lhs, lhs_se, rhs.estimates, rhs.stderrs)]
 

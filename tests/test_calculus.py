@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
 
-from glset import (Constant, ConstantField, Coordinate, DensityJob, GradientTooSmall,
-                   IdentityField, KernelField, Norm2, UserFunctional, ZeroField,
-                   divergence_mu, estimate_density, h_gradient, hypothesis_diagnostics,
-                   kernel_divergence, sample)
+from glset import (Constant, ConstantField, Coordinate, DensityJob, IdentityField,
+                   KernelField, Norm2, UserFunctional, VectorField, divergence_mu,
+                   estimate_density, hypothesis_diagnostics, sample)
+from glset.calculus import GRADIENT_FLOOR
 from glset.density import VARIANCE_UNRELIABLE
 from glset.expressions import ExpressionFunctional
-from glset.functionals import GradientScaledField
 
 
 class TestHGradient:
+    # the H-gradient is Functional.gradient, coefficient rows w.r.t. {v_k}
     def test_linear(self, iid3, rng):
-        xi = rng.standard_normal(3)
-        assert np.allclose(h_gradient(Coordinate(1), xi), [1.0, 0.0, 0.0])
+        xi = rng.standard_normal((1, 3))
+        assert np.allclose(Coordinate(1).gradient(xi), [[1.0, 0.0, 0.0]])
 
     def test_norm2(self, rng):
-        xi = rng.standard_normal(4)
-        assert np.allclose(h_gradient(Norm2(), xi), 2 * xi, rtol=1e-14)
+        xi = rng.standard_normal((1, 4))
+        assert np.allclose(Norm2().gradient(xi), 2 * xi, rtol=1e-14)
+
+
+class GradNorm2Field(VectorField):
+    """``D_H norm2 = 2 xi`` with the finite-difference Jacobian diagonal."""
+
+    def components(self, xi):
+        return 2.0 * xi
 
 
 class TestDivergenceMu:
@@ -34,7 +41,7 @@ class TestDivergenceMu:
 
     def test_zero_field(self, rng):
         xi = rng.standard_normal((5, 3))
-        assert np.all(divergence_mu(ZeroField(), xi) == 0.0)
+        assert np.all(divergence_mu(ConstantField(np.zeros(3)), xi) == 0.0)
 
     def test_single_point_returns_scalar(self):
         out = divergence_mu(IdentityField(), np.array([1.0, 1.0]))
@@ -43,13 +50,13 @@ class TestDivergenceMu:
     @pytest.mark.parametrize("field", [
         ConstantField([0.3, -1.0, 0.7]),
         IdentityField(),
-        GradientScaledField(Norm2()),
+        GradNorm2Field(),
     ], ids=["constant", "identity", "grad-norm2"])
     def test_zero_mean_property(self, iid3, field):
         # the divergence of a polynomial-growth field integrates to zero
         n = 10 ** 6
         batch = sample(iid3, n, seed=31)
-        div = divergence_mu(field, batch.points)
+        div = divergence_mu(field, batch)
         se = div.std() / np.sqrt(n)
         assert abs(div.mean()) < 4.0 * se
 
@@ -60,27 +67,33 @@ class TestIbpCoordinatewise:
         phi = ExpressionFunctional("exp(-norm2())")
         n = 10 ** 6
         batch = sample(iid3, n, seed=37)
-        pv = phi.value(batch.points)
-        grad = phi.gradient(batch.points)
+        pv = phi.value(batch)
+        grad = phi.gradient(batch)
         for k in range(1, 4):
             lhs = grad[:, k - 1]
-            rhs = batch.points[:, k - 1] * pv
+            rhs = batch[:, k - 1] * pv
             diff = lhs - rhs
             se = diff.std() / np.sqrt(n)
             assert abs(diff.mean()) < 4.0 * se
 
 
+def kernel_div(G, xi):
+    """``(values, excluded)`` of the kernel divergence of G over a batch."""
+    g = G.gradient(xi)
+    return KernelField(G).divergence(xi, g, np.sum(g * g, axis=1))
+
+
 class TestKernelDivergence:
     def test_coordinate_closed_form(self, rng):
         xi = rng.standard_normal((100, 3))
-        val, excluded = kernel_divergence(Coordinate(1), xi)
+        val, excluded = kernel_div(Coordinate(1), xi)
         assert not excluded.any()
         assert np.allclose(val, -xi[:, 0], rtol=1e-12)
 
     def test_norm2_closed_form_d5(self, rng):
         xi = rng.standard_normal((100, 5))
         S = np.sum(xi * xi, axis=1)
-        val, excluded = kernel_divergence(Norm2(), xi)
+        val, excluded = kernel_div(Norm2(), xi)
         assert not excluded.any()
         assert np.allclose(val, 3.0 / (2.0 * S) - 0.5, rtol=1e-12)
 
@@ -88,43 +101,43 @@ class TestKernelDivergence:
         # degenerate case: the composite formula collapses to -1/2 while the
         # integrability hypothesis fails; kept as a negative-test fixture
         xi = rng.standard_normal((100, 2))
-        val, _ = kernel_divergence(Norm2(), xi)
+        val, _ = kernel_div(Norm2(), xi)
         assert np.allclose(val, -0.5, rtol=1e-12)
 
     def test_expression_matches_builtin(self, rng):
         xi = rng.standard_normal((50, 4))
-        built, _ = kernel_divergence(Norm2(), xi)
-        expr, _ = kernel_divergence(ExpressionFunctional("norm2()"), xi)
+        built, _ = kernel_div(Norm2(), xi)
+        expr, _ = kernel_div(ExpressionFunctional("norm2()"), xi)
         assert np.allclose(built, expr, rtol=1e-12)
 
     def test_floor_exclusion_counted(self):
-        kf = KernelField(Norm2(), floor=1e-6)
-        xi = np.array([[0.0, 0.0], [1.0, 1.0]])
-        val, excluded = kf.divergence(xi)
+        # g = 2 xi is 0 at the origin, so that row is excluded and carries 0;
+        # at ones(3) the closed value (d - 2)/(2|xi|^2) - 1/2 is 1/6 - 1/2
+        xi = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        val, excluded = kernel_div(Norm2(), xi)
         assert excluded.tolist() == [True, False]
         assert val[0] == 0.0
+        assert val[1] == pytest.approx(1.0 / 6.0 - 0.5)
 
-    def test_single_point_raises_below_floor(self):
-        kf = KernelField(Norm2(), floor=1e-6)
-        with pytest.raises(GradientTooSmall):
-            kf.divergence_at(np.zeros(3))
-        assert kf.divergence_at(np.ones(3)) == pytest.approx(1.0 / 6.0 - 0.5)
+    def test_floor_is_on_the_gradient_norm(self):
+        # |g| just below and just above the fixed floor
+        s = np.array([(0.5 * GRADIENT_FLOOR) ** 2, (2.0 * GRADIENT_FLOOR) ** 2])
+        assert KernelField.excluded(s).tolist() == [True, False]
 
     def test_fd_fallback_agrees(self, rng):
         analytic = Norm2()
         callback = UserFunctional(eval=lambda xi: np.sum(xi ** 2, axis=1))
         xi = rng.standard_normal((20, 3))
-        va, _ = kernel_divergence(analytic, xi)
-        vb, _ = kernel_divergence(callback, xi)
+        va, _ = kernel_div(analytic, xi)
+        vb, _ = kernel_div(callback, xi)
         assert np.allclose(va, vb, rtol=1e-3, atol=1e-4)
 
 
 class TestHypothesisDiagnostics:
     def test_unit_gradient_all_moments_one(self, iid3):
-        rep = hypothesis_diagnostics(Coordinate(1), iid3, 10 ** 5, seed=41,
-                                     inv_orders=(2, 8))
-        assert rep.inv_moments[8].estimate == pytest.approx(1.0)
-        assert not rep.inv_moments[8].diverging
+        rep = hypothesis_diagnostics(Coordinate(1), iid3, 10 ** 5, seed=41)
+        assert rep.inv_moments[4].estimate == pytest.approx(1.0)
+        assert not rep.inv_moments[4].diverging
         assert not rep.variance_unreliable
         assert rep.hill_alpha == np.inf
 

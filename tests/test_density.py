@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (BmEndpoint, Constant, Coordinate, DensityJob,
-                   LinearCombination, Norm2, Query, build_model, estimate_density,
-                   smoothness_check, stream_pass)
+from glset import (BmEndpoint, Constant, Coordinate, DensityJob, Norm2, Query,
+                   build_model, estimate_density, stream_pass)
 from glset.density import (INSUFFICIENT_BATCHES, VARIANCE_UNRELIABLE, batch_mean_stderr,
                            thread_count)
 from glset.expressions import ExpressionFunctional
@@ -146,7 +145,7 @@ class TestInvariants:
     def test_linearity_with_shared_samples(self, iid5):
         phi = ExpressionFunctional("exp(-norm2())")
         chi = Coordinate(1)
-        combo = LinearCombination([(2.0, phi), (-3.0, chi)])
+        combo = ExpressionFunctional("2*exp(-norm2()) - 3*xi(1)")
         grid = (2.0, 4.0, 6.0)
         kw = dict(model=iid5, G=Norm2(), r_grid=grid, n=10 ** 5, seed=47,
                   estimator="divergence")
@@ -229,10 +228,13 @@ class TestDeterminism:
 
 class TestSmoothness:
     def test_fd_of_cdf_matches_divergence(self, iid3):
-        report = smoothness_check(iid3, Coordinate(1), ONE,
-                                  np.linspace(-2, 2, 9), 2 * 10 ** 5, seed=79,
-                                  h=0.05)
-        assert report.max_normalized_discrepancy <= 4.0
+        # central differences of the CDF with step 0.05 (the mollified route)
+        # against the divergence route, in combined standard errors
+        div, fd = stream_pass(iid3, Coordinate(1), 2 * 10 ** 5, 79, np.linspace(-2, 2, 9),
+                              [Query(ONE, "divergence"), Query(ONE, "mollified")],
+                              epsilon=0.05).results
+        band = np.hypot(div.stderrs, fd.stderrs)
+        assert np.all(np.abs(fd.estimates - div.estimates) <= 4.0 * band)
 
     def test_lipschitz_weight_gives_continuous_curve(self, iid3):
         # conditioning on xi_1 makes the weighted density min(1,|r|) gamma(r)
@@ -263,15 +265,12 @@ class TestSmoothness:
             assert np.all(jump_err <= bands)
 
     def test_zero_weight_identically_zero(self, iid3):
-        report = smoothness_check(iid3, Coordinate(1), Constant(0.0),
-                                  np.linspace(-1, 1, 5), 10 ** 4, seed=89,
-                                  h=0.05)
-        assert np.all(report.fd_estimates == 0.0)
-        assert np.all(report.div_estimates == 0.0)
-
-    def test_h_must_fit_grid(self, iid3):
-        with pytest.raises(ValueError):
-            smoothness_check(iid3, Coordinate(1), ONE, [0.0, 0.1], 100, 1, h=0.2)
+        zero = Constant(0.0)
+        div, fd = stream_pass(iid3, Coordinate(1), 10 ** 4, 89, np.linspace(-1, 1, 5),
+                              [Query(zero, "divergence"), Query(zero, "mollified")],
+                              epsilon=0.05).results
+        assert np.all(fd.estimates == 0.0)
+        assert np.all(div.estimates == 0.0)
 
 
 class TestChunkStreaming:
@@ -283,7 +282,7 @@ class TestChunkStreaming:
         n, seed = 40_000, 91
         chunks = map_chunks(iid3, n, seed, lambda i, pts: pts.copy())
         assert np.array_equal(np.concatenate(chunks),
-                              sample(iid3, n, seed).points)
+                              sample(iid3, n, seed))
 
 
 class TestBatchMeans:

@@ -47,7 +47,7 @@ class TestDisintegrate:
         n, bins = 40_000, 200
         phis = [ONE, ExpressionFunctional("exp(-norm2())")]
         D = disintegrate(iid5, G, n, seed=71, bins=bins, phis=phis)
-        points = sample(iid5, n, seed=71).points
+        points = sample(iid5, n, seed=71)
         ends = np.cumsum([size for _, size in chunk_layout(n)])[:-1]
         chunks = [(np.searchsorted(D.edges[1:-1], G.value(pts), side="right"), pts)
                   for pts in np.split(points, ends)]

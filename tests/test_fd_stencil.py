@@ -2,9 +2,9 @@
 
 A functional's derivatives are ``gradient``, ``laplacian`` and ``hvp``.
 Without analytic ones, the gradient and the Laplacian come from the
-coordinate stencil ``xi +- fd_step (1 + |xi_k|) e_k`` (plus the centre value
+coordinate stencil ``xi +- FD_STEP (1 + |xi_k|) e_k`` (plus the centre value
 for the Laplacian), and ``hvp(xi, u)`` from the gradient at
-``xi +- fd_step u/|u|``.  Inside a ``map_chunks`` worker the ``2d`` sides of
+``xi +- FD_STEP u/|u|``.  Inside a ``map_chunks`` worker the ``2d`` sides of
 the coordinate stencil at the chunk points are evaluated once per
 functional, and the value, gradient and ``hvp`` of a callback or expression
 functional once per functional and direction; everywhere the results keep
@@ -23,7 +23,7 @@ from glset import (Constant, DensityJob, Norm2, RadialClamp, SurfaceMeasureHandl
 from glset import expressions, functionals
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
-from glset.functionals import chunk_scope, fd_gradient
+from glset.functionals import FD_STEP, chunk_scope, fd_gradient
 
 
 class Counted:
@@ -88,7 +88,7 @@ class TestChunkScope:
             assert calls == 11  # one 2d + 1 stencil for both
             assert same_bits(lap, G.laplacian(pts))
             assert same_bits(grad, G.gradient(pts))
-            assert same_bits(grad, fd_gradient(G.value, pts, G.fd_step))
+            assert same_bits(grad, fd_gradient(G.value, pts, FD_STEP))
 
     def test_other_points_are_not_shared(self, iid5):
         G = fd_functional()

@@ -55,28 +55,28 @@ class TestSampling:
     def test_determinism_bit_identical(self, iid3):
         a = sample(iid3, 50_000, seed=7)
         b = sample(iid3, 50_000, seed=7)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_chunks_concatenate_to_batch(self, iid3):
         batch = sample(iid3, 40_000, seed=3)
         parts = [pts for _, pts in iter_sample_chunks(iid3, 40_000, 3)]
-        assert np.array_equal(np.concatenate(parts), batch.points)
+        assert np.array_equal(np.concatenate(parts), batch)
 
     def test_different_seeds_differ(self, iid3):
         a = sample(iid3, 1000, seed=1)
         b = sample(iid3, 1000, seed=2)
-        assert not np.array_equal(a.points, b.points)
+        assert not np.array_equal(a, b)
 
     def test_mean_near_zero(self):
         m = build_model(("iid_gaussian", 2))
         batch = sample(m, 10 ** 6, seed=11)
         bound = 4.0 / np.sqrt(10 ** 6)
-        assert np.all(np.abs(batch.points.mean(axis=0)) < bound)
+        assert np.all(np.abs(batch.mean(axis=0)) < bound)
 
     def test_unit_variance(self):
         m = build_model(("iid_gaussian", 1))
         batch = sample(m, 10 ** 6, seed=13)
-        assert batch.points.var() == pytest.approx(1.0, rel=0.01)
+        assert batch.var() == pytest.approx(1.0, rel=0.01)
 
     def test_n_must_be_positive(self, iid3):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestWhitening:
         # must match the spectrum within 5 standard errors
         n = 10 ** 6
         batch = sample(kl8, n, seed=5)
-        ambient = batch.points * np.sqrt(kl8.spectrum)
+        ambient = batch * np.sqrt(kl8.spectrum)
         var = ambient.var(axis=0)
         se = kl8.spectrum * np.sqrt(2.0 / n)  # sd of a chi-square mean
         assert np.all(np.abs(var - kl8.spectrum) < 5.0 * se)
@@ -149,7 +149,7 @@ class TestWhitening:
     def test_path_endpoint_variance(self, kl8):
         n = 10 ** 6
         batch = sample(kl8, n, seed=9)
-        endpoint = render_path(kl8, batch.points, times=[1.0])[:, 0]
+        endpoint = render_path(kl8, batch, times=[1.0])[:, 0]
         target = truncated_endpoint_variance(8)
         se = target * np.sqrt(2.0 / n)
         assert abs(endpoint.var() - target) < 5.0 * se

@@ -120,10 +120,25 @@ class TestArtifacts:
         assert "quadrature-not-converged" in payload["flags"]
         assert payload["hausdorff"]["flags"] == ["quadrature-not-converged"]
 
+    def test_single_chunk_ibp_job_is_flagged_in_json(self, tmp_path):
+        # n = 10000 is one chunk: no batch-means stderr, and every record says why
+        cfg = parse_config("model iid_gaussian\ndim 5\nformats json\n"
+                           "functional gauss = exp(-norm2())\n"
+                           "job ibp\n  G norm2\n  phi gauss\n  k_list 1 2\n"
+                           "  r_grid 3 5\n  n 10000\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        records = json.loads((tmp_path / "job01_ibp.json").read_text())["records"]
+        assert len(records) == 4
+        for rec in records:
+            assert rec["lhs_stderr"] is None and rec["rhs_stderr"] is None
+            assert "insufficient-batches" in rec["flags"]
+
     def test_surface_json_contains_ibp_and_hausdorff(self, run_dir):
         payload = json.loads((run_dir / "job02_surface.json").read_text())
         assert payload["total_mass"] > 0
         assert len(payload["ibp"]) == 1
+        # at d = 3 the fourth inverse moment of |grad norm2| diverges
+        assert payload["ibp"][0]["flags"] == payload["flags"] == ["variance unreliable"]
         assert payload["hausdorff"]["geometry"] == "sphere"
 
     def test_manifest_records_versions_and_hash(self, run_dir):

@@ -6,8 +6,9 @@ from scipy import stats
 
 from glset import (Constant, Coordinate, HausdorffRecord, Linear, Norm2, Product,
                    SublevelBump, SurfaceMeasureHandle, build_model, hyperplane_quadrature,
-                   ibp_residuals, positivity_scan, sphere_quadrature,
+                   ibp_battery, ibp_residuals, positivity_scan, sphere_quadrature,
                    surface_report)
+from glset.density import VARIANCE_UNRELIABLE
 from glset.expressions import ExpressionFunctional
 from glset.surface import (QUAD_NODES, QUADRATURE_NOT_CONVERGED, sphere_rules,
                            tensor_blocks)
@@ -106,6 +107,15 @@ class TestIbp:
     def test_direction_out_of_range(self, iid3):
         with pytest.raises(IndexError):
             ibp_record(handle(iid3, Norm2(), 2.0), ONE, 4)
+
+    def test_records_carry_the_surface_curve_flags(self):
+        # |grad norm2|^-4 has no mean at d = 2: the pass flags its divergence
+        # curves, and every record carries the flag of its surface side
+        d2 = build_model(("iid_gaussian", 2))
+        records = ibp_battery(d2, Norm2(), [ONE, ExpressionFunctional("exp(-norm2())")],
+                              [1, 2], (1.0, 3.0), 10 ** 5, seed=109)
+        assert len(records) == 8
+        assert all(VARIANCE_UNRELIABLE in rec.flags for rec in records)
 
 
 class TestTrace:
