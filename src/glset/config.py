@@ -23,7 +23,10 @@ two); any other parameter is an error::
 
 A surface job's ``k_list`` and ``trace`` need a phi.  A hausdorff job, and a
 surface job with ``hausdorff true``, need a G the quadrature oracle takes
-(:func:`glset.surface.quadrature_issue`).
+(:func:`glset.surface.quadrature_issue`).  A density, surface or ibp job
+whose n draws a single chunk of the stream parses with a warning: batch
+means need two chunks, so its standard errors will be NaN and flagged
+``insufficient-batches``.
 
 Functionals are referenced by defined name, by builtin name (``norm2``,
 ``bm_endpoint``, ``coordinate(k)``, ``linear(w1, w2, ...)``) or written inline
@@ -33,12 +36,14 @@ run does, and reports all errors with their lines, not just the first.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
+from .density import INSUFFICIENT_BATCHES
 from .expressions import ExpressionFunctional, Num, parse_expression
 from .functionals import BmEndpoint, Constant, Coordinate, Linear, Norm2
-from .model import GaussianModel, build_model
+from .model import GaussianModel, build_model, chunk_layout
 from .surface import quadrature_issue
 
 ESTIMATORS = ("divergence", "mollified", "both")
@@ -213,6 +218,9 @@ _JOBS = {
     "selftest": ("", ""),
 }
 JOB_KINDS = tuple(_JOBS)
+# the kinds whose standard errors are batch means over chunks, flagged
+# INSUFFICIENT_BATCHES when the stream has fewer than two
+_BATCH_MEAN_KINDS = ("density", "surface", "ibp")
 
 
 def _job_spec(kind, job_line, params, resolve, dim, error) -> JobSpec:
@@ -249,8 +257,13 @@ def _job_spec(kind, job_line, params, resolve, dim, error) -> JobSpec:
 
 
 def _check_job(kind, values, lines, job_line, resolve, dim, error):
-    """The rules that tie the parameters of one job together."""
-    if kind == "disintegrate" and values.get("n", JobSpec.n) < values.get("bins", 0):
+    """The rules that tie the parameters of one job together, and a warning
+    for a job too short for batch means."""
+    n = values.get("n", JobSpec.n)
+    if kind in _BATCH_MEAN_KINDS and len(chunk_layout(n)) < 2:
+        warnings.warn(f"line {job_line}: {kind} job with n {n} draws one chunk, so its "
+                      f"standard errors will be NaN and flagged {INSUFFICIENT_BATCHES!r}")
+    if kind == "disintegrate" and n < values.get("bins", 0):
         error(job_line, "disintegrate needs n >= bins")
     for key in ("k_list", "trace") if kind == "surface" else ():
         if values.get(key) and not values.get("phi"):

@@ -14,8 +14,10 @@ anything missing falls back to central finite differences:
 * the gradient and the Laplacian from the coordinate stencil
   ``xi +- h e_k`` with per-row step ``h = FD_STEP * (1 + |xi_k|)``
   (:func:`fd_sides`) and, for the Laplacian, the centre value;
-* ``hvp`` from the gradient at ``xi +- FD_STEP * u/|u|``, scaled by
-  ``|u| / (2 FD_STEP)``.
+* ``hvp`` from the mixed second difference along ``e_k`` and ``u/|u|``,
+  which reads that stencil and the centre value and adds the ``2d + 2``
+  values at ``xi +- FD_STEP * u/|u|`` and ``xi +- h e_k +- FD_STEP * u/|u|``,
+  scaled by ``|u|``.
 
 Every coordinate stencil perturbs one reused copy of its input.  Inside a
 chunk of a stream pass (:func:`chunk_scope`) one memo per thread keeps, at
@@ -182,8 +184,8 @@ def chunk_scope(points):
     Until the block ends, a quantity that :meth:`Functional._kept` keeps is
     computed once per functional (and direction ``u``) at exactly this array
     (``xi is points``) and read back by later calls; the finite-difference
-    ``gradient`` and ``laplacian`` evaluate the ``2d`` sides of their
-    stencil once and share them.  Neither the points nor a direction passed
+    ``gradient``, ``laplacian`` and ``hvp`` evaluate the ``2d`` sides of
+    their stencil once and share them.  Neither the points nor a direction passed
     to a kept quantity may be written to inside the block.
     """
     outer = getattr(_chunk, "scope", None)
@@ -258,13 +260,37 @@ class Functional:
         return rowsum(self.gradient(xi) * u)
 
     def hvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Hessian-vector product ``(D^2 f) u`` row-wise: the central
-        difference of the gradient along ``u/|u|``, scaled by ``|u|``."""
+        """Hessian-vector product ``(D^2 f) u`` row-wise: ``|u|`` times the
+        mixed second difference along ``e_k`` and ``v = u/|u|`` (Abramowitz
+        & Stegun 25.3.27 with steps ``h`` of the coordinate stencil and
+        ``t = FD_STEP``),
+
+            [f(xi + h e_k + t v) - f(xi + h e_k) - f(xi + t v) + 2 f(xi)
+             - f(xi - h e_k) - f(xi - t v) + f(xi - h e_k - t v)] / (2 h t),
+
+        The axis sides ``f(xi +- h e_k)`` come from :meth:`_stencil` and the
+        centre from ``value``, both kept inside a chunk, so ``2d + 2`` values
+        are new.  A row with ``u = 0`` gives 0."""
         norm = np.sqrt(rowsum(u * u))
         step = u / np.where(norm > 0.0, norm, 1.0)[:, None]
         step *= FD_STEP
-        out = self.gradient(xi + step) - self.gradient(xi - step)
-        out *= (norm / (2.0 * FD_STEP))[:, None]
+        # one buffer per side, perturbed in column k and restored; every
+        # value is differenced before its buffer moves, so none is a view
+        plus, minus = xi + step, xi - step
+        centre = self.value(xi)
+        d_plus = self.value(plus) - centre
+        d_minus = self.value(minus) - centre
+        out = np.empty_like(xi)
+        for k, h, hi, lo in self._stencil(xi):
+            col_plus, col_minus = plus[:, k].copy(), minus[:, k].copy()
+            plus[:, k] = col_plus + h
+            c_plus = self.value(plus) - hi
+            plus[:, k] = col_plus
+            minus[:, k] = col_minus - h
+            c_minus = self.value(minus) - lo
+            minus[:, k] = col_minus
+            out[:, k] = ((c_plus - d_plus) + (c_minus - d_minus)) / (2.0 * h)
+        out *= (norm / FD_STEP)[:, None]
         return out
 
     def __call__(self, xi):

@@ -112,6 +112,19 @@ class TestParse:
                          "  G exp(-norm2())\n  phi 1\n  r 1\n")
         assert "norm2 | bm_endpoint" in str(exc.value)
 
+    def test_single_chunk_job_warns(self):
+        # n = 16384 is one chunk, n = 16385 two; a disintegrate job has no
+        # batch means, so it parses silently at any n
+        text = _job("density\n  G norm2\n  phi 1\n  r_grid 1\n  n 16384\n"
+                    "job ibp\n  G norm2\n  phi 1\n  k_list 1\n  r 2\n  n 16385\n"
+                    "job disintegrate\n  G norm2\n  bins 4\n  n 100\n")
+        with pytest.warns(UserWarning) as caught:
+            cfg = parse_config(text)
+        assert [str(w.message) for w in caught] == [
+            "line 3: density job with n 16384 draws one chunk, so its standard "
+            "errors will be NaN and flagged 'insufficient-batches'"]
+        assert [job.n for job in cfg.jobs] == [16384, 16385, 100]
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse(self):

@@ -3,12 +3,13 @@
 A functional's derivatives are ``gradient``, ``laplacian`` and ``hvp``.
 Without analytic ones, the gradient and the Laplacian come from the
 coordinate stencil ``xi +- FD_STEP (1 + |xi_k|) e_k`` (plus the centre value
-for the Laplacian), and ``hvp(xi, u)`` from the gradient at
-``xi +- FD_STEP u/|u|``.  Inside a ``map_chunks`` worker the ``2d`` sides of
-the coordinate stencil at the chunk points are evaluated once per
-functional, and the value, gradient and ``hvp`` of a callback or expression
-functional once per functional and direction; everywhere the results keep
-the bits of the plain central differences.
+for the Laplacian), and ``hvp(xi, u)`` from the mixed second difference on
+that stencil, its centre and the ``2d + 2`` points ``xi +- FD_STEP u/|u|``
+and ``xi +- FD_STEP (1 + |xi_k|) e_k +- FD_STEP u/|u|``.  Inside a
+``map_chunks`` worker the ``2d`` sides of the coordinate stencil at the
+chunk points are evaluated once per functional, and the value, gradient and
+``hvp`` of a callback or expression functional once per functional and
+direction; everywhere the results keep the bits they have outside a chunk.
 """
 
 import sys
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from glset import (Constant, DensityJob, Norm2, RadialClamp, SurfaceMeasureHandle,
-                   UserFunctional, estimate_density, hypothesis_diagnostics,
-                   ibp_battery, ibp_residuals, surface_report)
+                   UserFunctional, build_model, estimate_density,
+                   hypothesis_diagnostics, ibp_battery, ibp_residuals, surface_report)
 from glset import expressions, functionals
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
@@ -46,28 +47,33 @@ def same_bits(a, b):
 
 
 class TestValueCalls:
-    # one chunk at d = 5; an explicit epsilon leaves out the bandwidth chunk
-    def test_density_pass(self, iid5):
+    # one chunk; an explicit epsilon leaves out the bandwidth chunk
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_density_pass(self, d):
         G = fd_functional()
-        estimate_density(DensityJob(model=iid5, G=G, phi=Constant(1.0),
-                                    r_grid=(1.0, 3.0), n=2000, seed=1,
-                                    epsilon=0.1, estimator="both"))
-        # value + 2d sides + 2 x 2d for hvp(g); the Laplacian's centre is the
-        # kept value; 46 without sharing
-        assert G._eval.calls == 31
+        estimate_density(DensityJob(model=build_model(("iid_gaussian", d)), G=G,
+                                    phi=Constant(1.0), r_grid=(1.0, 3.0), n=2000,
+                                    seed=1, epsilon=0.1, estimator="both"))
+        # value + 2d sides + (2d + 2) for hvp(g); the Laplacian's and the
+        # hvp's centre is the kept value; 45 at d = 5 without sharing
+        assert G._eval.calls == 4 * d + 3
 
     def test_ibp_pass(self, iid5):
         G = fd_functional()
         ibp_residuals(iid5, G, Constant(1.0), 1, (3.0,), 2000, 1)
-        # the density pass alone: the D_1 G of the weight reads the kept
-        # gradient, and its cross term the kept hvp(g); 70 without sharing
-        assert G._eval.calls == 31
+        # value + 2d sides + (2d + 2) for hvp(g): the D_1 G of the weight
+        # reads the kept gradient, and its cross term the kept hvp(g); 88
+        # without sharing
+        assert G._eval.calls == 23
 
-    def test_ibp_battery(self, iid5):
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_ibp_battery(self, d):
         G = fd_functional()
-        ibp_battery(iid5, G, [Constant(1.0)], (1, 2, 3), (3.0,), 2000, 1)
-        # every k reads the same kept gradient and hvp(g)
-        assert G._eval.calls == 31
+        ibp_battery(build_model(("iid_gaussian", d)), G, [Constant(1.0), Norm2()],
+                    (1, 2, 3), (3.0,), 2000, 1)
+        # value + 2d sides + (2d + 2) for hvp(g): every (phi, k) pair reads
+        # the same kept gradient and hvp(g)
+        assert G._eval.calls == 4 * d + 3
 
     def test_gradient_only_pass(self, iid5):
         G = fd_functional()

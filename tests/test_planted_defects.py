@@ -19,7 +19,15 @@ outside any chunk.  A stream pass asks ``hvp`` of G along one direction
 only, the gradient of G, so no end-to-end number sees a memo that mixes up
 directions; this check does.
 
-The third check holds the converged sphere quadrature to its closed form:
+The third check holds the finite-difference ``hvp`` of a value-only
+functional to the analytic product on a chunk of 16384 points
+(``tests/test_functionals.py``), and the kernel divergence of a value-only
+norm2 to that of ``Norm2``.  A mixed stencil that drops its ``2 f(xi)``
+centre term is off by ``|u| f(xi) / (h FD_STEP)``, some 1e10 for norm2, in
+every column; the same defect inside and outside a chunk leaves the second
+check green.
+
+The fourth check holds the converged sphere quadrature to its closed form:
 on the sphere ``|xi|^2 = r`` the weight ``exp(-a norm2())`` is the constant
 ``e^(-a r)``, so the oracle's value is ``e^(-a r)`` times the chi-square(d)
 density at r, to rounding.  At d = 5, r = 5 a rule stuck at 4 nodes per angle
@@ -36,6 +44,8 @@ from glset import (Coordinate, Norm2, ProductWithPartial, SurfaceMeasureHandle,
 from glset import functionals, surface
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
+from test_calculus import kernel_div
+from test_functionals import HVP, fd_hvp_misses
 
 R = 3.0
 N = 10 ** 6
@@ -119,6 +129,26 @@ def test_hvp_memo_keyed_without_direction_is_caught(iid5, monkeypatch):
 
     monkeypatch.setattr(functionals.Functional, "_kept", kept)
     assert kept_hvp_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]
+
+
+def test_fd_hvp_without_centre_term_is_caught(iid5, monkeypatch):
+    hvp = functionals.Functional.hvp
+
+    def without_centre(self, xi, u):
+        # the mixed stencil without its 2 f(xi) term, which is
+        # |u| 2 f(xi) / (2 h_k FD_STEP) of column k
+        h = functionals.FD_STEP * (1.0 + np.abs(xi))
+        norm = np.sqrt(np.sum(u * u, axis=1))
+        return hvp(self, xi, u) - (norm * self.value(xi))[:, None] / (h * functionals.FD_STEP)
+
+    monkeypatch.setattr(functionals.Functional, "hvp", without_centre)
+    assert fd_hvp_misses(HVP) == [f.name for f in HVP]
+    xi = np.random.default_rng(3).standard_normal((20, 3))
+    analytic, _ = kernel_div(Norm2(), xi)
+    fd, _ = kernel_div(UserFunctional(eval=lambda xi: np.sum(xi ** 2, axis=1)), xi)
+    assert not np.allclose(analytic, fd, rtol=1e-3, atol=1e-4)
+    # the same defect inside and outside a chunk: the memo check cannot see it
+    assert kept_hvp_misses(iid5) == []
 
 
 def sphere_oracle_misses(dims, r=5.0):
