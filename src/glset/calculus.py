@@ -15,7 +15,9 @@ S = |g|^2, to the composite form
 
 which needs one fewer differentiation level than differentiating psi
 directly and is what the density estimators evaluate, one batch at a time,
-through :meth:`KernelField.divergence`.  Rows with
+through :meth:`KernelField.divergence`.  The Hessian enters only through the
+scalar ``g^T H g``, which it asks of G as ``G.hess(xi, g, g)``: a value-only
+G pays 2 new values for it, the ray sides ``G(xi +- t g/|g|)``.  Rows with
 ``|D_H G| < GRADIENT_FLOOR`` are excluded from it and counted.
 """
 
@@ -65,7 +67,7 @@ class KernelField:
         """
         excluded = self.excluded(s)
         lap = self.G.laplacian(xi)
-        quad = rowsum(g * self.G.hvp(xi, g))
+        quad = self.G.hess(xi, g, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = (lap - rowsum(xi * g)) / s - 2.0 * quad / (s * s)
         val = np.where(excluded, 0.0, val)

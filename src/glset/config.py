@@ -23,8 +23,8 @@ two); any other parameter is an error::
 
 A surface job's ``k_list`` and ``trace`` need a phi.  A hausdorff job, and a
 surface job with ``hausdorff true``, need a G the quadrature oracle takes
-(:func:`glset.surface.quadrature_issue`).  A density, surface or ibp job
-whose n draws a single chunk of the stream parses with a warning: batch
+(:func:`glset.surface.quadrature_issue`).  A density, surface, ibp or
+hausdorff job whose n draws a single chunk of the stream parses with a warning: batch
 means need two chunks, so its standard errors will be NaN and flagged
 ``insufficient-batches``.
 
@@ -220,7 +220,7 @@ _JOBS = {
 JOB_KINDS = tuple(_JOBS)
 # the kinds whose standard errors are batch means over chunks, flagged
 # INSUFFICIENT_BATCHES when the stream has fewer than two
-_BATCH_MEAN_KINDS = ("density", "surface", "ibp")
+_BATCH_MEAN_KINDS = ("density", "surface", "ibp", "hausdorff")
 
 
 def _job_spec(kind, job_line, params, resolve, dim, error) -> JobSpec:

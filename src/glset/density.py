@@ -231,9 +231,12 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     their stable sort, and when a divergence query is present the gradient,
     the kernel divergence with its exclusion mask and the Hill tail sample.
     Each distinct weight is evaluated once per chunk, and a divergence
-    query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``, which
-    for an integration-by-parts weight reads the kernel's ``(D^2 G) grad G``
-    from the chunk memo.  Each query then builds
+    query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``.  For
+    an integration-by-parts weight ``phi D_k G`` that asks
+    ``G.hess(pts, k - 1, grad)``, the one Hessian entry it needs: a
+    value-only G reads the ray sides the kernel's ``g^T H g`` kept and adds
+    2 values per distinct k (``2d + 3 + 2m`` calls per chunk for m distinct
+    k, ``2d + 3`` without a weight of that kind).  Each query then builds
     its own integrand and prefix sums, and its own ``(chunks, grid)`` array
     is reduced by :func:`batch_mean_stderr`, so a query gives the same bits
     alone or alongside others.  Mollified queries use ``epsilon``, by default

@@ -518,8 +518,9 @@ def simplify(node):
 
 class ExpressionFunctional(Functional):
     """A parsed expression exposed as a scalar functional with symbolic
-    derivatives; its value, gradient and ``hvp`` at the points of a chunk
-    are kept for the chunk (:meth:`Functional._kept`)."""
+    derivatives; its value, gradient and Hessian products ``(D^2 f) v`` at
+    the points of a chunk are kept for the chunk (:meth:`Functional._kept`),
+    so ``g^T H g`` and every ``((D^2 f) g)_k`` share one product."""
 
     analytic_gradient = True
 
@@ -557,11 +558,11 @@ class ExpressionFunctional(Functional):
 
     def value(self, xi):
         self._check_dim(xi)
-        return self._kept("value", xi, None, lambda: evaluate(self.ast, xi))
+        return self._kept("value", xi, (), lambda: evaluate(self.ast, xi))
 
     def gradient(self, xi):
         self._check_dim(xi)
-        return self._kept("gradient", xi, None, lambda: self._gradient(xi))
+        return self._kept("gradient", xi, (), lambda: self._gradient(xi))
 
     def _gradient(self, xi):
         out = np.zeros_like(xi)
@@ -582,11 +583,12 @@ class ExpressionFunctional(Functional):
                 out += evaluate(ast, xi, memo)
         return out
 
-    def hvp(self, xi, u):
+    def hess(self, xi, u, v):
         self._check_dim(xi)
-        return self._kept("hvp", xi, u, lambda: self._hvp(xi, u))
+        return self._bilinear(lambda w: self._kept(
+            "hessian_times", xi, (w,), lambda: self._hessian_times(xi, w)), xi, u, v)
 
-    def _hvp(self, xi, u):
+    def _hessian_times(self, xi, u):
         out = np.zeros_like(xi)
         memo = {}
         active = self._active(xi.shape[1])

@@ -3,26 +3,32 @@
 A functional evaluates on batches: ``value(xi)`` maps an ``(n, d)`` array of
 points to an ``(n,)`` array.  Its derivatives are ``gradient`` (``(n, d)``),
 ``laplacian`` (``(n,)``), ``jvp(xi, u)``, the directional derivative
-``grad f . u`` row by row (``(n,)``), and ``hvp(xi, u)``, the
-Hessian-vector product ``(D^2 f) u`` row by row (``(n, d)``); ``g^T H g`` and
-``D(D_k f)`` are both Hessian-vector products, and by the symmetry of the
-Hessian ``D(D_k f) . u`` is the k-th entry of ``hvp(xi, u)``.  ``jvp``
-defaults to ``rowsum(gradient * u)``; the classes that can skip the
-``(n, d)`` gradient override it.  Analytic derivatives are optional;
-anything missing falls back to central finite differences:
+``grad f . u`` row by row (``(n,)``), and ``hess(xi, u, v)``, the Hessian's
+bilinear form ``u^T (D^2 f) v`` row by row (``(n,)``).  A direction is an
+``(n, d)`` array or a 0-based column index j, the axis ``e_j`` on every row,
+so ``jvp(xi, j)`` is ``D_j f``.  The engine reads the Hessian in two ways
+only: ``g^T H g`` for the kernel divergence and ``((D^2 G) g)_k`` =
+``hess(xi, k - 1, g)`` for the weight ``phi D_k G``.  ``jvp`` defaults to
+``gradient . u``; the classes that can skip the ``(n, d)`` gradient override
+it.  Analytic derivatives are optional; anything missing falls back to
+central finite differences on kept sides:
 
-* the gradient and the Laplacian from the coordinate stencil
-  ``xi +- h e_k`` with per-row step ``h = FD_STEP * (1 + |xi_k|)``
-  (:func:`fd_sides`) and, for the Laplacian, the centre value;
-* ``hvp`` from the mixed second difference along ``e_k`` and ``u/|u|``,
-  which reads that stencil and the centre value and adds the ``2d + 2``
-  values at ``xi +- FD_STEP * u/|u|`` and ``xi +- h e_k +- FD_STEP * u/|u|``,
-  scaled by ``|u|``.
+* the axis sides ``f(xi +- h e_k)`` of the coordinate stencil, with per-row
+  step ``h = FD_STEP * (1 + |xi_k|)`` (:func:`fd_sides`), give the gradient,
+  ``D_k f`` from its own two sides, and with the centre value the
+  Laplacian;
+* the ray sides ``f(xi +- t u/|u|)`` of an array direction, with per-row
+  step ``t = FD_STEP * (1 + |xi|)``, give ``hess(xi, u, u)`` as
+  ``|u|^2`` times the second difference along ``u/|u|`` (2 new values);
+* any other pair ``(u, v)`` takes the 7-point mixed difference on the
+  sides of both directions, the centre, and the 2 new values
+  ``f(xi + a + b)`` and ``f(xi - a - b)`` at the sum of their steps
+  (Abramowitz & Stegun 25.3.27).
 
 Every coordinate stencil perturbs one reused copy of its input.  Inside a
 chunk of a stream pass (:func:`chunk_scope`) one memo per thread keeps, at
-the chunk points, the stencil sides of every functional and the ``value``,
-``gradient`` and ``hvp`` of callback and expression functionals
+the chunk points, the axis sides and ray sides of every functional and the
+``value``, ``gradient`` and ``hess`` of callback and expression functionals
 (:meth:`Functional._kept`); later calls read them, and the memo dies with
 the chunk.  Closed-form builtins and the product wrappers are recomputed:
 a density pass asks each of them once per chunk, so keeping them would only
@@ -134,18 +140,18 @@ def stable_argsort(v: np.ndarray) -> np.ndarray:
 FD_STEP = 1e-5
 
 
-def fd_sides(f, xi, step):
+def fd_sides(f, xi, step, coords=None):
     """Both sides of the central-difference stencil of ``f`` at ``xi``.
 
     Yields ``(k, h, f(xi + h e_k), f(xi - h e_k))`` for every 0-based
-    coordinate k, with the per-row step
+    coordinate k in ``coords`` (all by default), with the per-row step
     ``h = step * (1 + |xi_k|)``.  Every side is evaluated on one copy of
     ``xi``, perturbed in column k and restored before the next coordinate; a
     side that shares memory with that copy is copied, so perturbing it again
     cannot change what was yielded.
     """
     buf = xi.copy()
-    for k in range(xi.shape[1]):
+    for k in range(xi.shape[1]) if coords is None else coords:
         col = xi[:, k]
         h = step * (1.0 + np.abs(col))
         buf[:, k] = col + h
@@ -172,6 +178,18 @@ def fd_gradient(value, xi, step):
     return _central_gradient(fd_sides(value, xi, step), xi)
 
 
+# ----------------------------- directions -----------------------------
+
+def _is_axis(u):
+    """A direction given as a 0-based column index j: ``e_j`` on every row."""
+    return isinstance(u, (int, np.integer))
+
+
+def _dot(a, u):
+    """Row-wise ``a . u``: column j of ``a`` for the axis j."""
+    return a[:, u] if _is_axis(u) else rowsum(a * u)
+
+
 # The derivative methods keep their signatures, so the memo of the chunk a
 # worker is in reaches them through its thread, not through an argument.
 _chunk = threading.local()
@@ -182,11 +200,11 @@ def chunk_scope(points):
     """Keep derivatives at ``points`` for later calls in this thread.
 
     Until the block ends, a quantity that :meth:`Functional._kept` keeps is
-    computed once per functional (and direction ``u``) at exactly this array
+    computed once per functional (and directions) at exactly this array
     (``xi is points``) and read back by later calls; the finite-difference
-    ``gradient``, ``laplacian`` and ``hvp`` evaluate the ``2d`` sides of
-    their stencil once and share them.  Neither the points nor a direction passed
-    to a kept quantity may be written to inside the block.
+    derivatives evaluate each axis side and each ray side once and share
+    them.  Neither the points nor a direction passed to a kept quantity may
+    be written to inside the block.
     """
     outer = getattr(_chunk, "scope", None)
     _chunk.scope = (points, {})
@@ -218,31 +236,73 @@ class Functional:
     def value(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _kept(self, quantity, xi, u, compute):
+    def _kept(self, quantity, xi, directions, compute):
         """``compute()``, the ``quantity`` of this functional at ``xi`` along
-        ``u`` (None for none).  At the points of the current
+        the tuple ``directions``.  At the points of the current
         :func:`chunk_scope` it is computed on first use and kept until the
-        chunk ends, under the key ``(quantity, functional, u)``; every call
-        gets its own copy, so a caller may write to what it gets."""
+        chunk ends, under the key ``(quantity, functional, directions)``, an
+        array direction by identity and an axis by index; every call gets
+        its own copy of an array, so a caller may write to what it gets
+        (the tuples of sides are shared and only read)."""
         memo = _chunk_memo(xi)
         if memo is None:
             return compute()
-        key = (quantity, id(self), id(u))
+        key = (quantity, id(self),
+               tuple(("axis", int(u)) if _is_axis(u) else id(u) for u in directions))
         entry = memo.get(key)
         if entry is None:
-            # the entry holds self and u, so neither id is reused in the chunk
-            entry = memo[key] = (self, u, compute())
-        return entry[2].copy()
+            # the entry holds self and the directions, so no id is reused in the chunk
+            entry = memo[key] = (self, directions, compute())
+        kept = entry[2]
+        return kept.copy() if isinstance(kept, np.ndarray) else kept
 
-    def _stencil(self, xi):
-        """The sides of the coordinate stencil at ``xi``, as :func:`fd_sides`
-        yields them; at the points of the current :func:`chunk_scope` they
-        are evaluated on first use and kept until the chunk ends (a kept
-        list is copied, its arrays are shared and only read)."""
-        if _chunk_memo(xi) is None:
-            return fd_sides(self.value, xi, FD_STEP)
-        return self._kept("stencil", xi, None,
-                          lambda: list(fd_sides(self.value, xi, FD_STEP)))
+    @staticmethod
+    def _bilinear(product, xi, u, v):
+        """``u^T (D^2 f) v`` row-wise from a closed-form Hessian product
+        ``product(w) = (D^2 f) w``: ``rowsum(u * product(v))``, and an axis
+        reads its entry of the product along the other direction."""
+        if _is_axis(u):
+            if _is_axis(v):
+                v = np.broadcast_to(np.eye(xi.shape[1])[v], xi.shape)
+            return product(v)[:, u]
+        if _is_axis(v):
+            return product(u)[:, v]
+        return rowsum(u * product(v))
+
+    def _stencil(self, xi, coords=None):
+        """The axis sides at ``xi``, as :func:`fd_sides` yields them for
+        ``coords`` (all by default); at the points of the current
+        :func:`chunk_scope` each axis is evaluated on first use and kept
+        until the chunk ends, so ``D_k f`` costs its own two sides."""
+        memo = _chunk_memo(xi)
+        if memo is None:
+            return fd_sides(self.value, xi, FD_STEP, coords)
+        coords = range(xi.shape[1]) if coords is None else coords
+        keys = [("side", id(self), k) for k in coords]
+        missing = [k for k, key in zip(coords, keys) if key not in memo]
+        if missing:
+            for side in fd_sides(self.value, xi, FD_STEP, missing):
+                memo["side", id(self), side[0]] = (self, (), side)
+        return [memo[key][2] for key in keys]
+
+    def _sides(self, xi, u):
+        """``(|u|, a, s, f(xi + s), f(xi - s))`` for the step ``s = a u/|u|``
+        along the direction u: the axis j takes its stencil step
+        ``a = h_j``, an array the row step ``a = FD_STEP (1 + |xi|)`` and a
+        zero row the step 0; the ray sides of an array are kept inside a
+        chunk like the axis sides."""
+        if _is_axis(u):
+            [(_, h, hi, lo)] = self._stencil(xi, (u,))
+            s = np.zeros_like(xi)
+            s[:, u] = h
+            return 1.0, h, s, hi, lo
+        return self._kept("ray", xi, (u,), lambda: self._ray(xi, u))
+
+    def _ray(self, xi, u):
+        norm = np.sqrt(rowsum(u * u))
+        a = FD_STEP * (1.0 + np.sqrt(rowsum(xi * xi)))
+        s = u * (a / np.where(norm > 0.0, norm, 1.0))[:, None]
+        return norm, a, s, self.value(xi + s), self.value(xi - s)
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         return _central_gradient(self._stencil(xi), xi)
@@ -254,44 +314,38 @@ class Functional:
             lap += (hi - two_centre + lo) / (h * h)
         return lap
 
-    def jvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Directional derivative ``grad f . u`` row-wise: the first-order
-        twin of :meth:`hvp`."""
-        return rowsum(self.gradient(xi) * u)
+    def jvp(self, xi: np.ndarray, u) -> np.ndarray:
+        """Directional derivative ``grad f . u`` row-wise, ``D_j f`` for the
+        axis j: the first-order twin of :meth:`hess`."""
+        return _dot(self.gradient(xi), u)
 
-    def hvp(self, xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Hessian-vector product ``(D^2 f) u`` row-wise: ``|u|`` times the
-        mixed second difference along ``e_k`` and ``v = u/|u|`` (Abramowitz
-        & Stegun 25.3.27 with steps ``h`` of the coordinate stencil and
-        ``t = FD_STEP``),
+    def hess(self, xi: np.ndarray, u, v) -> np.ndarray:
+        """The Hessian's bilinear form ``u^T (D^2 f) v`` row-wise, each
+        direction an ``(n, d)`` array or an axis j.  With ``v is u`` (or the
+        same axis) it is ``|u|^2`` times the second difference along ``u/|u|``,
 
-            [f(xi + h e_k + t v) - f(xi + h e_k) - f(xi + t v) + 2 f(xi)
-             - f(xi - h e_k) - f(xi - t v) + f(xi - h e_k - t v)] / (2 h t),
+            |u|^2 [f(xi + s) - 2 f(xi) + f(xi - s)] / a^2,   s = a u/|u|;
 
-        The axis sides ``f(xi +- h e_k)`` come from :meth:`_stencil` and the
-        centre from ``value``, both kept inside a chunk, so ``2d + 2`` values
-        are new.  A row with ``u = 0`` gives 0."""
-        norm = np.sqrt(rowsum(u * u))
-        step = u / np.where(norm > 0.0, norm, 1.0)[:, None]
-        step *= FD_STEP
-        # one buffer per side, perturbed in column k and restored; every
-        # value is differenced before its buffer moves, so none is a view
-        plus, minus = xi + step, xi - step
+        otherwise ``|u| |v|`` times the mixed difference along ``u/|u|`` and
+        ``v/|v|`` with steps ``s = a u/|u|`` and ``t = b v/|v|``
+        (Abramowitz & Stegun 25.3.27),
+
+            [f(xi + s + t) - f(xi + s) - f(xi + t) + 2 f(xi)
+             - f(xi - s) - f(xi - t) + f(xi - s - t)] / (2 a b).
+
+        The sides of each direction (:meth:`_sides`) and the centre are kept
+        inside a chunk, so ``g^T H g`` takes 2 new values and
+        ``((D^2 f) g)_k`` the 2 at ``xi +- (h_k e_k + t)``.  A row where a
+        direction is 0 gives 0."""
         centre = self.value(xi)
-        d_plus = self.value(plus) - centre
-        d_minus = self.value(minus) - centre
-        out = np.empty_like(xi)
-        for k, h, hi, lo in self._stencil(xi):
-            col_plus, col_minus = plus[:, k].copy(), minus[:, k].copy()
-            plus[:, k] = col_plus + h
-            c_plus = self.value(plus) - hi
-            plus[:, k] = col_plus
-            minus[:, k] = col_minus - h
-            c_minus = self.value(minus) - lo
-            minus[:, k] = col_minus
-            out[:, k] = ((c_plus - d_plus) + (c_minus - d_minus)) / (2.0 * h)
-        out *= (norm / FD_STEP)[:, None]
-        return out
+        nu, a, s, hi, lo = self._sides(xi, u)
+        if u is v or _is_axis(u) and _is_axis(v) and u == v:
+            return (hi - 2.0 * centre + lo) * (nu / a) ** 2
+        nv, b, t, hi_v, lo_v = self._sides(xi, v)
+        c_plus = self.value(xi + s + t) - hi
+        c_minus = self.value(xi - s - t) - lo
+        return (((c_plus - (hi_v - centre)) + (c_minus - (lo_v - centre)))
+                * (nu * nv / (2.0 * a * b)))
 
     def __call__(self, xi):
         batch, single = _as_batch(xi)
@@ -313,13 +367,13 @@ class UserFunctional(Functional):
         self.analytic_gradient = grad is not None
 
     def value(self, xi):
-        return self._kept("value", xi, None,
+        return self._kept("value", xi, (),
                           lambda: np.asarray(self._eval(xi), dtype=float))
 
     def gradient(self, xi):
         if self._grad is None:
-            return self._kept("gradient", xi, None, lambda: Functional.gradient(self, xi))
-        return self._kept("gradient", xi, None,
+            return self._kept("gradient", xi, (), lambda: Functional.gradient(self, xi))
+        return self._kept("gradient", xi, (),
                           lambda: np.asarray(self._grad(xi), dtype=float))
 
     def hessian(self, xi):
@@ -330,11 +384,19 @@ class UserFunctional(Functional):
             return super().laplacian(xi)
         return np.trace(self.hessian(xi), axis1=1, axis2=2)
 
-    def hvp(self, xi, u):
+    def jvp(self, xi, u):
+        if self._grad is None and _is_axis(u):
+            # D_j f from the two sides along e_j, not the 2d of the gradient
+            [(_, h, hi, lo)] = self._stencil(xi, (u,))
+            return (hi - lo) / (2.0 * h)
+        return super().jvp(xi, u)
+
+    def hess(self, xi, u, v):
         if self._hess is None:
-            return self._kept("hvp", xi, u, lambda: Functional.hvp(self, xi, u))
-        return self._kept("hvp", xi, u,
-                          lambda: np.einsum("nij,nj->ni", self.hessian(xi), u))
+            return self._kept("hess", xi, (u, v), lambda: Functional.hess(self, xi, u, v))
+        return self._bilinear(lambda w: self._kept(
+            "hessian_times", xi, (w,),
+            lambda: np.einsum("nij,nj->ni", self.hessian(xi), w)), xi, u, v)
 
 
 class Constant(Functional):
@@ -356,8 +418,8 @@ class Constant(Functional):
     def jvp(self, xi, u):
         return np.zeros(xi.shape[0])
 
-    def hvp(self, xi, u):
-        return np.zeros_like(xi)
+    def hess(self, xi, u, v):
+        return np.zeros(xi.shape[0])
 
 
 class Linear(Functional):
@@ -383,8 +445,8 @@ class Linear(Functional):
     def laplacian(self, xi):
         return np.zeros(xi.shape[0])
 
-    def hvp(self, xi, u):
-        return np.zeros_like(xi)
+    def hess(self, xi, u, v):
+        return np.zeros(xi.shape[0])
 
 
 class Coordinate(Linear):
@@ -414,8 +476,8 @@ class Norm2(Functional):
     def laplacian(self, xi):
         return np.full(xi.shape[0], 2.0 * xi.shape[1])
 
-    def hvp(self, xi, u):
-        return 2.0 * u  # D^2 = 2 I
+    def hess(self, xi, u, v):
+        return self._bilinear(lambda w: 2.0 * w, xi, u, v)  # D^2 = 2 I
 
 
 class BmEndpoint(Linear):
@@ -445,7 +507,7 @@ class RadialClamp(Functional):
 
     def _radius(self, xi):
         """``|xi|``, kept under the class, so a chunk takes one for all clamps."""
-        return Functional._kept(RadialClamp, "radius", xi, None,
+        return Functional._kept(RadialClamp, "radius", xi, (),
                                 lambda: np.sqrt(rowsum(xi * xi)))
 
     def value(self, xi):
@@ -461,7 +523,7 @@ class RadialClamp(Functional):
         return xi * self._scale(xi)[:, None]
 
     def jvp(self, xi, u):
-        return self._scale(xi) * rowsum(xi * u)
+        return self._scale(xi) * _dot(xi, u)
 
 
 class SublevelBump(Functional):
@@ -517,11 +579,12 @@ class ProductWithPartial(Functional):
     """``phi * D_k G``: the test function appearing on the surface side of
     the integration-by-parts residual.
 
-    Gradient by the product rule; the ``D(D_k G)`` factor is the
-    Hessian-vector product ``(D^2 G) e_k``.  Along a direction u the
-    symmetry of the Hessian gives ``D(D_k G) . u = ((D^2 G) u)_k``, so
-    :meth:`jvp` needs one product ``(D^2 G) u`` for every k; along the
-    gradient of G that is the product the kernel divergence takes.
+    ``D_k G`` is ``G.jvp(xi, k - 1)``.  Gradient by the product rule, with
+    the row ``D(D_k G)`` of the Hessian read entry by entry from
+    ``G.hess(xi, k - 1, j)``.  Along a direction u the symmetry of the
+    Hessian gives ``D(D_k G) . u = e_k^T (D^2 G) u``, so :meth:`jvp` asks
+    ``G.hess(xi, k - 1, u)``; along the gradient of G a finite-difference G
+    reuses the ray sides the kernel divergence took for ``g^T H g``.
     """
 
     def __init__(self, phi: Functional, G: Functional, k: int):
@@ -533,19 +596,21 @@ class ProductWithPartial(Functional):
         self.name = f"({phi.name})*D{k}({G.name})"
 
     def value(self, xi):
-        return self.phi.value(xi) * self.G.gradient(xi)[:, self.k - 1]
+        return self.phi.value(xi) * self.G.jvp(xi, self.k - 1)
 
     def gradient(self, xi):
-        e_k = np.zeros_like(xi)
-        e_k[:, self.k - 1] = 1.0
-        out = self.G.hvp(xi, e_k) * self.phi.value(xi)[:, None]
-        out += self.phi.gradient(xi) * self.G.gradient(xi)[:, [self.k - 1]]
+        j = self.k - 1
+        pv = self.phi.value(xi)
+        out = np.empty_like(xi)
+        for i in range(xi.shape[1]):
+            out[:, i] = self.G.hess(xi, j, i) * pv
+        out += self.phi.gradient(xi) * self.G.jvp(xi, j)[:, None]
         return out
 
     def jvp(self, xi, u):
         j = self.k - 1
-        return (self.phi.value(xi) * self.G.hvp(xi, u)[:, j]
-                + self.G.gradient(xi)[:, j] * self.phi.jvp(xi, u))
+        return (self.phi.value(xi) * self.G.hess(xi, j, u)
+                + self.G.jvp(xi, j) * self.phi.jvp(xi, u))
 
 
 # ----------------------------- H-vector fields -----------------------------

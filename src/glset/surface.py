@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityCurve, Query, stream_pass
+from .density import INSUFFICIENT_BATCHES, DensityCurve, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           ProductWithPartial, RadialClamp)
 from .model import GaussianModel
@@ -107,8 +107,7 @@ class _IbpSublevel(Functional):
         self.name = f"D{k}({phi.name}) - xi({k})*({phi.name})"
 
     def value(self, xi):
-        return (self.phi.gradient(xi)[:, self.k - 1]
-                - xi[:, self.k - 1] * self.phi.value(xi))
+        return self.phi.jvp(xi, self.k - 1) - xi[:, self.k - 1] * self.phi.value(xi)
 
 
 def _ibp_columns(model, G, pairs, route) -> list[Query]:
@@ -374,7 +373,11 @@ def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float
 
 @dataclass
 class HausdorffRecord:
-    """Monte Carlo surface integral against its deterministic quadrature value."""
+    """Monte Carlo surface integral against its deterministic quadrature value.
+
+    ``flags`` carries ``insufficient-batches`` when the Monte Carlo curve it
+    reads has no standard error, and ``quadrature-not-converged`` when the
+    rule was still apart at ``QUAD_NODES`` nodes."""
 
     g_name: str
     phi_name: str
@@ -508,7 +511,8 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     for phi, curve in zip(phis, curves):
         report.integrals[phi.name] = _value(curve)
     report.ibp = _ibp_records(pairs, results)
-    value, stderr = _value(curves[0] if phis else mass_curve)
+    first_curve = curves[0] if phis else mass_curve
+    value, stderr = _value(first_curve)
     if traced:
         clamped = [_value(c) for c in results]
         report.trace = TraceReport(
@@ -517,8 +521,10 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
             stderrs=tuple(se for _, se in clamped),
             diffs=tuple(abs(est - value) for est, _ in clamped))
     if with_hausdorff:
+        quad_flags = quadrature.pop("flags")
+        batch_flags = tuple(f for f in first_curve.flags if f == INSUFFICIENT_BATCHES)
         report.hausdorff = HausdorffRecord(
             g_name=h.G.name, phi_name=first.name, r=h.r, mc_value=value,
-            mc_stderr=stderr, **quadrature)
-        report.flags += report.hausdorff.flags
+            mc_stderr=stderr, flags=batch_flags + quad_flags, **quadrature)
+        report.flags += quad_flags
     return report

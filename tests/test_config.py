@@ -125,6 +125,13 @@ class TestParse:
             "errors will be NaN and flagged 'insufficient-batches'"]
         assert [job.n for job in cfg.jobs] == [16384, 16385, 100]
 
+    def test_single_chunk_hausdorff_job_warns(self):
+        with pytest.warns(UserWarning) as caught:
+            parse_config(_job("hausdorff\n  G norm2\n  r 1\n  n 5000\n"))
+        assert [str(w.message) for w in caught] == [
+            "line 3: hausdorff job with n 5000 draws one chunk, so its standard "
+            "errors will be NaN and flagged 'insufficient-batches'"]
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse(self):

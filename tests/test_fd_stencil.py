@@ -1,15 +1,16 @@
 """Finite-difference stencils: one evaluation per functional per chunk.
 
-A functional's derivatives are ``gradient``, ``laplacian`` and ``hvp``.
-Without analytic ones, the gradient and the Laplacian come from the
-coordinate stencil ``xi +- FD_STEP (1 + |xi_k|) e_k`` (plus the centre value
-for the Laplacian), and ``hvp(xi, u)`` from the mixed second difference on
-that stencil, its centre and the ``2d + 2`` points ``xi +- FD_STEP u/|u|``
-and ``xi +- FD_STEP (1 + |xi_k|) e_k +- FD_STEP u/|u|``.  Inside a
-``map_chunks`` worker the ``2d`` sides of the coordinate stencil at the
-chunk points are evaluated once per functional, and the value, gradient and
-``hvp`` of a callback or expression functional once per functional and
-direction; everywhere the results keep the bits they have outside a chunk.
+A functional's derivatives are ``gradient``, ``laplacian``, ``jvp`` and
+``hess``.  Without analytic ones they come from kept sides: the axis sides
+``f(xi +- h_k e_k)`` of the coordinate stencil, ``h_k = FD_STEP (1 + |xi_k|)``,
+give the gradient, ``D_k f = jvp(xi, k - 1)`` from its own two sides, and
+with the centre value the Laplacian; the ray sides ``f(xi +- t u/|u|)``,
+``t = FD_STEP (1 + |xi|)``, give ``hess(xi, u, u)`` (2 values), and
+``hess(xi, k - 1, u)`` adds the 2 values at ``xi +- (h_k e_k + t u/|u|)``.
+Inside a ``map_chunks`` worker each axis side and each ray side at the chunk
+points is evaluated once per functional, and the value, gradient and
+``hess`` of a callback or expression functional once per functional and
+directions; everywhere the results keep the bits they have outside a chunk.
 """
 
 import sys
@@ -54,32 +55,40 @@ class TestValueCalls:
         estimate_density(DensityJob(model=build_model(("iid_gaussian", d)), G=G,
                                     phi=Constant(1.0), r_grid=(1.0, 3.0), n=2000,
                                     seed=1, epsilon=0.1, estimator="both"))
-        # value + 2d sides + (2d + 2) for hvp(g); the Laplacian's and the
-        # hvp's centre is the kept value; 45 at d = 5 without sharing
-        assert G._eval.calls == 4 * d + 3
+        # value + 2d axis sides + 2 ray sides for g^T H g; the Laplacian's
+        # and the second difference's centre is the kept value
+        assert G._eval.calls == 2 * d + 3
 
     def test_ibp_pass(self, iid5):
         G = fd_functional()
         ibp_residuals(iid5, G, Constant(1.0), 1, (3.0,), 2000, 1)
-        # value + 2d sides + (2d + 2) for hvp(g): the D_1 G of the weight
-        # reads the kept gradient, and its cross term the kept hvp(g); 88
-        # without sharing
-        assert G._eval.calls == 23
+        # value + 2d axis sides + 2 ray sides + 2 for e_1^T H g: the D_1 G of
+        # the weight reads the kept axis sides, its cross term the kept ray
+        # sides of g
+        assert G._eval.calls == 15
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_ibp_battery(self, d):
         G = fd_functional()
         ibp_battery(build_model(("iid_gaussian", d)), G, [Constant(1.0), Norm2()],
                     (1, 2, 3), (3.0,), 2000, 1)
-        # value + 2d sides + (2d + 2) for hvp(g): every (phi, k) pair reads
-        # the same kept gradient and hvp(g)
-        assert G._eval.calls == 4 * d + 3
+        # value + 2d axis sides + 2 ray sides + 2 per distinct k: every phi
+        # reads the kept e_k^T H g of its k
+        assert G._eval.calls == 2 * d + 9
 
     def test_gradient_only_pass(self, iid5):
         G = fd_functional()
         hypothesis_diagnostics(G, iid5, 2000, 1)
         # the 2d sides alone: no centre value without a Laplacian
         assert G._eval.calls == 10
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_mollified_ibp_pass(self, iid5, k):
+        G = fd_functional()
+        ibp_residuals(iid5, G, Constant(1.0), k, (3.0,), 2000, 1,
+                      estimator="mollified", epsilon=0.1)
+        # value + the 2 sides along e_k for D_k G
+        assert G._eval.calls == 3
 
 
 class TestChunkScope:
@@ -132,16 +141,15 @@ class TestChunkScope:
         copied = UserFunctional(lambda xi: xi[:, 0].copy(), name="copied")
 
         def worker(index, pts):
-            e_1 = np.zeros_like(pts)
-            e_1[:, 0] = 1.0
-            return [(f.gradient(pts), f.laplacian(pts), f.hvp(pts, e_1))
-                    for f in (view, copied)]
+            return [(f.gradient(pts), f.laplacian(pts), f.hess(pts, pts, pts),
+                     f.hess(pts, 0, pts)) for f in (view, copied)]
 
-        [((grad, lap, h1), want)] = map_chunks(iid5, 1000, 5, worker)
-        for got, ref in zip((grad, lap, h1), want):
+        [((grad, lap, quad, h1), want)] = map_chunks(iid5, 1000, 5, worker)
+        for got, ref in zip((grad, lap, quad, h1), want):
             assert same_bits(got, ref)
         assert np.allclose(grad[:, 0], 1.0) and np.all(grad[:, 1:] == 0.0)
         assert np.allclose(lap, 0.0, atol=1e-4)
+        assert np.allclose(quad, 0.0, atol=1e-4)
         assert np.allclose(h1, 0.0, atol=1e-4)
         pts = np.random.default_rng(3).standard_normal((200, 5))
         assert np.allclose(view.gradient(pts)[:, 0], 1.0)
@@ -149,7 +157,8 @@ class TestChunkScope:
 
 def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):
     # an ibp battery over k = 1..3 asks phi's value and gradient and G's
-    # value, gradient and hvp(grad G) in every column of a chunk
+    # value, gradient and (D^2 G) grad G, for g^T H g and every
+    # e_k^T H g, in every column of a chunk
     phi = ExpressionFunctional("exp(-norm2())*xi(1)", name="phi")
     G = ExpressionFunctional("norm2() + xi(1)^3", name="G")
     roots = {phi.ast: "phi", G.ast: "G"}
@@ -170,13 +179,13 @@ def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):
         return run
 
     monkeypatch.setattr(expressions, "evaluate", counted_evaluate)
-    for quantity in ("gradient", "hvp"):
+    for quantity in ("gradient", "hessian_times"):
         monkeypatch.setattr(ExpressionFunctional, "_" + quantity, counted(quantity))
     ibp_battery(iid5, G, [phi], (1, 2, 3), (3.0,), 40_000, 1)
     chunks = 3
     assert calls == {("phi", "value"): chunks, ("phi", "gradient"): chunks,
                      ("G", "value"): chunks, ("G", "gradient"): chunks,
-                     ("G", "hvp"): chunks}
+                     ("G", "hessian_times"): chunks}
 
 
 def test_clamp_levels_share_one_radius_per_chunk(iid5, monkeypatch):
@@ -184,11 +193,11 @@ def test_clamp_levels_share_one_radius_per_chunk(iid5, monkeypatch):
     kept = functionals.Functional._kept
     calls = []
 
-    def counted(self, quantity, xi, u, compute):
+    def counted(self, quantity, xi, directions, compute):
         def run():
             calls.append((quantity, len(xi)))
             return compute()
-        return kept(self, quantity, xi, u, run)
+        return kept(self, quantity, xi, directions, run)
 
     monkeypatch.setattr(functionals.Functional, "_kept", counted)
     h = SurfaceMeasureHandle(model=iid5, G=Norm2(), r=3.0, n=40_000, seed=5)
@@ -216,7 +225,7 @@ def test_threads_do_not_change_fd_output(iid5, monkeypatch):
                                              r_grid=(1.0, 3.0, 5.0), n=70_000,
                                              seed=7, estimator="both"))
         records = ibp_residuals(iid5, G, Constant(1.0), 1, (3.0, 5.0), 70_000, 7)
-        # an expression weight whose cross term reads the kept hvp of G
+        # an expression weight whose cross term reads the kept ray sides of G
         battery = ibp_battery(iid5, G, [ExpressionFunctional("exp(-norm2())*xi(1)")],
                               (1, 2), (3.0, 5.0), 70_000, 7)
         return ([(c.estimates.tobytes(), c.stderrs.tobytes(), c.flags)

@@ -70,9 +70,10 @@ def test_user_functional_analytic_hessian(rng):
     )
     xi = rng.standard_normal((5, 3))
     w = rng.standard_normal((5, 3))
-    assert np.allclose(np.sum(w * f.hvp(xi, w), axis=1), 2 * np.sum(w * w, axis=1))
+    assert np.allclose(f.hess(xi, w, w), 2 * np.sum(w * w, axis=1))
     assert np.allclose(f.laplacian(xi), 6.0)
-    assert np.allclose(f.hvp(xi, np.tile([0, 1.0, 0], (5, 1))), np.tile([0, 2.0, 0], (5, 1)))
+    assert np.allclose(f.hess(xi, 1, w), 2 * w[:, 1])
+    assert np.allclose([f.hess(xi, 1, k) for k in range(3)], [[0.0] * 5, [2.0] * 5, [0.0] * 5])
 
 
 def _grad_example(xi):
@@ -93,7 +94,7 @@ def _hess_example(xi):
     return h
 
 
-HVP = [
+HESS = [
     Constant(2.5),
     Linear([0.5, -1.5, 2.0]),
     Norm2(),
@@ -104,44 +105,56 @@ HVP = [
 ]
 
 
-@pytest.mark.parametrize("f", HVP, ids=lambda f: f.name)
+@pytest.mark.parametrize("f", HESS, ids=lambda f: f.name)
 def test_hvp_matches_finite_differences(f, rng):
-    # the analytic Hessian-vector product against the FD fallback of the
-    # value alone, and e_j^T H e_k symmetric
+    # the analytic bilinear form u^T H v against the FD fallback of the value
+    # alone, along arrays and axes, and e_j^T H e_k symmetric
     xi = rng.standard_normal((10, 3))
-    u = rng.standard_normal((10, 3))
+    u, w = rng.standard_normal((2, 10, 3))
     fd = UserFunctional(eval=f.value)
-    assert np.allclose(f.hvp(xi, u), fd.hvp(xi, u), rtol=1e-4, atol=1e-5)
-    cols = np.stack([f.hvp(xi, np.tile(e, (10, 1))) for e in np.eye(3)], axis=2)
-    assert np.allclose(cols, np.swapaxes(cols, 1, 2), rtol=1e-12, atol=0.0)
+    pairs = [(u, u), (u, w), (w, 2), *((j, u) for j in range(3)),
+             *((j, k) for j in range(3) for k in range(3))]
+    for a, b in pairs:
+        assert np.allclose(f.hess(xi, a, b), fd.hess(xi, a, b), rtol=1e-4, atol=1e-5)
+    entries = np.array([[f.hess(xi, j, k) for k in range(3)] for j in range(3)])
+    assert np.allclose(entries, np.swapaxes(entries, 0, 1), rtol=1e-12, atol=0.0)
 
 
-def fd_hvp_misses(functionals):
-    """Names of the functionals whose finite-difference ``hvp`` on a chunk of
-    16384 x 5 points (standard normal x 1.5), along the gradient and along a
-    random direction, is more than ``1e-4 max(max|Hu|, 1)`` from the
-    analytic product (the unit floor covers a zero Hessian, whose FD product
-    is rounding), or is not exactly 0 on the rows where the direction is 0."""
+def fd_hess_misses(functionals):
+    """Names of the functionals whose finite-difference ``hess`` on a chunk of
+    16384 x 5 points (standard normal x 1.5) is more than
+    ``1e-4 max(max|want|, 1)`` from the analytic form (the unit floor covers
+    a zero Hessian, whose FD form is rounding), or is not exactly 0 on the
+    rows where the direction is 0.  It is asked what the engine asks, along
+    the gradient and along a random direction u: ``u^T H u``, and
+    ``((D^2 f) u)_k`` for every axis k, held together as the vector
+    ``(D^2 f) u`` against ``max|(D^2 f) u|``."""
     rng = np.random.default_rng(11)
     xi = 1.5 * rng.standard_normal((16384, 5))
     random_u = rng.standard_normal((16384, 5))
+
+    def close(want, got):
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        return np.max(np.abs(got - want)) <= 1e-4 * scale and np.all(got[::7] == 0.0)
+
     misses = []
     for f in functionals:
         fd = UserFunctional(eval=f.value)
         for u in (random_u, f.gradient(xi)):
             u[::7] = 0.0
-            want, got = f.hvp(xi, u), fd.hvp(xi, u)
-            scale = max(float(np.max(np.abs(want))), 1.0)
-            if not (np.max(np.abs(got - want)) <= 1e-4 * scale
-                    and np.all(got[::7] == 0.0)):
+            quad = f.hess(xi, u, u), fd.hess(xi, u, u)
+            product = [np.column_stack([g.hess(xi, k, u) for k in range(5)]) for g in (f, fd)]
+            if not (close(*quad) and close(*product)):
                 misses.append(f.name)
                 break
     return misses
 
 
 def test_fd_hvp_is_accurate_on_a_chunk():
-    # worst cases 3.5e-5 max|Hu| (norm2) and 5.1e-5 absolute (linear)
-    assert fd_hvp_misses(HVP) == []
+    # worst cases: u^T H u within 1.2e-6 of max|u^T H u| (norm2), the entries
+    # of (D^2 f) u within 4.8e-6 of max|(D^2 f) u| (norm2), and 2.5e-5
+    # absolute where the Hessian is 0 (linear)
+    assert fd_hess_misses(HESS) == []
 
 
 def test_product_with_partial_is_phi_times_dkg(rng):
@@ -169,7 +182,7 @@ JVP = [
     SublevelBump(Norm2(), c=3.0, delta=1.0),
     Product(GAUSS, RadialClamp(1.0)),
     ProductWithPartial(GAUSS, Norm2(), 2),  # its FD-G twin is checked below
-    HVP[3],  # a callback with gradient and Hessian
+    HESS[3],  # a callback with gradient and Hessian
     _value_only(ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3")),
     ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3"),
 ]
@@ -178,12 +191,15 @@ JVP = [
 @pytest.mark.parametrize("f", JVP, ids=lambda f: f.name)
 def test_jvp_is_the_gradient_along_u(f, rng):
     # an override matches the default to 1e-12 relative; a class without one
-    # gives the default's bits
+    # gives the default's bits; along the axis j every class gives the bits
+    # of the gradient's column j
     xi = 1.5 * rng.standard_normal((200, 3))
     u = rng.standard_normal((200, 3))
     got = f.jvp(xi, u)
     want = rowsum(f.gradient(xi) * u)
     assert got.shape == (200,)
+    for j in range(3):
+        assert f.jvp(xi, j).tobytes() == f.gradient(xi)[:, j].tobytes()
     if "jvp" in vars(type(f)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     else:

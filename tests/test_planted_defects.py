@@ -10,22 +10,27 @@ with F_d the chi-square(d) CDF, and the surface side ``int phi D_1 G dsigma_r``
 has the same value.  An identity that reads 0 = 0 by symmetry cannot see a
 defect that scales one side; this one can.  Over seeds 1-8 at n = 10^6 the
 clean sides lie within 2 s.e. of the closed form, a 5 % scale on
-``Norm2.hvp`` moves the surface side by -5.1 to -9.1 s.e. and a dropped
+``Norm2.hess`` moves the surface side by -5.1 to -9.1 s.e. and a dropped
 Hessian term by more than -160 s.e.
 
-The second check compares Hessian-vector products along two directions,
-taken inside a chunk where the memo keeps them, with the same products
-outside any chunk.  A stream pass asks ``hvp`` of G along one direction
-only, the gradient of G, so no end-to-end number sees a memo that mixes up
-directions; this check does.
+The second check compares the Hessian's bilinear form along three pairs
+of directions, taken inside a chunk where the memo keeps them, with the same
+forms outside any chunk.  A stream pass asks ``hess`` of G along the
+gradient of G and the axes only, so no end-to-end number sees a memo that
+mixes up directions; this check does.
 
-The third check holds the finite-difference ``hvp`` of a value-only
-functional to the analytic product on a chunk of 16384 points
+The third check holds the finite-difference ``hess`` of a value-only
+functional to the analytic form on a chunk of 16384 points
 (``tests/test_functionals.py``), and the kernel divergence of a value-only
-norm2 to that of ``Norm2``.  A mixed stencil that drops its ``2 f(xi)``
-centre term is off by ``|u| f(xi) / (h FD_STEP)``, some 1e10 for norm2, in
-every column; the same defect inside and outside a chunk leaves the second
-check green.
+norm2 to that of ``Norm2`` (or, for the mixed difference, which the kernel
+does not read, the cross term of a value-only ``phi D_k G`` to that of
+``Norm2``).  Three planted stencil defects are each off by orders of
+magnitude: the mixed difference without its ``2 f(xi)`` centre term (by
+``|u| |v| f(xi) / (a b)``, some 1e10 for norm2), the second difference
+along u without it (by ``2 |u|^2 f(xi) / a^2``), and the second difference
+scaled by ``|u|`` instead of ``|u|^2`` (by a factor ``|u|``; a zero Hessian
+stays rounding, so constant and linear functionals pass).  The same defect
+inside and outside a chunk leaves the second check green.
 
 The fourth check holds the converged sphere quadrature to its closed form:
 on the sphere ``|xi|^2 = r`` the weight ``exp(-a norm2())`` is the constant
@@ -45,7 +50,7 @@ from glset import functionals, surface
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
 from test_calculus import kernel_div
-from test_functionals import HVP, fd_hvp_misses
+from test_functionals import GAUSS, HESS, fd_hess_misses
 
 R = 3.0
 N = 10 ** 6
@@ -75,80 +80,135 @@ def test_ibp_sides_match_closed_form(iid5):
 
 
 def test_scaled_hessian_vector_product_is_caught(iid5, monkeypatch):
-    hvp = Norm2.hvp
-    monkeypatch.setattr(Norm2, "hvp", lambda self, xi, u: 1.05 * hvp(self, xi, u))
+    hess = Norm2.hess
+    monkeypatch.setattr(Norm2, "hess", lambda self, xi, u, v: 1.05 * hess(self, xi, u, v))
     assert [m[:3] for m in closed_form_misses(iid5)] == ["rhs"]
 
 
 def test_dropped_hessian_term_is_caught(iid5, monkeypatch):
     def jvp(self, xi, u):
-        # the product rule without its phi (D^2 G u)_k term
-        return self.G.gradient(xi)[:, self.k - 1] * self.phi.jvp(xi, u)
+        # the product rule without its phi e_k^T (D^2 G) u term
+        return self.G.jvp(xi, self.k - 1) * self.phi.jvp(xi, u)
 
     monkeypatch.setattr(ProductWithPartial, "jvp", jvp)
     assert [m[:3] for m in closed_form_misses(iid5)] == ["rhs"]
 
 
-def kept_hvp_misses(model):
-    """Names of the functionals whose ``hvp`` at the points of a chunk, along
-    ``e_1`` and then along the points, differs from the same product outside
-    the chunk: a value-only callback (finite differences) and an expression."""
+def kept_hess_misses(model):
+    """Names of the functionals whose ``hess`` at the points of a chunk,
+    along ``(u, u)``, ``(e_1, u)`` and ``(e_1, e_2)`` with u the points,
+    differs from the same form outside the chunk: a value-only callback
+    (finite differences) and an expression."""
     fs = [UserFunctional(lambda xi: np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1],
                          name="fd"),
           ExpressionFunctional("exp(-norm2())*xi(1)")]
 
     def worker(index, pts):
-        e_1 = np.zeros_like(pts)
-        e_1[:, 0] = 1.0
-        directions = (e_1, pts.copy())
-        return pts.copy(), directions, [[f.hvp(pts, u) for u in directions] for f in fs]
+        u = pts.copy()
+        pairs = ((u, u), (0, u), (0, 1))
+        return pts.copy(), pairs, [[f.hess(pts, a, b) for a, b in pairs] for f in fs]
 
     misses = []
-    for pts, directions, kept in map_chunks(model, 2000, 3, worker):
-        for f, products in zip(fs, kept):
-            if any(got.tobytes() != f.hvp(pts, u).tobytes()
-                   for u, got in zip(directions, products)):
+    for pts, pairs, kept in map_chunks(model, 2000, 3, worker):
+        for f, forms in zip(fs, kept):
+            if any(got.tobytes() != f.hess(pts, a, b).tobytes()
+                   for (a, b), got in zip(pairs, forms)):
                 misses.append(f.name)
     return misses
 
 
 def test_kept_hvp_matches_a_fresh_product(iid5):
-    assert kept_hvp_misses(iid5) == []
+    assert kept_hess_misses(iid5) == []
 
 
 def test_hvp_memo_keyed_without_direction_is_caught(iid5, monkeypatch):
-    def kept(self, quantity, xi, u, compute):
-        # the chunk memo with a key that leaves out the direction u
+    def kept(self, quantity, xi, directions, compute):
+        # the chunk memo with a key that leaves out the directions
         memo = functionals._chunk_memo(xi)
         if memo is None:
             return compute()
         key = (quantity, id(self))
         if key not in memo:
-            memo[key] = (self, u, compute())
-        return memo[key][2].copy()
+            memo[key] = (self, directions, compute())
+        got = memo[key][2]
+        return got.copy() if isinstance(got, np.ndarray) else got
 
     monkeypatch.setattr(functionals.Functional, "_kept", kept)
-    assert kept_hvp_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]
+    assert kept_hess_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]
+
+
+def value_only_misses():
+    """What a value-only norm2 gets wrong against ``Norm2`` on 20 points:
+    its kernel divergence, and the cross term of ``phi D_k G`` along the
+    gradient for k = 1..3."""
+    xi = np.random.default_rng(3).standard_normal((20, 3))
+    fd = UserFunctional(eval=lambda xi: np.sum(xi ** 2, axis=1))
+    misses = []
+    if not np.allclose(kernel_div(Norm2(), xi)[0], kernel_div(fd, xi)[0],
+                       rtol=1e-3, atol=1e-4):
+        misses.append("kernel divergence")
+    for k in (1, 2, 3):
+        exact = ProductWithPartial(GAUSS, Norm2(), k).jvp(xi, 2.0 * xi)
+        got = ProductWithPartial(GAUSS, fd, k).jvp(xi, 2.0 * xi)
+        if not np.max(np.abs(got - exact)) <= 1e-5 * np.max(np.abs(exact)):
+            misses.append(f"D{k} cross term")
+    return misses
+
+
+def test_value_only_norm2_matches_norm2():
+    assert value_only_misses() == []
 
 
 def test_fd_hvp_without_centre_term_is_caught(iid5, monkeypatch):
-    hvp = functionals.Functional.hvp
+    hess = functionals.Functional.hess
 
-    def without_centre(self, xi, u):
+    def without_centre(self, xi, u, v):
         # the mixed stencil without its 2 f(xi) term, which is
-        # |u| 2 f(xi) / (2 h_k FD_STEP) of column k
-        h = functionals.FD_STEP * (1.0 + np.abs(xi))
-        norm = np.sqrt(np.sum(u * u, axis=1))
-        return hvp(self, xi, u) - (norm * self.value(xi))[:, None] / (h * functionals.FD_STEP)
+        # |u| |v| 2 f(xi) / (2 a b)
+        if u is v:
+            return hess(self, xi, u, v)
+        nu, a, *_ = self._sides(xi, u)
+        nv, b, *_ = self._sides(xi, v)
+        return hess(self, xi, u, v) - self.value(xi) * (nu * nv / (a * b))
 
-    monkeypatch.setattr(functionals.Functional, "hvp", without_centre)
-    assert fd_hvp_misses(HVP) == [f.name for f in HVP]
-    xi = np.random.default_rng(3).standard_normal((20, 3))
-    analytic, _ = kernel_div(Norm2(), xi)
-    fd, _ = kernel_div(UserFunctional(eval=lambda xi: np.sum(xi ** 2, axis=1)), xi)
-    assert not np.allclose(analytic, fd, rtol=1e-3, atol=1e-4)
+    monkeypatch.setattr(functionals.Functional, "hess", without_centre)
+    assert fd_hess_misses(HESS) == [f.name for f in HESS]
+    assert value_only_misses() == ["D1 cross term", "D2 cross term", "D3 cross term"]
     # the same defect inside and outside a chunk: the memo check cannot see it
-    assert kept_hvp_misses(iid5) == []
+    assert kept_hess_misses(iid5) == []
+
+
+NONZERO_HESSIAN = [f.name for f in HESS[2:]]
+
+
+def test_second_difference_without_centre_term_is_caught(monkeypatch):
+    hess = functionals.Functional.hess
+
+    def without_centre(self, xi, u, v):
+        # |u|^2 [f(xi + s) + f(xi - s)] / a^2: the 2 f(xi) term left out
+        if u is not v:
+            return hess(self, xi, u, v)
+        nu, a, _, hi, lo = self._sides(xi, u)
+        return (hi + lo) * (nu / a) ** 2
+
+    monkeypatch.setattr(functionals.Functional, "hess", without_centre)
+    assert fd_hess_misses(HESS) == [f.name for f in HESS]
+    assert value_only_misses() == ["kernel divergence"]
+
+
+def test_second_difference_scaled_by_norm_is_caught(monkeypatch):
+    hess = functionals.Functional.hess
+
+    def scaled_by_norm(self, xi, u, v):
+        # |u| [f(xi + s) - 2 f(xi) + f(xi - s)] / a^2 where |u|^2 belongs
+        if u is not v:
+            return hess(self, xi, u, v)
+        nu, a, _, hi, lo = self._sides(xi, u)
+        return (hi - 2.0 * self.value(xi) + lo) * nu / (a * a)
+
+    monkeypatch.setattr(functionals.Functional, "hess", scaled_by_norm)
+    assert fd_hess_misses(HESS) == NONZERO_HESSIAN
+    assert value_only_misses() == ["kernel divergence"]
 
 
 def sphere_oracle_misses(dims, r=5.0):

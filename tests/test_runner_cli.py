@@ -133,6 +133,20 @@ class TestArtifacts:
             assert rec["lhs_stderr"] is None and rec["rhs_stderr"] is None
             assert "insufficient-batches" in rec["flags"]
 
+    def test_single_chunk_hausdorff_job_is_flagged_in_json(self, tmp_path):
+        # n = 5000 is one chunk: the null stderr carries its reason, in the
+        # hausdorff job and in a surface job's hausdorff record alike
+        cfg = parse_config("model iid_gaussian\ndim 3\nformats json\n"
+                           "job hausdorff\n  G norm2\n  r 1\n  n 5000\n"
+                           "job surface\n  G norm2\n  r 1\n  n 5000\n  hausdorff true\n")
+        assert run(cfg, output_dir=tmp_path) == 0
+        payload = json.loads((tmp_path / "job01_hausdorff.json").read_text())
+        assert payload["mc_stderr"] is None
+        assert payload["flags"] == ["insufficient-batches"]
+        payload = json.loads((tmp_path / "job02_surface.json").read_text())
+        assert payload["hausdorff"]["flags"] == ["insufficient-batches"]
+        assert payload["flags"].count("insufficient-batches") == 1
+
     def test_surface_json_contains_ibp_and_hausdorff(self, run_dir):
         payload = json.loads((run_dir / "job02_surface.json").read_text())
         assert payload["total_mass"] > 0
