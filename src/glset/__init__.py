@@ -9,11 +9,10 @@ identities at desk scale.
 
 from .model import (GaussianModel, build_model, chunk_layout, draw_chunk,
                     endpoint_weights, iter_sample_chunks, render_path, sample, vhat)
-from .functionals import (BmEndpoint, Constant, ConstantField, Coordinate,
-                          Functional, IdentityField, Linear, Norm2, NumericalFault,
-                          Product, ProductWithPartial, RadialClamp, SublevelBump,
-                          UserFunctional, VectorField)
-from .calculus import HypothesisReport, KernelField, divergence_mu, hypothesis_diagnostics
+from .functionals import (BmEndpoint, Constant, Coordinate, Functional, Linear,
+                          Norm2, NumericalFault, Product, ProductWithPartial,
+                          RadialClamp, SublevelBump, UserFunctional)
+from .calculus import KernelField
 from .density import (DensityCurve, DensityJob, Query, default_bandwidth,
                       estimate_density, stream_pass)
 from .surface import (HausdorffRecord, IbpRecord, SurfaceMeasureHandle,
@@ -38,9 +37,7 @@ __all__ = [
     "render_path", "endpoint_weights",
     "Functional", "UserFunctional", "Constant", "Coordinate", "Linear", "Norm2",
     "BmEndpoint", "Product", "ProductWithPartial",
-    "RadialClamp", "SublevelBump", "VectorField", "ConstantField",
-    "IdentityField", "NumericalFault",
-    "KernelField", "HypothesisReport", "divergence_mu", "hypothesis_diagnostics",
+    "RadialClamp", "SublevelBump", "NumericalFault", "KernelField",
     "DensityJob", "DensityCurve", "estimate_density", "default_bandwidth",
     "Query", "stream_pass",
     "SurfaceMeasureHandle", "SurfaceReport", "IbpRecord", "HausdorffRecord",

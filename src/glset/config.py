@@ -21,7 +21,8 @@ two); any other parameter is an error::
     hausdorff     G r  [phi n seed epsilon estimator]
     selftest      (no parameters)
 
-A surface job's ``k_list`` and ``trace`` need a phi.  A hausdorff job, and a
+A surface job's ``k_list`` and ``trace`` need a phi.  Levels (``r``,
+``r_grid``) and ``epsilon`` must be finite.  A hausdorff job, and a
 surface job with ``hausdorff true``, need a G the quadrature oracle takes
 (:func:`glset.surface.quadrature_issue`).  A density, surface, ibp or
 hausdorff job whose n draws a single chunk of the stream parses with a warning: batch
@@ -36,6 +37,7 @@ run does, and reports all errors with their lines, not just the first.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -151,6 +153,13 @@ def _number(kind):
     return parse
 
 
+def _finite(text, resolve=None):
+    value = _number(float)(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _each(parse_one):
     """Parser of a space-separated list of what ``parse_one`` parses."""
     def parse(text, resolve):
@@ -186,13 +195,13 @@ _PARAMS = {
     "G": _Param("G", _reference),
     "phi": _Param("phi", lambda text, resolve: (_reference(text, resolve),)),
     "phi_list": _Param("phi", _each(_reference)),
-    "r": _Param("r", _number(float)),
-    "r_grid": _Param("r_grid", _each(_number(float)),
+    "r": _Param("r", _finite),
+    "r_grid": _Param("r_grid", _each(_finite),
                      lambda v, dim: all(a < b for a, b in zip(v, v[1:])),
                      "r_grid must be strictly increasing"),
     "n": _Param("n", _number(int), lambda v, dim: v >= 1, "n must be >= 1"),
     "seed": _Param("seed", _number(int)),
-    "epsilon": _Param("epsilon", _number(float), lambda v, dim: v > 0,
+    "epsilon": _Param("epsilon", _finite, lambda v, dim: v > 0,
                       "epsilon must be positive"),
     "estimator": _Param("estimator", _word, lambda v, dim: v in ESTIMATORS,
                         "unknown estimator {value!r}"),

@@ -106,6 +106,8 @@ def _grid(r_grid) -> np.ndarray:
     r = np.asarray(r_grid, dtype=float)
     if r.size == 0:
         raise ValueError("r_grid must be nonempty")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("r_grid must be finite")
     if np.any(np.diff(r) <= 0):
         raise ValueError("r_grid must be strictly increasing")
     return r
@@ -126,8 +128,8 @@ class DensityJob:
 
     def __post_init__(self):
         _grid(self.r_grid)
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.estimator not in ("divergence", "mollified", "both"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.n < 1:
@@ -245,8 +247,8 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     r = _grid(r_grid)
     routes = {q.route for q in queries}
     want_div = "divergence" in routes
-    if epsilon is not None and epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     if "mollified" in routes and epsilon is None:
         epsilon = default_bandwidth(model, G, n, seed)
     kernel = KernelField(G) if want_div else None

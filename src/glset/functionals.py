@@ -1,4 +1,4 @@
-"""Scalar functionals and H-vector fields on whitened coordinates.
+"""Scalar functionals on whitened coordinates.
 
 A functional evaluates on batches: ``value(xi)`` maps an ``(n, d)`` array of
 points to an ``(n,)`` array.  Its derivatives are ``gradient`` (``(n, d)``),
@@ -38,10 +38,9 @@ pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
 called on a buffer that is perturbed again after they return.
 
 Sums and multiples of functionals are spelled as expressions
-(:class:`~glset.expressions.ExpressionFunctional`).  An H-vector field
-(:class:`VectorField`) gives its coefficient rows and the diagonal of its
-Jacobian, by default from the coordinate stencil; :class:`ConstantField` and
-:class:`IdentityField` have closed forms.
+(:class:`~glset.expressions.ExpressionFunctional`).  The one H-vector
+field the engine uses, the kernel field ``D_H G / |D_H G|^2``, is
+:class:`~glset.calculus.KernelField`.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def stable_argsort(v: np.ndarray) -> np.ndarray:
 
 # ----------------------------- finite differences -----------------------------
 
-# Relative step of every central difference (functionals and vector fields).
+# Relative step of every central difference.
 FD_STEP = 1e-5
 
 
@@ -611,45 +610,3 @@ class ProductWithPartial(Functional):
         j = self.k - 1
         return (self.phi.value(xi) * self.G.hess(xi, j, u)
                 + self.G.jvp(xi, j) * self.phi.jvp(xi, u))
-
-
-# ----------------------------- H-vector fields -----------------------------
-
-class VectorField:
-    """H-valued field; ``components(xi)`` returns the (n, d) coefficient rows."""
-
-    name = "field"
-
-    def components(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian_diag(self, xi: np.ndarray) -> np.ndarray:
-        """Diagonal entries ``D_k psi_k`` (finite differences by default)."""
-        out = np.empty_like(xi)
-        for k, h, hi, lo in fd_sides(self.components, xi, FD_STEP):
-            out[:, k] = (hi[:, k] - lo[:, k]) / (2.0 * h)
-        return out
-
-
-class ConstantField(VectorField):
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.name = "constant_field"
-
-    def components(self, xi):
-        return np.broadcast_to(self.coeffs, xi.shape).copy()
-
-    def jacobian_diag(self, xi):
-        return np.zeros_like(xi)
-
-
-class IdentityField(VectorField):
-    """``Psi(xi) = xi``."""
-
-    name = "identity_field"
-
-    def components(self, xi):
-        return xi.copy()
-
-    def jacobian_diag(self, xi):
-        return np.ones_like(xi)

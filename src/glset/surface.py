@@ -309,8 +309,8 @@ def sphere_quadrature(phi: Functional, d: int, r: float,
     Hausdorff measure divided by ``|D_H G| = 2 sqrt(r)``, all constant:
     ``(2 pi)^(-d/2) exp(-r/2) / (2 sqrt(r)) * surface integral of phi``.
     """
-    if r <= 0:
-        raise ValueError("sphere level must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError("sphere level must be positive and finite")
     R = np.sqrt(r)
     const = (2.0 * np.pi) ** (-d / 2.0) * np.exp(-r / 2.0) / (2.0 * R)
     if d == 1:  # the sphere {1, -1}

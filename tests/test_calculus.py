@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from glset import (Constant, ConstantField, Coordinate, DensityJob, IdentityField,
-                   KernelField, Norm2, UserFunctional, VectorField, divergence_mu,
-                   estimate_density, hypothesis_diagnostics, sample)
-from glset.calculus import GRADIENT_FLOOR
-from glset.density import VARIANCE_UNRELIABLE
+from glset import Coordinate, KernelField, Norm2, UserFunctional, sample
+from glset.calculus import GRADIENT_FLOOR, hill_tail_index
 from glset.expressions import ExpressionFunctional
 
 
@@ -18,47 +15,6 @@ class TestHGradient:
     def test_norm2(self, rng):
         xi = rng.standard_normal((1, 4))
         assert np.allclose(Norm2().gradient(xi), 2 * xi, rtol=1e-14)
-
-
-class GradNorm2Field(VectorField):
-    """``D_H norm2 = 2 xi`` with the finite-difference Jacobian diagonal."""
-
-    def components(self, xi):
-        return 2.0 * xi
-
-
-class TestDivergenceMu:
-    def test_constant_field_gives_minus_vhat(self, rng):
-        # div_mu(v_1) = -xi_1 by the definition of the Gaussian divergence
-        xi = rng.standard_normal((10, 3))
-        field = ConstantField([1.0, 0.0, 0.0])
-        assert np.allclose(divergence_mu(field, xi), -xi[:, 0], rtol=1e-14)
-
-    def test_identity_field(self, rng):
-        xi = rng.standard_normal((10, 3))
-        expected = 3.0 - np.sum(xi * xi, axis=1)
-        assert np.allclose(divergence_mu(IdentityField(), xi), expected, rtol=1e-12)
-
-    def test_zero_field(self, rng):
-        xi = rng.standard_normal((5, 3))
-        assert np.all(divergence_mu(ConstantField(np.zeros(3)), xi) == 0.0)
-
-    def test_single_point_returns_scalar(self):
-        out = divergence_mu(IdentityField(), np.array([1.0, 1.0]))
-        assert out == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("field", [
-        ConstantField([0.3, -1.0, 0.7]),
-        IdentityField(),
-        GradNorm2Field(),
-    ], ids=["constant", "identity", "grad-norm2"])
-    def test_zero_mean_property(self, iid3, field):
-        # the divergence of a polynomial-growth field integrates to zero
-        n = 10 ** 6
-        batch = sample(iid3, n, seed=31)
-        div = divergence_mu(field, batch)
-        se = div.std() / np.sqrt(n)
-        assert abs(div.mean()) < 4.0 * se
 
 
 class TestIbpCoordinatewise:
@@ -133,52 +89,20 @@ class TestKernelDivergence:
         assert np.allclose(va, vb, rtol=1e-3, atol=1e-4)
 
 
-class TestHypothesisDiagnostics:
-    def test_unit_gradient_all_moments_one(self, iid3):
-        rep = hypothesis_diagnostics(Coordinate(1), iid3, 10 ** 5, seed=41)
-        assert rep.inv_moments[4].estimate == pytest.approx(1.0)
-        assert not rep.inv_moments[4].diverging
-        assert not rep.variance_unreliable
-        assert rep.hill_alpha == np.inf
+class TestHillTailIndex:
+    # alpha = k / sum_i log(g_(k+1) / g_(i)) over the k + 1 smallest norms g
+    def test_fewer_than_three_norms_is_inf(self):
+        assert hill_tail_index(np.array([0.1, 0.2])) == np.inf
 
-    def test_chi5_inverse_second_moment(self, iid5):
-        # E |grad|^-2 = E[1/(4S)] = 1/12 for S ~ chi-square(5)
-        rep = hypothesis_diagnostics(Norm2(), iid5, 10 ** 6, seed=43)
-        diag = rep.inv_moments[2]
-        assert not diag.diverging
-        assert diag.estimate == pytest.approx(1.0 / 12.0, abs=4 * max(diag.stderr, 1e-4))
-        assert rep.hill_alpha == pytest.approx(5.0, abs=0.6)
-        assert not rep.variance_unreliable
+    def test_zero_norm_is_zero(self):
+        assert hill_tail_index(np.array([0.3, 0.0, 0.1, 0.2])) == 0.0
 
-    def test_chi2_d2_diverges(self):
-        from glset import build_model
+    def test_equal_norms_are_inf(self):
+        assert hill_tail_index(np.full(50, 0.5)) == np.inf
 
-        m = build_model(("iid_gaussian", 2))
-        rep = hypothesis_diagnostics(Norm2(), m, 10 ** 6, seed=47)
-        assert rep.inv_moments[2].diverging
-        assert rep.inv_moments[4].diverging
-        assert rep.variance_unreliable
-        assert rep.hill_alpha == pytest.approx(2.0, abs=0.4)
-        assert "diverging" in rep.summary()
-
-    def test_d3_flags_fourth_but_not_second(self):
-        from glset import build_model
-
-        m = build_model(("iid_gaussian", 3))
-        rep = hypothesis_diagnostics(Norm2(), m, 5 * 10 ** 5, seed=53)
-        assert not rep.inv_moments[2].diverging
-        assert rep.inv_moments[4].diverging
-        assert rep.pos_moments[2] == pytest.approx(4.0 * 3.0, rel=0.02)
-
-    @pytest.mark.parametrize("n", [20_000, 50_000, 100_000])
-    def test_density_pass_and_diagnostics_agree_on_variance(self, iid5, n):
-        # both tail indices take the same number of order statistics, so the
-        # density curve's flag and the report's verdict are one verdict
-        verdicts = []
-        for seed in range(30):
-            job = DensityJob(model=iid5, G=Norm2(), phi=Constant(1.0), r_grid=(1.0,),
-                             n=n, seed=seed, estimator="divergence")
-            flagged = VARIANCE_UNRELIABLE in estimate_density(job)["divergence"].flags
-            report = hypothesis_diagnostics(Norm2(), iid5, n, seed)
-            verdicts.append((flagged, report.variance_unreliable))
-        assert [seed for seed, (a, b) in enumerate(verdicts) if a != b] == []
+    def test_geometric_sample_closed_form(self):
+        # g_i = c q^(k - i), i = 0..k: sum_i log(g_k / g_i) = log(1/q) k (k + 1) / 2
+        k, q = 40, 0.9
+        g = 0.5 * q ** np.arange(k, -1, -1.0)
+        expected = 2.0 / ((k + 1) * np.log(1.0 / q))
+        assert hill_tail_index(g[::-1]) == pytest.approx(expected, rel=1e-12)

@@ -310,6 +310,18 @@ REJECTED = {
 }
 
 
+# (job body, line of its non-finite level or bandwidth)
+NONFINITE = {
+    "density r_grid nan": ("density\n  G norm2\n  phi 1\n  r_grid 1 nan\n", 6),
+    "density r_grid inf": ("density\n  G norm2\n  phi 1\n  r_grid inf\n", 6),
+    "density epsilon inf": ("density\n  G norm2\n  phi 1\n  r_grid 1\n  epsilon inf\n", 7),
+    "surface r nan": ("surface\n  G norm2\n  r nan\n", 5),
+    "surface epsilon nan": ("surface\n  G norm2\n  r 1\n  epsilon nan\n", 6),
+    "hausdorff r nan": ("hausdorff\n  G norm2\n  r nan\n", 5),
+    "ibp r -inf": ("ibp\n  G norm2\n  phi 1\n  k_list 1\n  r -inf\n", 7),
+}
+
+
 class TestJobSchema:
     """A parameter a job kind does not read, or a combination it cannot
     run, is an issue on its own line."""
@@ -331,6 +343,14 @@ class TestJobSchema:
         lines = text.splitlines()
         kept = "\n".join(lines[:line - 1] + lines[line:]) + "\n  n 2000\n"
         assert run(parse_config(kept), output_dir=tmp_path) == 0
+
+    @pytest.mark.parametrize("case", sorted(NONFINITE))
+    def test_nonfinite_number_rejected_on_its_line(self, case):
+        body, line = NONFINITE[case]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_job(body))
+        assert [(issue.line, "is not finite" in issue.message)
+                for issue in exc.value.issues] == [(line, True)]
 
     def test_every_kind_reads_known_parameters(self):
         for kind, (required, optional) in _JOBS.items():

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from glset import (BmEndpoint, Constant, Coordinate, DensityJob, Norm2, Query,
-                   build_model, estimate_density, stream_pass)
+                   build_model, estimate_density, sphere_quadrature, stream_pass)
 from glset.density import (INSUFFICIENT_BATCHES, VARIANCE_UNRELIABLE, batch_mean_stderr,
                            thread_count)
 from glset.expressions import ExpressionFunctional
@@ -68,11 +68,16 @@ class TestDivergenceEstimator:
         assert curve.estimates[0] == pytest.approx(oracle, rel=0.01)
 
     def test_d2_carries_variance_flag(self):
-        m = build_model(("iid_gaussian", 2))
-        job = DensityJob(model=m, G=Norm2(), phi=ONE, r_grid=(1.0,),
-                         n=2 * 10 ** 5, seed=19, estimator="divergence")
-        curve = estimate_density(job)["divergence"]
-        assert VARIANCE_UNRELIABLE in curve.flags
+        # 1/|grad norm2| has tail index d, so its fourth moment diverges at
+        # d = 2 and 3; a constant gradient norm has no tail.  No d = 5 absence
+        # is pinned: the fixed HILL_MARGIN flags d = 5 on about 1 seed in 20
+        for d, G, flagged in ((2, Norm2(), True), (3, Norm2(), True),
+                              (2, Coordinate(1), False)):
+            m = build_model(("iid_gaussian", d))
+            job = DensityJob(model=m, G=G, phi=ONE, r_grid=(1.0,),
+                             n=2 * 10 ** 5, seed=19, estimator="divergence")
+            curve = estimate_density(job)["divergence"]
+            assert (VARIANCE_UNRELIABLE in curve.flags) == flagged, (d, G.name)
 
     def test_fd_gradient_flagged(self, iid3):
         from glset import UserFunctional
@@ -319,6 +324,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityJob(model=iid3, G=Norm2(), phi=ONE, r_grid=(1.0, 1.0),
                        n=10, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["r_grid", "epsilon", "stream_pass", "sphere"])
+    def test_nonfinite_level_or_bandwidth_rejected(self, iid3, where, bad):
+        calls = {
+            "r_grid": lambda: DensityJob(model=iid3, G=Norm2(), phi=ONE,
+                                         r_grid=(1.0, bad), n=10, seed=1),
+            "epsilon": lambda: DensityJob(model=iid3, G=Norm2(), phi=ONE,
+                                          r_grid=(1.0,), n=10, seed=1, epsilon=bad),
+            "stream_pass": lambda: stream_pass(iid3, Norm2(), 10, 1, (1.0,),
+                                               [Query(ONE, "mollified")], epsilon=bad),
+            "sphere": lambda: sphere_quadrature(ONE, 3, bad),
+        }
+        with pytest.raises(ValueError, match="finite|positive"):
+            calls[where]()
 
     def test_nonfinite_values_fault(self, iid3):
         from glset import NumericalFault, UserFunctional

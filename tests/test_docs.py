@@ -1,8 +1,14 @@
 """The configs shown in the docs and kept in the repo parse, the README
-example runs, and both parameter tables say what the parser checks."""
+example runs, both parameter tables say what the parser checks, and the
+demos import only names glset has."""
 
+import ast
 import dataclasses
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +79,24 @@ def test_module_docstring_table_is_the_schema():
     table = {kind: (req, opt) for kind, req, opt in rows if kind in config_module._JOBS}
     table["selftest"] = ("", "")  # its row reads "(no parameters)"
     assert table == config_module._JOBS
+
+
+def test_demo_imports_resolve():
+    missing = []
+    for path in sorted(ROOT.glob("demos/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "glset"):
+                continue
+            module = importlib.import_module(node.module)
+            missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    assert missing == []
+
+
+def test_divergence_calculus_demo_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / "02_divergence_calculus.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -16,10 +16,9 @@ import pytest
 from glset import (Constant, Coordinate, DensityJob, Norm2, Product, Query,
                    RadialClamp, SurfaceMeasureHandle, build_model,
                    conditional_vs_surface, density, disintegrate, estimate_density,
-                   hypothesis_diagnostics, hyperplane_quadrature, ibp_battery,
-                   ibp_residuals, model, parse_config, positivity_scan,
-                   resolve_functional, run, sphere_quadrature, stream_pass,
-                   surface_report)
+                   hyperplane_quadrature, ibp_battery, ibp_residuals, model,
+                   parse_config, positivity_scan, resolve_functional, run,
+                   sphere_quadrature, stream_pass, surface_report)
 from glset.expressions import ExpressionFunctional
 from glset.surface import TRACE_LEVELS
 
@@ -113,10 +112,6 @@ class TestPassCounts:
         assert run(parse_config(IBP_CONFIG), output_dir=tmp_path) == 0
         assert len(passes) == 1
 
-    def test_hypothesis_diagnostics_makes_one_map_chunks_pass(self, iid3, passes):
-        hypothesis_diagnostics(Norm2(), iid3, 40_000, seed=23)
-        assert passes == ["map_chunks"]
-
 
 class TestFusedPaths:
     def test_runner_ibp_job_matches_per_pair_calls(self, iid3, tmp_path):
@@ -130,15 +125,6 @@ class TestFusedPaths:
                                           40_000, 19)
         # through JSON, where a record's flags tuple reads back as a list
         assert records == json.loads(json.dumps([dataclasses.asdict(rec) for rec in expected]))
-
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_hypothesis_diagnostics_thread_invariant(self, monkeypatch, d):
-        m = build_model(("iid_gaussian", d))
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GLSET_THREADS", threads)
-            reports.append(hypothesis_diagnostics(Norm2(), m, 100_000, seed=29))
-        assert reports[0] == reports[1]
 
 
 class TestColumnIndependence:
