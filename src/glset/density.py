@@ -215,6 +215,8 @@ class _ChunkStats:
     columns: list = field(default_factory=list)
     moll_counts: np.ndarray | None = None
     excl: int = 0
+    # an owned copy of at most hill_k + 1 of the chunk's gradient norms, its
+    # Hill tail sample; folded in chunk order after the pass, then released
     bottom_g: np.ndarray | None = None
 
 
@@ -232,6 +234,9 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     Per chunk the work that depends on G alone is done once: its values and
     their stable sort, and when a divergence query is present the gradient,
     the kernel divergence with its exclusion mask and the Hill tail sample.
+    A chunk keeps an owned copy of at most ``hill_k(n) + 1`` norms as that
+    sample, never a view into a chunk-sized buffer; after the pass the
+    chunks' samples are folded in chunk order into the pass's tail.
     Each distinct weight is evaluated once per chunk, and a divergence
     query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``.  For
     an integration-by-parts weight ``phi D_k G`` that asks
@@ -298,7 +303,11 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     counts = np.array([st.count for st in stats], dtype=float)
     if want_div:
         excluded_fraction = int(np.sum([st.excl for st in stats])) / n
-        bottom = smallest_norms(np.concatenate([st.bottom_g for st in stats]), tail_k)
+        # fold the chunk tails in chunk order, releasing each once merged
+        bottom = np.empty(0)
+        for st in stats:
+            bottom = smallest_norms(np.concatenate([bottom, st.bottom_g]), tail_k)
+            st.bottom_g = None
         unreliable = moment_diverging(hill_tail_index(bottom), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)

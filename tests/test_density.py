@@ -1,14 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from glset import (BmEndpoint, Constant, Coordinate, DensityJob, Norm2, Query,
-                   build_model, estimate_density, sphere_quadrature, stream_pass)
+                   SurfaceMeasureHandle, build_model, density, estimate_density, sample,
+                   sphere_quadrature, stream_pass, surface_report)
+from glset.calculus import KernelField, hill_k, hill_tail_index, smallest_norms
 from glset.density import (INSUFFICIENT_BATCHES, VARIANCE_UNRELIABLE, batch_mean_stderr,
                            thread_count)
 from glset.expressions import ExpressionFunctional
+from glset.functionals import rowsum
+from glset.model import CHUNK_SIZE
 
 
 ONE = Constant(1.0)
@@ -222,13 +227,80 @@ class TestDeterminism:
         monkeypatch.setenv("GLSET_THREADS", "4")
         b = estimate_density(job)
         for key in a:
-            assert np.array_equal(a[key].estimates, b[key].estimates)
+            assert a[key].estimates.tobytes() == b[key].estimates.tobytes()
+            assert a[key].stderrs.tobytes() == b[key].stderrs.tobytes()
+            assert a[key].flags == b[key].flags
+            assert a[key].excluded_fraction == b[key].excluded_fraction
+            assert np.array_equal(a[key].window_counts, b[key].window_counts)
 
     @pytest.mark.parametrize("text", ["abc", "0", "-2", "1.5", ""])
     def test_thread_count_must_be_a_positive_integer(self, monkeypatch, text):
         monkeypatch.setenv("GLSET_THREADS", text)
         with pytest.raises(ValueError, match="GLSET_THREADS"):
             thread_count()
+
+
+class TestHillTail:
+    """The pass's Hill tail is the k + 1 smallest gradient norms of the whole
+    stream, kept per chunk as owned copies, never as views into chunk buffers."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("text", ["norm2()", "min(norm2(), 6)"])
+    @pytest.mark.parametrize("n", [10_000, 2 * CHUNK_SIZE, 39 * CHUNK_SIZE + 100])
+    def test_tail_is_smallest_norms_of_the_stream(self, iid3, monkeypatch, threads, text, n):
+        seen = []
+        monkeypatch.setattr(density, "hill_tail_index",
+                            lambda g: seen.append(np.array(g)) or hill_tail_index(g))
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        G = ExpressionFunctional(text)
+        estimate_density(DensityJob(model=iid3, G=G, phi=ONE, r_grid=(1.0,), n=n,
+                                    seed=31, estimator="divergence"))
+        grad = G.gradient(sample(iid3, n, 31))
+        s = rowsum(grad * grad)
+        norms = np.sqrt(s)[~KernelField.excluded(s)]
+        if text.startswith("min"):
+            assert len(norms) < n  # the flat region's rows are excluded
+        want = np.sort(norms)[:hill_k(n) + 1]
+        got, = seen
+        assert np.sort(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 5, 3000])
+    def test_smallest_norms_owns_its_values(self, size):
+        kept = smallest_norms(np.random.default_rng(3).random(size), 100)
+        assert kept.base is None
+        assert len(kept) == min(size, 101)
+
+
+class TestPassMemory:
+    """A pass holds per chunk its grid rows, window counts and at most
+    hill_k + 1 norms; the traced peak grows by about 16 KB per chunk."""
+
+    @staticmethod
+    def peak_growth(run):
+        peaks = []
+        for chunks in (16, 64):
+            tracemalloc.start()
+            try:
+                run(chunks * CHUNK_SIZE)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    def test_density_pass_peak_does_not_scale_with_chunk_buffers(self, iid5, monkeypatch):
+        monkeypatch.setenv("GLSET_THREADS", "1")
+        growth = self.peak_growth(lambda n: estimate_density(DensityJob(
+            model=iid5, G=Norm2(), phi=ONE, r_grid=(1.0, 3.0, 5.0), n=n, seed=17,
+            estimator="divergence")))
+        assert growth <= 1.5e6
+
+    def test_surface_report_peak_does_not_scale_with_chunk_buffers(self, iid5, monkeypatch):
+        monkeypatch.setenv("GLSET_THREADS", "1")
+        phi = ExpressionFunctional("exp(-norm2())")
+        growth = self.peak_growth(lambda n: surface_report(
+            SurfaceMeasureHandle(model=iid5, G=Norm2(), r=5.0, n=n, seed=19),
+            [phi], k_list=(1,)))
+        assert growth <= 1.5e6
 
 
 class TestSmoothness:
