@@ -23,13 +23,12 @@ G pays 2 new values for it, the ray sides ``G(xi +- t g/|g|)``.  Rows with
 The construction asks that ``1/|D_H G|`` be integrable; the divergence
 integrand, of order ``|D_H G|^-2``, has finite variance when the fourth
 moment of ``1/|D_H G|`` is finite.  A density
-pass keeps the :func:`hill_k` + 1 smallest gradient norms: each chunk keeps
-an owned copy of at most that many of its own (:func:`smallest_norms`), and
-after the pass these are folded in chunk order into one tail of the same
-size.  From that tail the pass estimates the tail index of ``1/|D_H G|``
-(:func:`hill_tail_index`) and flags its divergence curves ``variance
-unreliable`` when that index says the fourth moment diverges
-(:func:`moment_diverging`).
+pass keeps the :func:`hill_k` + 1 smallest gradient norms: each chunk's
+worker folds the smallest of its own (:func:`smallest_norms`) into one tail
+of that size as it finishes.  From that tail the pass estimates the tail
+index of ``1/|D_H G|`` (:func:`hill_tail_index`) and flags its divergence
+curves ``variance unreliable`` when that index says the fourth moment
+diverges (:func:`moment_diverging`).
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def smallest_norms(norms: np.ndarray, k: int) -> np.ndarray:
     """The k + 1 smallest (or all) of ``norms``: a chunk's or a pass's tail sample.
 
     The result owns its at most k + 1 values; a slice of the partitioned
-    copy would keep the whole chunk-sized buffer alive for as long as the
-    tail is kept.
+    copy would keep the whole chunk-sized buffer alive with the tail.
     """
     keep = min(len(norms), k + 1)
     return np.partition(norms, keep - 1)[:keep].copy() if keep else norms.copy()

@@ -30,6 +30,7 @@ means over chunks.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,23 +83,21 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
 
 
 def batch_mean_stderr(sums: np.ndarray, counts: np.ndarray):
-    """Mean and batch-means standard error from per-chunk sums.
+    """Mean and batch-means standard error from (J, R) per-chunk sums.
 
-    ``sums`` is (J,) or (J, R); the estimate is total/n and the error comes
-    from the spread of chunk means, which stays usable when the integrand is
-    heavy tailed.  With a single chunk the stderr is NaN.
+    The estimate is total/n and the error comes from the spread of chunk
+    means, which stays usable when the integrand is heavy tailed.  With a
+    single chunk the stderr is NaN.
     """
     sums = np.asarray(sums, dtype=float)
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(counts, dtype=float)[:, None]
     n = counts.sum()
     J = len(counts)
     mean = sums.sum(axis=0) / n
     if J < 2:
-        return mean, np.full_like(np.atleast_1d(mean), np.nan)
-    m = sums / (counts[:, None] if sums.ndim == 2 else counts)
-    dev = m - mean
-    sigma2 = np.sum((counts[:, None] if sums.ndim == 2 else counts) * dev * dev,
-                    axis=0) / (J - 1)
+        return mean, np.full_like(mean, np.nan)
+    dev = sums / counts - mean
+    sigma2 = np.sum(counts * dev * dev, axis=0) / (J - 1)
     return mean, np.sqrt(sigma2 / n)
 
 
@@ -215,9 +214,6 @@ class _ChunkStats:
     columns: list = field(default_factory=list)
     moll_counts: np.ndarray | None = None
     excl: int = 0
-    # an owned copy of at most hill_k + 1 of the chunk's gradient norms, its
-    # Hill tail sample; folded in chunk order after the pass, then released
-    bottom_g: np.ndarray | None = None
 
 
 def _prefix_sums(weights):
@@ -234,9 +230,9 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     Per chunk the work that depends on G alone is done once: its values and
     their stable sort, and when a divergence query is present the gradient,
     the kernel divergence with its exclusion mask and the Hill tail sample.
-    A chunk keeps an owned copy of at most ``hill_k(n) + 1`` norms as that
-    sample, never a view into a chunk-sized buffer; after the pass the
-    chunks' samples are folded in chunk order into the pass's tail.
+    Each worker folds the ``hill_k(n) + 1`` smallest norms of its chunk into
+    the pass's one tail of that size under a lock; the tail is the same
+    multiset in any fold order, so no chunk keeps norms past its worker.
     Each distinct weight is evaluated once per chunk, and a divergence
     query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``.  For
     an integration-by-parts weight ``phi D_k G`` that asks
@@ -258,8 +254,11 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
         epsilon = default_bandwidth(model, G, n, seed)
     kernel = KernelField(G) if want_div else None
     tail_k = hill_k(n)
+    tail = np.empty(0)
+    tail_lock = threading.Lock()
 
     def worker(index, pts):
+        nonlocal tail
         gv = check_finite(G.value(pts), "G", G.name)
         order = stable_argsort(gv)
         gs = gv[order]
@@ -274,7 +273,9 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
             s = rowsum(grad * grad)
             kd, excluded = kernel.divergence(pts, grad, s)
             st.excl = int(np.count_nonzero(excluded))
-            st.bottom_g = smallest_norms(np.sqrt(s)[~excluded], tail_k)
+            norms = smallest_norms(np.sqrt(s)[~excluded], tail_k)
+            with tail_lock:
+                tail = smallest_norms(np.concatenate([tail, norms]), tail_k)
         values = {}
         for q in queries:
             phi = q.phi
@@ -303,12 +304,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     counts = np.array([st.count for st in stats], dtype=float)
     if want_div:
         excluded_fraction = int(np.sum([st.excl for st in stats])) / n
-        # fold the chunk tails in chunk order, releasing each once merged
-        bottom = np.empty(0)
-        for st in stats:
-            bottom = smallest_norms(np.concatenate([bottom, st.bottom_g]), tail_k)
-            st.bottom_g = None
-        unreliable = moment_diverging(hill_tail_index(bottom), 4)
+        unreliable = moment_diverging(hill_tail_index(tail), 4)
     if "mollified" in routes:
         window_counts = np.sum([st.moll_counts for st in stats], axis=0)
     # batch means need two chunks; with one the stderrs are NaN

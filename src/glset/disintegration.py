@@ -214,6 +214,7 @@ class ConditionalSurfaceRecord:
     ``q1 * E[phi | G in bin(r)]`` should match the surface integral of phi
     up to Monte Carlo error plus an O(bin width) discretization allowance.
     ``unresolved`` marks an empty bin: no conditional measure to compare.
+    ``flags`` are those of the ``q1`` and surface curves it reads.
     """
 
     phi_name: str
@@ -226,6 +227,7 @@ class ConditionalSurfaceRecord:
     surface_value: float
     band: float
     unresolved: bool = False
+    flags: tuple[str, ...] = ()
 
     @property
     def difference(self) -> float:
@@ -255,6 +257,7 @@ def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
     q1s, surfs = stream_pass(D.model, D.G, D.n, D.seed, r_grid,
                              [Query(Constant(1.0), estimator), Query(phi, estimator)],
                              epsilon=epsilon).results
+    flags = tuple(dict.fromkeys(q1s.flags + surfs.flags))
     cond = D.conditional_means(binned)
     mids = 0.5 * (D.edges[:-1] + D.edges[1:])
     records = []
@@ -263,7 +266,7 @@ def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
             surfs.estimates.tolist(), surfs.stderrs.tolist()):
         width = float(D.edges[j + 1] - D.edges[j])
         level = dict(phi_name=phi.name, r=r, bin_index=j, bin_width=width, q1=q1,
-                     surface_value=surf)
+                     surface_value=surf, flags=flags)
         if D.counts[j] == 0:
             records.append(ConditionalSurfaceRecord(
                 **level, conditional_mean=np.nan, product=np.nan, band=np.nan,

@@ -74,47 +74,26 @@ def _as_batch(xi) -> tuple[np.ndarray, bool]:
 
 
 # ----------------------------- chunk kernels -----------------------------
-# np.sum over short rows and np.argsort(kind="stable") are slow for the
-# (16384, d) chunks of a stream pass; these give the same bits faster.
-
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
-
-
-def _pairwise_columns(p, start, n):
-    """Column-wise replay of numpy's pairwise sum of ``p[:, start:start+n]``."""
-    if n < 8:
-        out = p[:, start].copy()
-        for j in range(start + 1, start + n):
-            out += p[:, j]
-        return out
-    if n <= _PAIRWISE_BLOCK:
-        r = [p[:, start + j].copy() for j in range(8)]
-        tail = start + n - n % 8
-        for i in range(start + 8, tail, 8):
-            for j in range(8):
-                r[j] += p[:, i + j]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for j in range(tail, start + n):
-            out += p[:, j]
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_columns(p, start, half) + _pairwise_columns(p, start + half, n - half)
+# np.sum over rows of fewer than 8 columns and np.argsort(kind="stable") are
+# slow for the (16384, d) chunks of a stream pass; these give the same bits
+# faster.
 
 
 def rowsum(p: np.ndarray) -> np.ndarray:
-    """Row sums with the bits of ``np.sum(p, axis=1)``, summed column-wise.
+    """Row sums with the bits of ``np.sum(p, axis=1)``.
 
-    For a C-contiguous 2-D float64 ``p`` numpy adds each row by pairwise
-    summation (Higham 1993): sequentially below 8 terms, with 8 interleaved
-    accumulators up to 128, by halving at a multiple of 8 above; this
-    replays that order one column at a time.  Any other input goes to
-    ``np.sum``, whose order then depends on the memory layout.
+    numpy sums each row of a C-contiguous 2-D float64 ``p`` pairwise
+    (Higham 1993), which below 8 terms is plain left-to-right addition; for
+    1 to 7 columns this adds the columns in that order, about 6x faster at
+    (16384, 5).  Any other input, 8 columns or more included, goes to
+    ``np.sum`` itself.
     """
     if p.ndim != 2 or p.dtype != np.float64 or not p.flags.c_contiguous \
-            or p.shape[1] == 0:
+            or not 0 < p.shape[1] < 8:
         return np.sum(p, axis=1)
-    out = _pairwise_columns(p, 0, p.shape[1])
+    out = p[:, 0].copy()
+    for j in range(1, p.shape[1]):
+        out += p[:, j]
     out += 0.0  # np.sum starts from +0.0, so a row of -0.0 sums to +0.0
     return out
 

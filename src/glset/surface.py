@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import INSUFFICIENT_BATCHES, DensityCurve, Query, stream_pass
+from .density import DensityCurve, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           ProductWithPartial, RadialClamp)
 from .model import GaussianModel
@@ -187,7 +187,9 @@ class PositivityReport:
 
     The density of the image measure is positive exactly strictly between
     the essential bounds of G; the report flags interior grid points that
-    are not detectably positive and exterior points that are.
+    are not detectably positive and exterior points that are.  ``flags``
+    are those of the curve it reads, which say why its stderrs may not
+    bound the estimates (``insufficient-batches`` makes them NaN).
     """
 
     r: np.ndarray
@@ -198,6 +200,7 @@ class PositivityReport:
     interior_not_positive: tuple[float, ...]
     exterior_positive: tuple[float, ...]
     estimator: str
+    flags: tuple[str, ...] = ()
 
     @property
     def consistent(self) -> bool:
@@ -222,7 +225,7 @@ def positivity_scan(model: GaussianModel, G: Functional, r_grid, n: int, seed: i
                             stderrs=curve.stderrs, g_min=g_min, g_max=g_max,
                             interior_not_positive=tuple(interior_bad),
                             exterior_positive=tuple(exterior_bad),
-                            estimator=estimator)
+                            estimator=estimator, flags=curve.flags)
 
 
 # ----------------------------- Hausdorff oracle -----------------------------
@@ -375,9 +378,9 @@ def hyperplane_quadrature(phi: Functional, weights: np.ndarray, d: int, r: float
 class HausdorffRecord:
     """Monte Carlo surface integral against its deterministic quadrature value.
 
-    ``flags`` carries ``insufficient-batches`` when the Monte Carlo curve it
-    reads has no standard error, and ``quadrature-not-converged`` when the
-    rule was still apart at ``QUAD_NODES`` nodes."""
+    ``flags`` are the flags of the Monte Carlo curve it reads, then
+    ``quadrature-not-converged`` when the rule was still apart at
+    ``QUAD_NODES`` nodes."""
 
     g_name: str
     phi_name: str
@@ -522,9 +525,8 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
             diffs=tuple(abs(est - value) for est, _ in clamped))
     if with_hausdorff:
         quad_flags = quadrature.pop("flags")
-        batch_flags = tuple(f for f in first_curve.flags if f == INSUFFICIENT_BATCHES)
         report.hausdorff = HausdorffRecord(
             g_name=h.G.name, phi_name=first.name, r=h.r, mc_value=value,
-            mc_stderr=stderr, flags=batch_flags + quad_flags, **quadrature)
+            mc_stderr=stderr, flags=first_curve.flags + quad_flags, **quadrature)
         report.flags += quad_flags
     return report

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -242,7 +243,7 @@ class TestDeterminism:
 
 class TestHillTail:
     """The pass's Hill tail is the k + 1 smallest gradient norms of the whole
-    stream, kept per chunk as owned copies, never as views into chunk buffers."""
+    stream, folded from owned per-chunk copies, never views into chunk buffers."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("text", ["norm2()", "min(norm2(), 6)"])
@@ -264,6 +265,26 @@ class TestHillTail:
         got, = seen
         assert np.sort(got).tobytes() == want.tobytes()
 
+    def test_tail_fold_under_frequent_thread_switches(self, iid3, monkeypatch):
+        # more workers than cores and a 1 us switch interval: a fold lost to
+        # a race would drop a chunk's norms from the tail
+        seen = []
+        monkeypatch.setattr(density, "hill_tail_index",
+                            lambda g: seen.append(np.array(g)) or hill_tail_index(g))
+        monkeypatch.setenv("GLSET_THREADS", "8")
+        n = 48 * CHUNK_SIZE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate_density(DensityJob(model=iid3, G=Norm2(), phi=ONE, r_grid=(1.0,), n=n,
+                                        seed=37, estimator="divergence"))
+        finally:
+            sys.setswitchinterval(interval)
+        grad = Norm2().gradient(sample(iid3, n, 37))
+        want = np.sort(np.sqrt(rowsum(grad * grad)))[:hill_k(n) + 1]
+        got, = seen
+        assert np.sort(got).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("size", [0, 5, 3000])
     def test_smallest_norms_owns_its_values(self, size):
         kept = smallest_norms(np.random.default_rng(3).random(size), 100)
@@ -272,8 +293,8 @@ class TestHillTail:
 
 
 class TestPassMemory:
-    """A pass holds per chunk its grid rows, window counts and at most
-    hill_k + 1 norms; the traced peak grows by about 16 KB per chunk."""
+    """A pass holds per chunk its grid rows and window counts, and one tail of
+    hill_k + 1 norms; the traced peak grows by well under 16 KB per chunk."""
 
     @staticmethod
     def peak_growth(run):
@@ -366,13 +387,13 @@ class TestBatchMeans:
     def test_equal_chunks_match_textbook_formula(self):
         sums = np.array([10.0, 12.0, 8.0, 11.0])
         counts = np.array([100.0] * 4)
-        mean, se = batch_mean_stderr(sums, counts)
+        mean, se = batch_mean_stderr(sums[:, None], counts)
         m = sums / counts
         assert mean == pytest.approx(m.mean())
         assert se == pytest.approx(m.std(ddof=1) / 2.0)
 
     def test_single_chunk_gives_nan_stderr(self):
-        mean, se = batch_mean_stderr(np.array([5.0]), np.array([10.0]))
+        mean, se = batch_mean_stderr(np.array([5.0])[:, None], np.array([10.0]))
         assert mean == 0.5 and np.isnan(se)
 
     def test_single_chunk_curves_say_why_stderrs_are_nan(self, iid3):

@@ -7,6 +7,7 @@ from scipy import stats
 from glset import (Constant, Coordinate, Norm2, UserFunctional,
                    conditional_vs_surface, disintegrate, disintegration,
                    support_check, verify_disintegration)
+from glset.density import INSUFFICIENT_BATCHES
 from glset.expressions import ExpressionFunctional
 from glset.model import chunk_layout, sample
 
@@ -209,6 +210,18 @@ class TestConditionalVsSurface:
         assert abs(rec.product) <= rec.band
         assert abs(rec.surface_value) <= rec.band
         assert rec.within_band
+
+    def test_records_carry_the_curve_flags(self, iid5):
+        # n = 10000 is one chunk: the q1 and surface curves have NaN stderrs,
+        # and so does the band; a value-only weight's curve says it is
+        # approximate
+        phi = UserFunctional(lambda xi: np.exp(-np.sum(xi * xi, axis=1)), name="gauss")
+        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20, phis=[phi])
+        rec, = conditional_vs_surface(D, phi, [4.0])
+        assert np.isnan(rec.band)
+        assert INSUFFICIENT_BATCHES in rec.flags
+        assert "approximate-gradient" in rec.flags
+        assert len(set(rec.flags)) == len(rec.flags)
 
     def test_level_outside_range_rejected(self, iid5):
         D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20, phis=[ONE])

@@ -114,11 +114,14 @@ class TestArtifacts:
                            "job surface\n  G norm2\n  phi kink\n  r 1\n  n 20000\n"
                            "  hausdorff true\n")
         assert run(cfg, output_dir=tmp_path) == 0
+        # the curve's flags (at d = 3 the fourth inverse moment of
+        # |grad norm2| diverges), then the quadrature's
+        want = ["variance unreliable", "quadrature-not-converged"]
         payload = json.loads((tmp_path / "job01_hausdorff.json").read_text())
-        assert (payload["nodes"], payload["flags"]) == (64, ["quadrature-not-converged"])
+        assert (payload["nodes"], payload["flags"]) == (64, want)
         payload = json.loads((tmp_path / "job02_surface.json").read_text())
         assert "quadrature-not-converged" in payload["flags"]
-        assert payload["hausdorff"]["flags"] == ["quadrature-not-converged"]
+        assert payload["hausdorff"]["flags"] == want
 
     def test_single_chunk_ibp_job_is_flagged_in_json(self, tmp_path):
         # n = 10000 is one chunk: no batch-means stderr, and every record says why
@@ -140,11 +143,14 @@ class TestArtifacts:
                            "job hausdorff\n  G norm2\n  r 1\n  n 5000\n"
                            "job surface\n  G norm2\n  r 1\n  n 5000\n  hausdorff true\n")
         assert run(cfg, output_dir=tmp_path) == 0
+        # the curve's flags: one chunk, and at d = 3 a diverging fourth
+        # inverse moment of |grad norm2|
+        want = ["insufficient-batches", "variance unreliable"]
         payload = json.loads((tmp_path / "job01_hausdorff.json").read_text())
         assert payload["mc_stderr"] is None
-        assert payload["flags"] == ["insufficient-batches"]
+        assert payload["flags"] == want
         payload = json.loads((tmp_path / "job02_surface.json").read_text())
-        assert payload["hausdorff"]["flags"] == ["insufficient-batches"]
+        assert payload["hausdorff"]["flags"] == want
         assert payload["flags"].count("insufficient-batches") == 1
 
     def test_surface_json_contains_ibp_and_hausdorff(self, run_dir):
@@ -154,6 +160,11 @@ class TestArtifacts:
         # at d = 3 the fourth inverse moment of |grad norm2| diverges
         assert payload["ibp"][0]["flags"] == payload["flags"] == ["variance unreliable"]
         assert payload["hausdorff"]["geometry"] == "sphere"
+
+    def test_hausdorff_record_carries_the_curve_flags(self, run_dir):
+        # the record's within_tolerance reads the same unreliable stderr
+        payload = json.loads((run_dir / "job02_surface.json").read_text())
+        assert payload["hausdorff"]["flags"] == payload["flags"] == ["variance unreliable"]
 
     def test_manifest_records_versions_and_hash(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())

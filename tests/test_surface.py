@@ -8,7 +8,7 @@ from glset import (Constant, Coordinate, HausdorffRecord, Linear, Norm2, Product
                    SublevelBump, SurfaceMeasureHandle, build_model, hyperplane_quadrature,
                    ibp_battery, ibp_residuals, positivity_scan, sphere_quadrature,
                    surface_report)
-from glset.density import VARIANCE_UNRELIABLE
+from glset.density import INSUFFICIENT_BATCHES, VARIANCE_UNRELIABLE
 from glset.expressions import ExpressionFunctional
 from glset.surface import (QUAD_NODES, QUADRATURE_NOT_CONVERGED, sphere_rules,
                            tensor_blocks)
@@ -166,6 +166,14 @@ class TestPositivity:
         assert scan.estimates[1] == 0.0  # nothing above the clip level
         assert scan.consistent
 
+    def test_single_chunk_scan_says_why_interior_is_not_positive(self, iid5):
+        # n = 10000 is one chunk: NaN stderrs leave no level detectably
+        # positive, and the report carries the reason
+        scan = positivity_scan(iid5, Norm2(), (1.0, 5.0), 10 ** 4, seed=113)
+        assert scan.interior_not_positive == (1.0, 5.0)
+        assert np.isnan(scan.stderrs).all()
+        assert INSUFFICIENT_BATCHES in scan.flags
+
 
 class TestQuadratureOracles:
     def test_unit_sphere_areas(self):
@@ -308,7 +316,10 @@ class TestHausdorffCompare:
         phi = ExpressionFunctional("abs(xi(1))")
         report = surface_report(handle(iid3, G, r, n=20000), [phi], with_hausdorff=True)
         rec = report.hausdorff
-        assert (rec.nodes, rec.flags) == (QUAD_NODES, (QUADRATURE_NOT_CONVERGED,))
+        # the curve's flags, then the quadrature's: at d = 3 the fourth
+        # inverse moment of |grad norm2| diverges, a linear G has no tail
+        curve_flags = (VARIANCE_UNRELIABLE,) if isinstance(G, Norm2) else ()
+        assert (rec.nodes, rec.flags) == (QUAD_NODES, curve_flags + (QUADRATURE_NOT_CONVERGED,))
         assert QUADRATURE_NOT_CONVERGED in report.flags
         values = [rule(phi, m) for m in (8, 16, 32, 64)]
         assert values == pytest.approx(by_nodes, abs=tol)
@@ -320,7 +331,9 @@ class TestHausdorffCompare:
         # by the rule's absolute mass, not by |Q|
         rec = hausdorff_of(handle(iid3, Norm2(), 1.0, n=20000), Coordinate(1))
         mass = sphere_quadrature(ONE, 3, 1.0)
-        assert rec.nodes <= 16 and rec.flags == ()
+        # converged: only the curve's flag, the diverging fourth inverse
+        # moment of |grad norm2| at d = 3
+        assert rec.nodes <= 16 and rec.flags == (VARIANCE_UNRELIABLE,)
         assert abs(rec.quad_value) <= 1e-14 * mass
         assert rec.quad_error <= 1e-12 * mass
 
