@@ -10,8 +10,8 @@ identities at desk scale.
 from .model import (GaussianModel, build_model, chunk_layout, draw_chunk,
                     endpoint_weights, iter_sample_chunks, render_path, sample, vhat)
 from .functionals import (BmEndpoint, Constant, Coordinate, Functional, Linear,
-                          Norm2, NumericalFault, Product, ProductWithPartial,
-                          RadialClamp, SublevelBump, UserFunctional)
+                          Norm2, NumericalFault, Product, RadialClamp,
+                          SublevelBump, UserFunctional)
 from .calculus import KernelField
 from .density import (DensityCurve, DensityJob, Query, default_bandwidth,
                       estimate_density, stream_pass)
@@ -36,7 +36,7 @@ __all__ = [
     "iter_sample_chunks", "chunk_layout", "draw_chunk",
     "render_path", "endpoint_weights",
     "Functional", "UserFunctional", "Constant", "Coordinate", "Linear", "Norm2",
-    "BmEndpoint", "Product", "ProductWithPartial",
+    "BmEndpoint", "Product",
     "RadialClamp", "SublevelBump", "NumericalFault", "KernelField",
     "DensityJob", "DensityCurve", "estimate_density", "default_bandwidth",
     "Query", "stream_pass",

@@ -235,8 +235,8 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     multiset in any fold order, so no chunk keeps norms past its worker.
     Each distinct weight is evaluated once per chunk, and a divergence
     query's cross term ``grad phi . grad G`` is ``phi.jvp(pts, grad)``.  For
-    an integration-by-parts weight ``phi D_k G`` that asks
-    ``G.hess(pts, k - 1, grad)``, the one Hessian entry it needs: a
+    an integration-by-parts weight, ``Product(phi, D_k G)``, the product
+    rule asks ``G.hess(pts, k - 1, grad)``, the one Hessian entry it needs: a
     value-only G reads the ray sides the kernel's ``g^T H g`` kept and adds
     2 values per distinct k (``2d + 3 + 2m`` calls per chunk for m distinct
     k, ``2d + 3`` without a weight of that kind).  Each query then builds

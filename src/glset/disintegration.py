@@ -213,7 +213,9 @@ class ConditionalSurfaceRecord:
 
     ``q1 * E[phi | G in bin(r)]`` should match the surface integral of phi
     up to Monte Carlo error plus an O(bin width) discretization allowance.
-    ``unresolved`` marks an empty bin: no conditional measure to compare.
+    ``unresolved`` marks an empty bin, with no conditional measure to
+    compare, or a band that is not finite (one chunk gives NaN stderrs); an
+    unresolved record never fails the band.
     ``flags`` are those of the ``q1`` and surface curves it reads.
     """
 
@@ -288,5 +290,6 @@ def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
         product_se = np.hypot(q1 * cm_se, cm * q1_se)
         band = 4.0 * float(np.hypot(product_se, surf_se)) + allowance
         records.append(ConditionalSurfaceRecord(
-            **level, conditional_mean=cm, product=q1 * cm, band=band))
+            **level, conditional_mean=cm, product=q1 * cm, band=band,
+            unresolved=not np.isfinite(band)))
     return records

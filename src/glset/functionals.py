@@ -66,13 +66,6 @@ def check_finite(values: np.ndarray, what: str, context: str = ""):
     return values
 
 
-def _as_batch(xi) -> tuple[np.ndarray, bool]:
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        return xi[None, :], True
-    return xi, False
-
-
 # ----------------------------- chunk kernels -----------------------------
 # np.sum over rows of fewer than 8 columns and np.argsort(kind="stable") are
 # slow for the (16384, d) chunks of a stream pass; these give the same bits
@@ -325,56 +318,34 @@ class Functional:
         return (((c_plus - (hi_v - centre)) + (c_minus - (lo_v - centre)))
                 * (nu * nv / (2.0 * a * b)))
 
-    def __call__(self, xi):
-        batch, single = _as_batch(xi)
-        v = self.value(batch)
-        return float(v[0]) if single else v
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
 
 class UserFunctional(Functional):
-    """Wrap plain vectorized callbacks ``eval``/``grad``/``hess`` into an oracle."""
+    """Wrap a plain vectorized callback ``eval`` into an oracle; every
+    derivative is a finite difference of its values."""
 
-    def __init__(self, eval, grad=None, hess=None, name="user"):
+    def __init__(self, eval, name="user"):
         self._eval = eval
-        self._grad = grad
-        self._hess = hess
         self.name = name
-        self.analytic_gradient = grad is not None
 
     def value(self, xi):
         return self._kept("value", xi, (),
                           lambda: np.asarray(self._eval(xi), dtype=float))
 
     def gradient(self, xi):
-        if self._grad is None:
-            return self._kept("gradient", xi, (), lambda: Functional.gradient(self, xi))
-        return self._kept("gradient", xi, (),
-                          lambda: np.asarray(self._grad(xi), dtype=float))
-
-    def hessian(self, xi):
-        return np.asarray(self._hess(xi), dtype=float)
-
-    def laplacian(self, xi):
-        if self._hess is None:
-            return super().laplacian(xi)
-        return np.trace(self.hessian(xi), axis1=1, axis2=2)
+        return self._kept("gradient", xi, (), lambda: Functional.gradient(self, xi))
 
     def jvp(self, xi, u):
-        if self._grad is None and _is_axis(u):
+        if _is_axis(u):
             # D_j f from the two sides along e_j, not the 2d of the gradient
             [(_, h, hi, lo)] = self._stencil(xi, (u,))
             return (hi - lo) / (2.0 * h)
         return super().jvp(xi, u)
 
     def hess(self, xi, u, v):
-        if self._hess is None:
-            return self._kept("hess", xi, (u, v), lambda: Functional.hess(self, xi, u, v))
-        return self._bilinear(lambda w: self._kept(
-            "hessian_times", xi, (w,),
-            lambda: np.einsum("nij,nj->ni", self.hessian(xi), w)), xi, u, v)
+        return self._kept("hess", xi, (u, v), lambda: Functional.hess(self, xi, u, v))
 
 
 class Constant(Functional):
@@ -551,41 +522,3 @@ class Product(Functional):
 
     def jvp(self, xi, u):
         return self.f.jvp(xi, u) * self.g.value(xi) + self.g.jvp(xi, u) * self.f.value(xi)
-
-
-class ProductWithPartial(Functional):
-    """``phi * D_k G``: the test function appearing on the surface side of
-    the integration-by-parts residual.
-
-    ``D_k G`` is ``G.jvp(xi, k - 1)``.  Gradient by the product rule, with
-    the row ``D(D_k G)`` of the Hessian read entry by entry from
-    ``G.hess(xi, k - 1, j)``.  Along a direction u the symmetry of the
-    Hessian gives ``D(D_k G) . u = e_k^T (D^2 G) u``, so :meth:`jvp` asks
-    ``G.hess(xi, k - 1, u)``; along the gradient of G a finite-difference G
-    reuses the ray sides the kernel divergence took for ``g^T H g``.
-    """
-
-    def __init__(self, phi: Functional, G: Functional, k: int):
-        self.phi = phi
-        self.G = G
-        self.k = int(k)
-        self.analytic_gradient = phi.analytic_gradient and G.analytic_gradient
-        self.min_dim = max(phi.min_dim, G.min_dim, k)
-        self.name = f"({phi.name})*D{k}({G.name})"
-
-    def value(self, xi):
-        return self.phi.value(xi) * self.G.jvp(xi, self.k - 1)
-
-    def gradient(self, xi):
-        j = self.k - 1
-        pv = self.phi.value(xi)
-        out = np.empty_like(xi)
-        for i in range(xi.shape[1]):
-            out[:, i] = self.G.hess(xi, j, i) * pv
-        out += self.phi.gradient(xi) * self.G.jvp(xi, j)[:, None]
-        return out
-
-    def jvp(self, xi, u):
-        j = self.k - 1
-        return (self.phi.value(xi) * self.G.hess(xi, j, u)
-                + self.G.jvp(xi, j) * self.phi.jvp(xi, u))

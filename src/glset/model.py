@@ -69,27 +69,21 @@ def build_model(spec) -> GaussianModel:
 
     Parameters
     ----------
-    spec : str | tuple | dict
-        Either a builtin family ``("iid_gaussian", d)`` / ``("kl_brownian", d)``,
-        a dict ``{"family": ..., "dim": ...}``, or a dict with an explicit
-        ``{"spectrum": [...]}`` of positive eigenvalues.
+    spec : tuple | dict
+        Either a builtin family ``("iid_gaussian", d)`` / ``("kl_brownian", d)``
+        or a dict ``{"spectrum": [...]}`` of positive eigenvalues.
 
     The ``kl_brownian`` family is the Karhunen-Loeve truncation of Brownian
     motion on [0, 1]: ``lambda_k = 1/((k - 1/2)^2 pi^2)`` with eigenfunctions
     ``e_k(t) = sqrt(2) sin((k - 1/2) pi t)``.  Its full spectrum is summable
     (trace-class covariance); the truncation keeps the first d terms.
     """
-    if isinstance(spec, dict):
-        if "spectrum" in spec and spec.get("family", "explicit") == "explicit":
-            lam = tuple(float(v) for v in spec["spectrum"])
-            return GaussianModel(dim=len(lam), eigenvalues=lam,
-                                 label=spec.get("label", "explicit"))
-        family = spec["family"]
-        d = int(spec["dim"])
-    elif isinstance(spec, (tuple, list)):
-        family, d = spec[0], int(spec[1])
-    else:
+    if isinstance(spec, dict) and set(spec) == {"spectrum"}:
+        lam = tuple(float(v) for v in spec["spectrum"])
+        return GaussianModel(dim=len(lam), eigenvalues=lam, label="explicit")
+    if not isinstance(spec, (tuple, list)):
         raise ValueError(f"unrecognized model descriptor: {spec!r}")
+    family, d = spec[0], int(spec[1])
 
     if d <= 0:
         raise ValueError(f"model dimension must be positive, got {d}")

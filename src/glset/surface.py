@@ -10,7 +10,8 @@ question about one level from a single pass, :func:`ibp_battery` every
 (phi, k, level) identity and :func:`positivity_scan` a whole grid:
 
 * integration-by-parts residuals compare the sublevel integral of
-  ``D_k phi - xi_k phi`` with the surface integral of ``phi D_k G``,
+  ``D_k phi - xi_k phi`` with the surface integral of ``phi D_k G``, the
+  weight ``Product(phi, _Partial(G, k))``,
 * traces of continuous test functions are realized as restrictions, checked
   through a clamped approximating sequence,
 * on spheres and hyperplanes the measure has a closed geometric form
@@ -33,7 +34,7 @@ import numpy as np
 
 from .density import DensityCurve, Query, stream_pass
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
-                          ProductWithPartial, RadialClamp)
+                          RadialClamp)
 from .model import GaussianModel
 
 QUAD_NODES = 64
@@ -110,13 +111,45 @@ class _IbpSublevel(Functional):
         return self.phi.jvp(xi, self.k - 1) - xi[:, self.k - 1] * self.phi.value(xi)
 
 
+class _Partial(Functional):
+    """``D_k G``: the factor of the surface-side weight ``phi D_k G`` of the
+    integration-by-parts identity for (phi, k).
+
+    Its value is ``G.jvp(xi, k - 1)`` and its gradient the Hessian row
+    ``D(D_k G)``, read entry by entry from ``G.hess(xi, k - 1, i)``.  Along
+    a direction u the symmetry of the Hessian gives ``D(D_k G) . u =
+    e_k^T (D^2 G) u``, so :meth:`jvp` asks ``G.hess(xi, k - 1, u)``; along
+    the gradient of G a finite-difference G reuses the ray sides the kernel
+    divergence took for ``g^T H g``.
+    """
+
+    def __init__(self, G: Functional, k: int):
+        self.G = G
+        self.k = k
+        self.analytic_gradient = G.analytic_gradient
+        self.min_dim = max(G.min_dim, k)
+        self.name = f"D{k}({G.name})"
+
+    def value(self, xi):
+        return self.G.jvp(xi, self.k - 1)
+
+    def gradient(self, xi):
+        out = np.empty_like(xi)
+        for i in range(xi.shape[1]):
+            out[:, i] = self.G.hess(xi, self.k - 1, i)
+        return out
+
+    def jvp(self, xi, u):
+        return self.G.hess(xi, self.k - 1, u)
+
+
 def _ibp_columns(model, G, pairs, route) -> list[Query]:
     """Both sides of every (phi, k) identity as columns of one pass."""
     for _, k in pairs:
         if k < 1 or k > model.dim:
             raise IndexError(f"direction {k} out of range 1..{model.dim}")
     return [q for phi, k in pairs for q in (Query(_IbpSublevel(phi, k), "cdf"),
-                                            Query(ProductWithPartial(phi, G, k), route))]
+                                            Query(Product(phi, _Partial(G, k)), route))]
 
 
 def _ibp_records(pairs, results) -> list[IbpRecord]:
@@ -487,10 +520,13 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     (phi, k), the trace of the first phi and the Hausdorff comparison of the
     first phi (or of 1), all from one pass over the handle's stream.
 
-    A level set without a quadrature oracle raises ``ValueError`` before
-    the pass when ``with_hausdorff`` is set; a quadrature that has not
-    converged at ``QUAD_NODES`` nodes adds its flag to the report's.
+    Weights must have distinct names, which key ``integrals``.  A level set
+    without a quadrature oracle raises ``ValueError`` before the pass when
+    ``with_hausdorff`` is set; a quadrature that has not converged at
+    ``QUAD_NODES`` nodes adds its flag to the report's.
     """
+    if len({phi.name for phi in phis}) < len(phis):
+        raise ValueError("surface weights must have distinct names")
     route = h.estimator
     mass = Constant(1.0)
     first = phis[0] if phis else mass

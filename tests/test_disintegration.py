@@ -223,6 +223,15 @@ class TestConditionalVsSurface:
         assert "approximate-gradient" in rec.flags
         assert len(set(rec.flags)) == len(rec.flags)
 
+    def test_nan_band_is_unresolved(self, iid5):
+        # one chunk: the band is NaN, which is no verdict, so the record is
+        # unresolved and does not fail the band
+        g = ExpressionFunctional("exp(-norm2())")
+        D = disintegrate(iid5, Norm2(), 10 ** 4, seed=3, bins=20, phis=[g])
+        recs = conditional_vs_surface(D, g, [2.0, 4.0, 6.0])
+        assert all(np.isnan(rec.band) for rec in recs)
+        assert all(rec.unresolved and rec.within_band for rec in recs)
+
     def test_level_outside_range_rejected(self, iid5):
         D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20, phis=[ONE])
         with pytest.raises(ValueError):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from glset import (BmEndpoint, Constant, Coordinate, Linear, Norm2, Product,
-                   ProductWithPartial, RadialClamp, SublevelBump, UserFunctional,
-                   build_model)
+                   RadialClamp, SublevelBump, UserFunctional, build_model)
 from glset.expressions import ExpressionFunctional
 from glset.functionals import Functional, fd_gradient, rowsum
+from glset.surface import _Partial
 
 
 ANALYTIC = [
@@ -62,44 +62,11 @@ def test_user_functional_fd_fallback(rng):
     assert np.allclose(f.laplacian(xi), 6.0, atol=1e-4)
 
 
-def test_user_functional_analytic_hessian(rng):
-    f = UserFunctional(
-        eval=lambda xi: np.sum(xi ** 2, axis=1),
-        grad=lambda xi: 2 * xi,
-        hess=lambda xi: np.tile(2 * np.eye(3), (xi.shape[0], 1, 1)),
-    )
-    xi = rng.standard_normal((5, 3))
-    w = rng.standard_normal((5, 3))
-    assert np.allclose(f.hess(xi, w, w), 2 * np.sum(w * w, axis=1))
-    assert np.allclose(f.laplacian(xi), 6.0)
-    assert np.allclose(f.hess(xi, 1, w), 2 * w[:, 1])
-    assert np.allclose([f.hess(xi, 1, k) for k in range(3)], [[0.0] * 5, [2.0] * 5, [0.0] * 5])
-
-
-def _grad_example(xi):
-    # gradient of xi_1^2 xi_2 + sin(xi_3), at any d >= 3
-    g = np.zeros_like(xi)
-    g[:, 0] = 2 * xi[:, 0] * xi[:, 1]
-    g[:, 1] = xi[:, 0] ** 2
-    g[:, 2] = np.cos(xi[:, 2])
-    return g
-
-
-def _hess_example(xi):
-    # its Hessian
-    h = np.zeros(xi.shape + xi.shape[1:])
-    h[:, 0, 0] = 2 * xi[:, 1]
-    h[:, 0, 1] = h[:, 1, 0] = 2 * xi[:, 0]
-    h[:, 2, 2] = -np.sin(xi[:, 2])
-    return h
-
-
 HESS = [
     Constant(2.5),
     Linear([0.5, -1.5, 2.0]),
     Norm2(),
-    UserFunctional(eval=lambda xi: xi[:, 0] ** 2 * xi[:, 1] + np.sin(xi[:, 2]),
-                   grad=_grad_example, hess=_hess_example, name="user-hess"),
+    ExpressionFunctional("xi(1)^2*xi(2) + sin(xi(3))"),
     ExpressionFunctional("exp(-norm2())"),
     ExpressionFunctional("xi(1)*xi(2)^2"),
 ]
@@ -158,10 +125,19 @@ def test_fd_hvp_is_accurate_on_a_chunk():
 
 
 def test_product_with_partial_is_phi_times_dkg(rng):
+    # the ibp weight phi D_k G: the bits of phi D_k G and of
+    # phi e_k^T (D^2 G) u + D_k G (grad phi . u) written out by hand
     phi = ExpressionFunctional("exp(-norm2())")
-    G = Norm2()
-    f = ProductWithPartial(phi, G, 2)
+    G = ExpressionFunctional("xi(1)^2*xi(2) + sin(xi(3))")
     xi = rng.standard_normal((50, 3))
+    u = rng.standard_normal((50, 3))
+    for k in (1, 2, 3):
+        f = Product(phi, _Partial(G, k))
+        dkg = G.jvp(xi, k - 1)
+        assert f.value(xi).tobytes() == (phi.value(xi) * dkg).tobytes()
+        by_hand = phi.value(xi) * G.hess(xi, k - 1, u) + dkg * phi.jvp(xi, u)
+        assert f.jvp(xi, u).tobytes() == by_hand.tobytes()
+    f = Product(phi, _Partial(Norm2(), 2))
     assert np.allclose(f.value(xi), phi.value(xi) * 2 * xi[:, 1], rtol=1e-14)
     numeric = fd_gradient(f.value, xi, 1e-5)
     assert np.allclose(f.gradient(xi), numeric, atol=1e-7)
@@ -181,8 +157,8 @@ JVP = [
     RadialClamp(1.0),
     SublevelBump(Norm2(), c=3.0, delta=1.0),
     Product(GAUSS, RadialClamp(1.0)),
-    ProductWithPartial(GAUSS, Norm2(), 2),  # its FD-G twin is checked below
-    HESS[3],  # a callback with gradient and Hessian
+    Product(GAUSS, _Partial(Norm2(), 2)),  # its FD-G twin is checked below
+    HESS[3],  # an expression with a mixed Hessian
     _value_only(ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3")),
     ExpressionFunctional("sin(xi(1))*cos(xi(2)) + xi(3)^3"),
 ]
@@ -212,8 +188,8 @@ def test_finite_difference_product_with_partial_jvp(rng):
     xi = rng.standard_normal((200, 3))
     u = 2.0 * xi  # the direction the pass uses: the gradient of norm2
     for k in (1, 2, 3):
-        exact = ProductWithPartial(GAUSS, Norm2(), k).jvp(xi, u)
-        fd = ProductWithPartial(GAUSS, _value_only(Norm2()), k).jvp(xi, u)
+        exact = Product(GAUSS, _Partial(Norm2(), k)).jvp(xi, u)
+        fd = Product(GAUSS, _Partial(_value_only(Norm2()), k)).jvp(xi, u)
         assert np.max(np.abs(fd - exact)) <= 1e-5 * np.max(np.abs(exact))
 
 
@@ -244,7 +220,3 @@ def test_sublevel_bump_vanishes_above_cut(rng):
     v = f.value(xi)
     assert np.all(v[g >= 2.0] == 0.0)
     assert np.all(v[g <= 1.5] == 1.0)
-
-
-def test_single_point_call_returns_scalar():
-    assert Norm2()(np.array([1.0, 2.0])) == 5.0

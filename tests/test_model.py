@@ -46,6 +46,12 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model({"spectrum": [1.0, 0.0]})
 
+    @pytest.mark.parametrize("bad", [{"family": "iid_gaussian", "dim": 3},
+                                     {"spectrum": [1.0], "label": "x"}, "iid_gaussian"])
+    def test_other_descriptors_rejected(self, bad):
+        with pytest.raises(ValueError, match="unrecognized model descriptor"):
+            build_model(bad)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             build_model(("ornstein", 3))

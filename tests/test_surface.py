@@ -369,6 +369,14 @@ class TestHausdorffCompare:
 
 
 class TestSurfaceReport:
+    def test_duplicate_weight_names_rejected(self, iid5):
+        # integrals are keyed by name: a second weight of the same name would
+        # overwrite the first
+        phis = [ExpressionFunctional("xi(1)^2"), ExpressionFunctional("xi(2)"),
+                ExpressionFunctional("xi(1)^2")]
+        with pytest.raises(ValueError, match="distinct names"):
+            surface_report(handle(iid5, Norm2(), 3.0, n=1000), phis)
+
     def test_report_assembles_all_parts(self, iid5):
         phi = ExpressionFunctional("exp(-norm2())")
         h = handle(iid5, Norm2(), 3.0, n=10 ** 5)
