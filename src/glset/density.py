@@ -25,12 +25,22 @@ phi hold sample-exactly; :func:`estimate_density` runs the estimators of a
 into arrays indexed by chunk and reduced in fixed order, so results do not
 depend on how many workers ran the chunks.  Standard errors come from batch
 means over chunks.
+
+Every pass of the library is a :class:`Plan`: its row count n, a worker per
+chunk and a finish on the workers' results.  :func:`run_plans` makes one
+pass of the ``(model, seed)`` stream for one or several plans, as long as
+the largest, and hands each plan the first rows of every chunk it reads,
+which are the rows its own pass would draw; ``plan.run()`` is that pass for
+the plan alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -80,6 +90,91 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
         return [job(item) for item in layout]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, layout))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One stream pass as data: ``n`` rows of the ``(model, seed)`` stream,
+    ``worker(index, points)`` per chunk and ``finish(results)`` on the
+    workers' results in chunk order."""
+
+    model: GaussianModel
+    n: int
+    seed: int
+    worker: Callable
+    finish: Callable
+
+    def run(self):
+        """The pass alone: :func:`run_plans` of this plan only."""
+        return run_plans([self])[0]()
+
+    def then(self, after: Callable) -> Plan:
+        """The same pass, finished by ``after(finish(results))``."""
+        return dataclasses.replace(self, finish=lambda results: after(self.finish(results)))
+
+
+def run_plans(plans) -> list:
+    """One pass for plans that share a ``(model, seed)`` stream.
+
+    A :func:`map_chunks` over the largest n hands each plan, for every
+    ``(i, size)`` of its own :func:`~glset.model.chunk_layout`, the first
+    ``size`` rows of chunk i: a chunk's rows are a prefix of any longer
+    chunk of the same index, so each plan sees the rows, and gives the bits,
+    of its own pass.  Each plan's worker runs in a
+    :func:`~glset.functionals.chunk_scope` of exactly the array it gets, so
+    its memo hits on a partial last chunk and is never another plan's.
+
+    Returns one function per plan, in order, that gives ``plan.finish`` of
+    its results or raises the error of its first failing chunk; a failing
+    plan skips its later chunks and the other plans go on, and the pass
+    stops at a chunk that no plan reads.  An error of the pass itself fails
+    every plan.
+    """
+    model, seed = plans[0].model, plans[0].seed
+    if any(plan.model != model or plan.seed != seed for plan in plans):
+        raise ValueError("plans of one pass must share the model and the seed")
+    layouts = [chunk_layout(plan.n) for plan in plans]
+    results = [[None] * len(layout) for layout in layouts]
+    failed = [None] * len(plans)  # (chunk index, error) of the first failing chunk
+    lock = threading.Lock()
+
+    def failed_before(j, index):
+        return failed[j] is not None and failed[j][0] < index
+
+    def worker(index, pts):
+        if all(failed_before(j, index) for j in range(len(plans))):
+            raise _Abandoned  # and so would every later chunk
+        for j, (plan, layout) in enumerate(zip(plans, layouts)):
+            if index >= len(layout) or failed_before(j, index):
+                continue
+            size = layout[index][1]
+            rows = pts if size == pts.shape[0] else pts[:size]
+            try:
+                with chunk_scope(rows):
+                    results[j][index] = plan.worker(index, rows)
+            except Exception as e:
+                with lock:
+                    if failed[j] is None or index < failed[j][0]:
+                        failed[j] = (index, e)
+
+    try:
+        map_chunks(model, max(plan.n for plan in plans), seed, worker)
+    except _Abandoned:
+        pass
+    except Exception as e:
+        failed = [(-1, e)] * len(plans)
+    return [functools.partial(_finish, plan, res, fail)
+            for plan, res, fail in zip(plans, results, failed)]
+
+
+class _Abandoned(Exception):
+    """Ends a pass once every plan has failed at an earlier chunk."""
+
+
+def _finish(plan: Plan, results: list, failed):
+    if failed is not None:
+        raise failed[1]
+    return plan.finish(results)
 
 
 def batch_mean_stderr(sums: np.ndarray, counts: np.ndarray):
@@ -225,7 +320,15 @@ def _prefix_sums(weights):
 
 def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                 queries, epsilon: float | None = None) -> PassResult:
-    """Answer every query from one pass over the ``(model, n, seed)`` stream.
+    """Answer every query from one pass over the ``(model, n, seed)`` stream:
+    the :func:`stream_plan` run alone."""
+    return stream_plan(model, G, n, seed, r_grid, queries, epsilon).run()
+
+
+def stream_plan(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
+                queries, epsilon: float | None = None) -> Plan:
+    """The :class:`Plan` of :func:`stream_pass`; it finishes as a
+    :class:`PassResult`.
 
     Per chunk the work that depends on G alone is done once: its values and
     their stable sort, and when a divergence query is present the gradient,
@@ -260,8 +363,7 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
     def worker(index, pts):
         nonlocal tail
         gv = check_finite(G.value(pts), "G", G.name)
-        order = stable_argsort(gv)
-        gs = gv[order]
+        order, gs = stable_argsort(gv)
         st = _ChunkStats(pts.shape[0], float(gs[0]), float(gs[-1]))
         idx = np.searchsorted(gs, r, side="left")
         if "mollified" in routes:
@@ -300,48 +402,55 @@ def stream_pass(model: GaussianModel, G: Functional, n: int, seed: int, r_grid,
                     st.columns.append((cs[hi_idx] - cs[lo_idx]) / (2.0 * epsilon))
         return st
 
-    stats = map_chunks(model, n, seed, worker)
-    counts = np.array([st.count for st in stats], dtype=float)
-    if want_div:
-        excluded_fraction = int(np.sum([st.excl for st in stats])) / n
-        unreliable = moment_diverging(hill_tail_index(tail), 4)
-    if "mollified" in routes:
-        window_counts = np.sum([st.moll_counts for st in stats], axis=0)
-    # batch means need two chunks; with one the stderrs are NaN
-    batch_flags = [INSUFFICIENT_BATCHES] if len(stats) < 2 else []
-    results = []
-    for i, q in enumerate(queries):
-        est, se = batch_mean_stderr(np.array([st.columns[i] for st in stats]), counts)
-        if q.route == "divergence":
-            flags = list(batch_flags)
-            if not (G.analytic_gradient and q.phi.analytic_gradient):
-                flags.append("approximate-gradient")
-            if unreliable:
-                flags.append(VARIANCE_UNRELIABLE)
-            if excluded_fraction == 1.0:  # the estimates are empty sums
-                flags.append("all-excluded")
-            results.append(DensityCurve(
-                r=r, estimates=est, stderrs=se, estimator="divergence",
-                excluded_fraction=excluded_fraction, n=n, seed=seed,
-                flags=tuple(flags)))
-        elif q.route == "mollified":
-            unresolved = ["unresolved-bins"] if np.any(window_counts == 0) else []
-            results.append(DensityCurve(
-                r=r, estimates=est, stderrs=se, estimator="mollified",
-                excluded_fraction=0.0, n=n, seed=seed, epsilon=epsilon,
-                window_counts=window_counts, flags=tuple(batch_flags + unresolved)))
-        else:
-            results.append((est, se))
-    return PassResult(results=results, g_min=min(st.g_min for st in stats),
-                      g_max=max(st.g_max for st in stats))
+    def finish(stats):
+        counts = np.array([st.count for st in stats], dtype=float)
+        if want_div:
+            excluded_fraction = int(np.sum([st.excl for st in stats])) / n
+            unreliable = moment_diverging(hill_tail_index(tail), 4)
+        if "mollified" in routes:
+            window_counts = np.sum([st.moll_counts for st in stats], axis=0)
+        # batch means need two chunks; with one the stderrs are NaN
+        batch_flags = [INSUFFICIENT_BATCHES] if len(stats) < 2 else []
+        results = []
+        for i, q in enumerate(queries):
+            est, se = batch_mean_stderr(np.array([st.columns[i] for st in stats]), counts)
+            if q.route == "divergence":
+                flags = list(batch_flags)
+                if not (G.analytic_gradient and q.phi.analytic_gradient):
+                    flags.append("approximate-gradient")
+                if unreliable:
+                    flags.append(VARIANCE_UNRELIABLE)
+                if excluded_fraction == 1.0:  # the estimates are empty sums
+                    flags.append("all-excluded")
+                results.append(DensityCurve(
+                    r=r, estimates=est, stderrs=se, estimator="divergence",
+                    excluded_fraction=excluded_fraction, n=n, seed=seed,
+                    flags=tuple(flags)))
+            elif q.route == "mollified":
+                unresolved = ["unresolved-bins"] if np.any(window_counts == 0) else []
+                results.append(DensityCurve(
+                    r=r, estimates=est, stderrs=se, estimator="mollified",
+                    excluded_fraction=0.0, n=n, seed=seed, epsilon=epsilon,
+                    window_counts=window_counts, flags=tuple(batch_flags + unresolved)))
+            else:
+                results.append((est, se))
+        return PassResult(results=results, g_min=min(st.g_min for st in stats),
+                          g_max=max(st.g_max for st in stats))
+
+    return Plan(model, n, seed, worker, finish)
 
 
 def estimate_density(job: DensityJob) -> dict[str, DensityCurve]:
     """The job's curves keyed by estimator (``divergence``, ``mollified`` or
-    both), from one shared sample stream."""
+    both), from one shared sample stream: the :func:`density_plan` run
+    alone."""
+    return density_plan(job).run()
+
+
+def density_plan(job: DensityJob) -> Plan:
+    """The :class:`Plan` of :func:`estimate_density`."""
     routes = [route for route in ("divergence", "mollified")
               if job.estimator in (route, "both")]
-    res = stream_pass(job.model, job.G, job.n, job.seed, job.r_grid,
-                      [Query(job.phi, route) for route in routes],
-                      epsilon=job.epsilon)
-    return dict(zip(routes, res.results))
+    plan = stream_plan(job.model, job.G, job.n, job.seed, job.r_grid,
+                       [Query(job.phi, route) for route in routes], epsilon=job.epsilon)
+    return plan.then(lambda res: dict(zip(routes, res.results)))

@@ -11,11 +11,11 @@ density value, approximates the surface measure there.
 Empty bins are retained with zero weight and flagged, never interpolated:
 conditional measures are only defined where the image measure puts mass.
 
-:func:`disintegrate` makes one pass: each chunk keeps its G values and the
-values of every bin weight that is not a constant (8 bytes per row each);
-edges and per-bin sums follow the pass.  :func:`conditional_vs_surface`
-reads those sums and adds one pass of the same stream for the surface side
-of all of its levels.
+:func:`disintegrate` makes one pass, its :func:`disintegrate_plan` run
+alone: each chunk keeps its G values and the values of every bin weight
+that is not a constant (8 bytes per row each); edges and per-bin sums
+follow the pass.  :func:`conditional_vs_surface` reads those sums and adds
+one pass of the same stream for the surface side of all of its levels.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Query, map_chunks, stream_pass
+from .density import Plan, Query, stream_pass
 from .functionals import Constant, Functional, check_finite, stable_argsort
 from .model import GaussianModel, chunk_layout
 
@@ -99,6 +99,13 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
     split the empirical range evenly.  Weights must have distinct names,
     which key their sums.
     """
+    return disintegrate_plan(model, G, n, seed, bins, phis, scheme).run()
+
+
+def disintegrate_plan(model: GaussianModel, G: Functional, n: int, seed: int,
+                      bins: int, phis=(), scheme: str = "quantile") -> Plan:
+    """The :class:`~glset.density.Plan` of :func:`disintegrate`; its
+    arguments are checked when the plan is made."""
     if bins < 2:
         raise ValueError("need at least two bins")
     if n < bins:
@@ -119,41 +126,52 @@ def disintegrate(model: GaussianModel, G: Functional, n: int, seed: int,
         for phi, out in zip(held, values):
             out[rows] = check_finite(phi.value(pts), "phi", phi.name)
 
-    map_chunks(model, n, seed, worker)
-    order = stable_argsort(g_values)
-    if scheme == "quantile":
-        # np.quantile is faster on sorted values, but which of -0.0 and +0.0
-        # lands on a rank depends on the input order, so zeros of both signs
-        # take the values in stream order
-        q = np.linspace(0.0, 1.0, bins + 1)
-        signs = np.signbit(g_values[g_values == 0.0])
-        edges = (np.quantile(g_values, q) if signs.any() and not signs.all()
-                 else np.quantile(g_values[order], q, overwrite_input=True))
-    else:
-        edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
-    # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
-    start = np.searchsorted(g_values[order], edges, side="left")
-    start[-1] = n
-    # each sample's bin, in stream order, from its place in the sort
-    bin_index = np.empty(n, dtype=np.intp)
-    for j in range(bins):
-        bin_index[order[start[j]:start[j + 1]]] = j
-    binned, columns = [], iter(values)
-    for phi in phis:
-        pv = None if isinstance(phi, Constant) else next(columns)
-        sums, sumsq, totals = [], [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            v = (check_finite(np.full(hi - lo, phi.c), "phi", phi.name) if pv is None
-                 else pv[lo:hi])
-            sums.append(np.bincount(bin_index[lo:hi], weights=v, minlength=bins))
-            sumsq.append(np.bincount(bin_index[lo:hi], weights=v * v, minlength=bins))
-            totals.append(float(np.sum(v)))
-        binned.append(BinSums(phi_name=phi.name, sums=np.sum(sums, axis=0),
-                              sumsq=np.sum(sumsq, axis=0), total=float(np.sum(totals))))
-    return EmpiricalDisintegration(model=model, G=G, edges=edges, order=order,
-                                   start=start, counts=np.diff(start),
-                                   g_values=g_values, n=n, seed=seed,
-                                   scheme=scheme, binned=binned)
+    def finish(_):
+        # the edges and per-bin sums, from the values the workers wrote
+        order, g_sorted = stable_argsort(g_values)
+        if scheme == "quantile":
+            # np.quantile is faster on sorted values, but which of -0.0 and +0.0
+            # lands on a rank depends on the input order, so zeros of both signs
+            # take the values in stream order
+            q = np.linspace(0.0, 1.0, bins + 1)
+            signs = np.signbit(g_values[g_values == 0.0])
+            if signs.any() and not signs.all():
+                edges = np.quantile(g_values, q)
+            else:
+                # a copy for np.quantile would be a fifth n-row array at once,
+                # so it partitions the sorted values, and they are gathered
+                # back in place (mode="clip" is unbuffered; order is a
+                # permutation)
+                edges = np.quantile(g_sorted, q, overwrite_input=True)
+                np.take(g_values, order, out=g_sorted, mode="clip")
+        else:
+            edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
+        # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
+        start = np.searchsorted(g_sorted, edges, side="left")
+        start[-1] = n
+        del g_sorted  # freed before the bin index takes its place
+        # each sample's bin, in stream order, from its place in the sort
+        bin_index = np.empty(n, dtype=np.intp)
+        for j in range(bins):
+            bin_index[order[start[j]:start[j + 1]]] = j
+        binned, columns = [], iter(values)
+        for phi in phis:
+            pv = None if isinstance(phi, Constant) else next(columns)
+            sums, sumsq, totals = [], [], []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                v = (check_finite(np.full(hi - lo, phi.c), "phi", phi.name) if pv is None
+                     else pv[lo:hi])
+                sums.append(np.bincount(bin_index[lo:hi], weights=v, minlength=bins))
+                sumsq.append(np.bincount(bin_index[lo:hi], weights=v * v, minlength=bins))
+                totals.append(float(np.sum(v)))
+            binned.append(BinSums(phi_name=phi.name, sums=np.sum(sums, axis=0),
+                                  sumsq=np.sum(sumsq, axis=0), total=float(np.sum(totals))))
+        return EmpiricalDisintegration(model=model, G=G, edges=edges, order=order,
+                                       start=start, counts=np.diff(start),
+                                       g_values=g_values, n=n, seed=seed,
+                                       scheme=scheme, binned=binned)
+
+    return Plan(model, n, seed, worker, finish)
 
 
 @dataclass

@@ -32,8 +32,8 @@ the chunk points, the axis sides and ray sides of every functional and the
 (:meth:`Functional._kept`); later calls read them, and the memo dies with
 the chunk.  Closed-form builtins and the product wrappers are recomputed:
 a density pass asks each of them once per chunk, so keeping them would only
-add copies.  The one exception is ``|xi|``, which every
-:class:`RadialClamp` level of a trace reads twice per chunk.  Oracles must be
+add copies.  The exceptions are ``|xi|`` and ``xi . u``, which every
+:class:`RadialClamp` level of a trace reads per chunk.  Oracles must be
 pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
 called on a buffer that is perturbed again after they return.
 
@@ -91,18 +91,21 @@ def rowsum(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def stable_argsort(v: np.ndarray) -> np.ndarray:
-    """``np.argsort(v, kind="stable")``, from the default sort when it is unique.
+def stable_argsort(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, v[order])`` for ``order = np.argsort(v, kind="stable")``,
+    from the default sort when it is unique.
 
     Strictly increasing sorted values leave only one sorting permutation, so
     the default sort's is the stable one.  A repeat (``-0.0 == 0.0``
-    included) or a NaN takes the stable sort.
+    included) or a NaN takes the stable sort.  The sorted values are the
+    ones the uniqueness test gathered, so a caller need not gather again.
     """
     order = np.argsort(v)
     s = v[order]
     if np.all(s[1:] > s[:-1]):
-        return order
-    return np.argsort(v, kind="stable")
+        return order, s
+    order = np.argsort(v, kind="stable")
+    return order, v[order]
 
 
 # ----------------------------- finite differences -----------------------------
@@ -425,8 +428,16 @@ class Norm2(Functional):
     def laplacian(self, xi):
         return np.full(xi.shape[0], 2.0 * xi.shape[1])
 
-    def hess(self, xi, u, v):
-        return self._bilinear(lambda w: 2.0 * w, xi, u, v)  # D^2 = 2 I
+    def jvp(self, xi, u):
+        # D_j f = 2 xi_j, without the (n, d) gradient
+        return 2.0 * xi[:, u] if _is_axis(u) else super().jvp(xi, u)
+
+    def hess(self, xi, u, v):  # D^2 = 2 I
+        if _is_axis(u) != _is_axis(v):
+            # the entry of the axis in 2 times the other direction
+            axis, w = (u, v) if _is_axis(u) else (v, u)
+            return 2.0 * w[:, axis]
+        return self._bilinear(lambda w: 2.0 * w, xi, u, v)
 
 
 class BmEndpoint(Linear):
@@ -472,7 +483,10 @@ class RadialClamp(Functional):
         return xi * self._scale(xi)[:, None]
 
     def jvp(self, xi, u):
-        return self._scale(xi) * _dot(xi, u)
+        # xi . u is kept under the class like the radius: one row sum per
+        # direction for all clamps of a chunk
+        return self._scale(xi) * Functional._kept(RadialClamp, "dot", xi, (u,),
+                                                  lambda: _dot(xi, u))
 
 
 class SublevelBump(Functional):

@@ -1,10 +1,19 @@
 """Job orchestration and report emission.
 
-Executes the jobs of a :class:`RunConfig` in order and writes one CSV and/or
-JSON artifact per job plus a manifest.  Files are written atomically (temp
-file + rename) and contain no timestamps, so identical configurations yield
-byte-identical bodies; the manifest holds the config hash, library versions,
-the wall-clock time of the run and the runtime of every selftest criterion.
+Runs the jobs of a :class:`RunConfig` and writes one CSV and/or JSON
+artifact per job plus a manifest.  Every job but ``selftest`` is a
+:class:`~glset.density.Plan` on the config's model, and consecutive jobs
+that share a seed form a group fed from one pass of that stream
+(:func:`~glset.density.run_plans`), as long as their largest n; each job
+still sees exactly the rows of its own n.  A group's plans are made and run
+when its first job comes up, and its jobs are finished and written, in
+config order, before the next group is planned.  The first job that
+fails, in config order, ends the run: the jobs before it keep their
+artifacts and the jobs after it write none.  Files are written atomically
+(temp file + rename) and contain no timestamps, so identical configurations
+yield byte-identical bodies; the manifest holds the config hash, library
+versions, the wall-clock time of the run and the runtime of every selftest
+criterion.
 
 Exit codes: 0 success, 1 numerical or I/O fault, 2 acceptance failure in a
 selftest job.
@@ -12,6 +21,7 @@ selftest job.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import datetime
 import hashlib
@@ -23,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, resolve_functional, resolve_model, serialize_config
-from .density import DensityJob, estimate_density
-from .disintegration import disintegrate, support_check, verify_disintegration
+from .density import DensityJob, density_plan, run_plans
+from .disintegration import disintegrate_plan, support_check, verify_disintegration
 from .expressions import ExpressionError
 from .functionals import NumericalFault
-from .surface import SurfaceMeasureHandle, ibp_battery, surface_report
+from .surface import SurfaceMeasureHandle, ibp_plan, report_plan
 
 
 # ----------------------------- formatting -----------------------------
@@ -126,10 +136,13 @@ def _residual_rows(records):
             for rec in records]
 
 
-def _run_density(job, model, G, phis, out_base, formats):
-    djob = DensityJob(model=model, G=G, phi=phis[0], r_grid=job.r_grid, n=job.n,
-                      seed=job.seed, epsilon=job.epsilon, estimator=job.estimator)
-    curves = estimate_density(djob)
+def _plan_density(job, model, G, phis):
+    return density_plan(DensityJob(model=model, G=G, phi=phis[0], r_grid=job.r_grid,
+                                   n=job.n, seed=job.seed, epsilon=job.epsilon,
+                                   estimator=job.estimator))
+
+
+def _write_density(job, curves, out_base, formats):
     rows = []
     for key in ("divergence", "mollified"):
         if key in curves:
@@ -139,9 +152,12 @@ def _run_density(job, model, G, phis, out_base, formats):
         "curves": {k: _curve_payload(c) for k, c in curves.items()}})
 
 
-def _run_surface(job, model, G, phis, out_base, formats):
-    report = surface_report(_handle(job, model, G), phis, k_list=job.k_list,
-                            with_trace=job.trace, with_hausdorff=job.hausdorff)
+def _plan_surface(job, model, G, phis):
+    return report_plan(_handle(job, model, G), phis, k_list=job.k_list,
+                       with_trace=job.trace, with_hausdorff=job.hausdorff)
+
+
+def _write_surface(job, report, out_base, formats):
     if report.ibp:
         table = (RESIDUAL_HEADER, _residual_rows(report.ibp))
     else:
@@ -163,17 +179,23 @@ def _run_surface(job, model, G, phis, out_base, formats):
     })
 
 
-def _run_ibp(job, model, G, phis, out_base, formats):
+def _plan_ibp(job, model, G, phis):
     """Both sides of every (phi, k) identity from one stream pass."""
-    records = ibp_battery(model, G, phis, job.k_list, job.r_grid or (job.r,), job.n,
-                          job.seed, _estimator(job), job.epsilon)
+    return ibp_plan(model, G, phis, job.k_list, job.r_grid or (job.r,), job.n,
+                    job.seed, _estimator(job), job.epsilon)
+
+
+def _write_ibp(job, records, out_base, formats):
     return write_artifacts(out_base, formats, (RESIDUAL_HEADER, _residual_rows(records)),
                            {"job": dataclasses.asdict(job),
                             "records": [dataclasses.asdict(r) for r in records]})
 
 
-def _run_disintegrate(job, model, G, phis, out_base, formats):
-    D = disintegrate(model, G, job.n, job.seed, job.bins, phis, scheme=job.scheme)
+def _plan_disintegrate(job, model, G, phis):
+    return disintegrate_plan(model, G, job.n, job.seed, job.bins, phis, scheme=job.scheme)
+
+
+def _write_disintegrate(job, D, out_base, formats):
     cond = {b.phi_name: D.conditional_means(b) for b in D.binned}
     towers = [verify_disintegration(D, b) for b in D.binned]
     support = support_check(D)
@@ -199,8 +221,12 @@ def _run_disintegrate(job, model, G, phis, out_base, formats):
     return write_artifacts(out_base, formats, (header, rows), payload)
 
 
-def _run_hausdorff(job, model, G, phis, out_base, formats):
-    rec = surface_report(_handle(job, model, G), phis[:1], with_hausdorff=True).hausdorff
+def _plan_hausdorff(job, model, G, phis):
+    return report_plan(_handle(job, model, G), phis[:1],
+                       with_hausdorff=True).then(lambda report: report.hausdorff)
+
+
+def _write_hausdorff(job, rec, out_base, formats):
     table = (["G", "phi", "r", "geometry", "mc_value", "mc_stderr", "quad_value",
               "nodes", "quad_error", "rel_error"],
              [[rec.g_name, rec.phi_name, rec.r, rec.geometry, rec.mc_value,
@@ -224,13 +250,45 @@ def selftest_runtimes(results) -> dict[str, float]:
     return {str(r.number): r.runtime_s for r in results}
 
 
+# kind -> (the job's plan from (job, model, G, phis), its writer from
+# (job, finished plan, out_base, formats))
 _EXECUTORS = {
-    "density": _run_density,
-    "surface": _run_surface,
-    "ibp": _run_ibp,
-    "disintegrate": _run_disintegrate,
-    "hausdorff": _run_hausdorff,
+    "density": (_plan_density, _write_density),
+    "surface": (_plan_surface, _write_surface),
+    "ibp": (_plan_ibp, _write_ibp),
+    "disintegrate": (_plan_disintegrate, _write_disintegrate),
+    "hausdorff": (_plan_hausdorff, _write_hausdorff),
 }
+
+
+def _raises(error):
+    def finish():
+        raise error
+    return finish
+
+
+def _plan_group(config, model, first: int) -> list:
+    """Finishes of the jobs from ``config.jobs[first]`` on that share its
+    seed, up to the next job of another seed or a selftest, their plans made
+    in config order and run as one pass.  A job whose plan cannot be made
+    finishes by raising that error and ends the group: the run ends at it."""
+    defs = dict(config.functionals)
+    seed = config.jobs[first].seed
+    plans, error = [], None
+    for job in config.jobs[first:]:
+        if job.kind == "selftest" or job.seed != seed:
+            break
+        try:
+            G = resolve_functional(job.G, defs, model)
+            phis = [resolve_functional(p, defs, model) for p in job.phi]
+            plans.append(_EXECUTORS[job.kind][0](job, model, G, phis))
+        except Exception as e:  # raised at its job's turn, as its own run would
+            error = _raises(e)
+            break
+    finishes = run_plans(plans) if plans else []
+    if error is not None:
+        finishes.append(error)
+    return finishes
 
 
 def run(config: RunConfig, output_dir=None) -> int:
@@ -238,10 +296,10 @@ def run(config: RunConfig, output_dir=None) -> int:
     out = Path(output_dir if output_dir is not None else config.output)
     out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(config.model)
-    defs = dict(config.functionals)
     written: list[str] = []
     runtimes = {}
     exit_code = 0
+    finishes = collections.deque()  # of the current group's jobs still to write
     for i, job in enumerate(config.jobs, 1):
         base = out / f"job{i:02d}_{job.kind}"
         try:
@@ -254,9 +312,10 @@ def run(config: RunConfig, output_dir=None) -> int:
                 if not all(r.passed for r in results):
                     exit_code = 2
             else:
-                G = resolve_functional(job.G, defs, model)
-                phis = [resolve_functional(p, defs, model) for p in job.phi]
-                files = _EXECUTORS[job.kind](job, model, G, phis, base, config.formats)
+                if not finishes:  # the first job of its group
+                    finishes.extend(_plan_group(config, model, i - 1))
+                files = _EXECUTORS[job.kind][1](job, finishes.popleft()(), base,
+                                                config.formats)
         except (NumericalFault, ExpressionError, ValueError, OSError) as e:
             print(f"job {i} ({job.kind}) failed: {e}", file=sys.stderr)
             return 1

@@ -7,7 +7,9 @@ configuration, and every surface operation reduces to density estimates plus
 deterministic oracles.  Each operation is a set of weight columns of one
 :func:`~glset.density.stream_pass`: :func:`surface_report` answers every
 question about one level from a single pass, :func:`ibp_battery` every
-(phi, k, level) identity and :func:`positivity_scan` a whole grid:
+(phi, k, level) identity and :func:`positivity_scan` a whole grid.  The
+first two are their :class:`~glset.density.Plan` (:func:`report_plan`,
+:func:`ibp_plan`) run alone:
 
 * integration-by-parts residuals compare the sublevel integral of
   ``D_k phi - xi_k phi`` with the surface integral of ``phi D_k G``, the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityCurve, Query, stream_pass
+from .density import DensityCurve, Plan, Query, stream_pass, stream_plan
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           RadialClamp)
 from .model import GaussianModel
@@ -168,10 +170,17 @@ def ibp_battery(model: GaussianModel, G: Functional, phis, k_list, r_grid, n: in
                 epsilon: float | None = None) -> list[IbpRecord]:
     """Residuals of ``E[1_{G<r}(D_k phi - xi_k phi)] = int phi D_kG d sigma_r``
     for every phi, k and grid level, in that order, all from one pass."""
+    return ibp_plan(model, G, phis, k_list, r_grid, n, seed, estimator, epsilon).run()
+
+
+def ibp_plan(model: GaussianModel, G: Functional, phis, k_list, r_grid, n: int,
+             seed: int, estimator: str = "divergence",
+             epsilon: float | None = None) -> Plan:
+    """The :class:`~glset.density.Plan` of :func:`ibp_battery`."""
     pairs = [(phi, k) for phi in phis for k in k_list]
-    res = stream_pass(model, G, n, seed, r_grid,
-                      _ibp_columns(model, G, pairs, estimator), epsilon=epsilon)
-    return _ibp_records(pairs, iter(res.results))
+    plan = stream_plan(model, G, n, seed, r_grid,
+                       _ibp_columns(model, G, pairs, estimator), epsilon=epsilon)
+    return plan.then(lambda res: _ibp_records(pairs, iter(res.results)))
 
 
 def ibp_residuals(model: GaussianModel, G: Functional, phi: Functional, k: int,
@@ -220,7 +229,9 @@ class PositivityReport:
 
     The density of the image measure is positive exactly strictly between
     the essential bounds of G; the report flags interior grid points that
-    are not detectably positive and exterior points that are.  ``flags``
+    are not detectably positive and exterior points that are.  A level
+    whose stderr is not finite cannot be judged either way: it is listed in
+    ``unresolved`` and never counts against :attr:`consistent`.  ``flags``
     are those of the curve it reads, which say why its stderrs may not
     bound the estimates (``insufficient-batches`` makes them NaN).
     """
@@ -233,6 +244,7 @@ class PositivityReport:
     interior_not_positive: tuple[float, ...]
     exterior_positive: tuple[float, ...]
     estimator: str
+    unresolved: tuple[float, ...] = ()
     flags: tuple[str, ...] = ()
 
     @property
@@ -247,8 +259,11 @@ def positivity_scan(model: GaussianModel, G: Functional, r_grid, n: int, seed: i
                       epsilon=epsilon)
     curve, g_min, g_max = res.results[0], res.g_min, res.g_max
 
-    interior_bad, exterior_bad = [], []
+    interior_bad, exterior_bad, unresolved = [], [], []
     for r, est, se in zip(curve.r, curve.estimates, curve.stderrs):
+        if not np.isfinite(se):
+            unresolved.append(float(r))
+            continue
         positive = est > 4.0 * se
         if g_min < r < g_max and not positive:
             interior_bad.append(float(r))
@@ -258,7 +273,8 @@ def positivity_scan(model: GaussianModel, G: Functional, r_grid, n: int, seed: i
                             stderrs=curve.stderrs, g_min=g_min, g_max=g_max,
                             interior_not_positive=tuple(interior_bad),
                             exterior_positive=tuple(exterior_bad),
-                            estimator=estimator, flags=curve.flags)
+                            estimator=estimator, unresolved=tuple(unresolved),
+                            flags=curve.flags)
 
 
 # ----------------------------- Hausdorff oracle -----------------------------
@@ -525,12 +541,20 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     ``with_hausdorff`` is set; a quadrature that has not converged at
     ``QUAD_NODES`` nodes adds its flag to the report's.
     """
+    return report_plan(h, phis, k_list, with_trace, with_hausdorff).run()
+
+
+def report_plan(h: SurfaceMeasureHandle, phis: list[Functional], k_list=(),
+                with_trace=False, with_hausdorff=False) -> Plan:
+    """The :class:`~glset.density.Plan` of :func:`surface_report`; the
+    checks and the quadrature oracle run when the plan is made."""
     if len({phi.name for phi in phis}) < len(phis):
         raise ValueError("surface weights must have distinct names")
     route = h.estimator
     mass = Constant(1.0)
     first = phis[0] if phis else mass
     quadrature = _quadrature(h, first) if with_hausdorff else None
+    quad_flags = quadrature.pop("flags") if with_hausdorff else ()
     pairs = [(phi, k) for phi in phis for k in k_list]
     traced = with_trace and bool(phis)
     queries = [Query(phi, route) for phi in [mass, *phis]]
@@ -538,31 +562,33 @@ def surface_report(h: SurfaceMeasureHandle, phis: list[Functional],
     if traced:
         queries += [Query(Product(first, RadialClamp(m)), route) for m in TRACE_LEVELS]
 
-    results = iter(stream_pass(h.model, h.G, h.n, h.seed, (float(h.r),), queries,
-                               epsilon=h.epsilon).results)
-    mass_curve = next(results)
-    curves = [next(results) for _ in phis]
-    total_mass, total_mass_stderr = _value(mass_curve)
-    report = SurfaceReport(
-        r=h.r, g_name=h.G.name, n=h.n, seed=h.seed, estimator=route,
-        total_mass=total_mass, total_mass_stderr=total_mass_stderr,
-        excluded_fraction=mass_curve.excluded_fraction, flags=mass_curve.flags)
-    for phi, curve in zip(phis, curves):
-        report.integrals[phi.name] = _value(curve)
-    report.ibp = _ibp_records(pairs, results)
-    first_curve = curves[0] if phis else mass_curve
-    value, stderr = _value(first_curve)
-    if traced:
-        clamped = [_value(c) for c in results]
-        report.trace = TraceReport(
-            phi_name=first.name, r=h.r, target=value, target_stderr=stderr,
-            levels=TRACE_LEVELS, estimates=tuple(est for est, _ in clamped),
-            stderrs=tuple(se for _, se in clamped),
-            diffs=tuple(abs(est - value) for est, _ in clamped))
-    if with_hausdorff:
-        quad_flags = quadrature.pop("flags")
-        report.hausdorff = HausdorffRecord(
-            g_name=h.G.name, phi_name=first.name, r=h.r, mc_value=value,
-            mc_stderr=stderr, flags=first_curve.flags + quad_flags, **quadrature)
-        report.flags += quad_flags
-    return report
+    def finish(res) -> SurfaceReport:
+        results = iter(res.results)
+        mass_curve = next(results)
+        curves = [next(results) for _ in phis]
+        total_mass, total_mass_stderr = _value(mass_curve)
+        report = SurfaceReport(
+            r=h.r, g_name=h.G.name, n=h.n, seed=h.seed, estimator=route,
+            total_mass=total_mass, total_mass_stderr=total_mass_stderr,
+            excluded_fraction=mass_curve.excluded_fraction, flags=mass_curve.flags)
+        for phi, curve in zip(phis, curves):
+            report.integrals[phi.name] = _value(curve)
+        report.ibp = _ibp_records(pairs, results)
+        first_curve = curves[0] if phis else mass_curve
+        value, stderr = _value(first_curve)
+        if traced:
+            clamped = [_value(c) for c in results]
+            report.trace = TraceReport(
+                phi_name=first.name, r=h.r, target=value, target_stderr=stderr,
+                levels=TRACE_LEVELS, estimates=tuple(est for est, _ in clamped),
+                stderrs=tuple(se for _, se in clamped),
+                diffs=tuple(abs(est - value) for est, _ in clamped))
+        if with_hausdorff:
+            report.hausdorff = HausdorffRecord(
+                g_name=h.G.name, phi_name=first.name, r=h.r, mc_value=value,
+                mc_stderr=stderr, flags=first_curve.flags + quad_flags, **quadrature)
+            report.flags += quad_flags
+        return report
+
+    return stream_plan(h.model, h.G, h.n, h.seed, (float(h.r),), queries,
+                       epsilon=h.epsilon).then(finish)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from glset import (Constant, Coordinate, Norm2, UserFunctional,
-                   conditional_vs_surface, disintegrate, disintegration,
+                   conditional_vs_surface, density, disintegrate,
                    support_check, verify_disintegration)
 from glset.density import INSUFFICIENT_BATCHES
 from glset.expressions import ExpressionFunctional
@@ -38,6 +38,17 @@ class TestDisintegrate:
         D = disintegrate(iid5, G, 40_000, seed=71, bins=bins)
         want = np.quantile(D.g_values, np.linspace(0.0, 1.0, bins + 1))
         assert D.edges.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["quantile", "fixed"])
+    def test_bin_starts_on_many_ties(self, iid3, scheme):
+        # a G with 12 values: most edges fall on a tie, where the starts need
+        # the sorted values themselves, not the partition np.quantile leaves
+        G = UserFunctional(lambda xi: np.floor(np.clip(2.0 * xi[:, 0], -6.0, 5.0)),
+                           name="steps")
+        D = disintegrate(iid3, G, 40_000, seed=73, bins=15, scheme=scheme)
+        want = np.searchsorted(np.sort(D.g_values), D.edges, side="left")
+        want[-1] = D.n
+        assert D.start.tolist() == want.tolist()
 
     @pytest.mark.parametrize("G", TIE_GS, ids=lambda G: G.name)
     @pytest.mark.parametrize("threads", ["1", "2", "4"])
@@ -111,8 +122,8 @@ class TestDisintegrate:
 
     def test_bad_scheme_rejected_before_sampling(self, iid3, monkeypatch):
         calls = []
-        monkeypatch.setattr(disintegration, "map_chunks",
-                            lambda *args: calls.append(args))
+        # the pass is made by density.map_chunks, through Plan.run
+        monkeypatch.setattr(density, "map_chunks", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="scheme"):
             disintegrate(iid3, Coordinate(1), 10 ** 6, seed=1, bins=10,
                          scheme="equal")

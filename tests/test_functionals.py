@@ -4,7 +4,8 @@ import pytest
 from glset import (BmEndpoint, Constant, Coordinate, Linear, Norm2, Product,
                    RadialClamp, SublevelBump, UserFunctional, build_model)
 from glset.expressions import ExpressionFunctional
-from glset.functionals import Functional, fd_gradient, rowsum
+from glset import functionals
+from glset.functionals import Functional, chunk_scope, fd_gradient, rowsum
 from glset.surface import _Partial
 
 
@@ -37,6 +38,31 @@ def test_linear_functional_gradient_constant(rng):
 def test_norm2_gradient_is_twice_point(rng):
     xi = rng.standard_normal((6, 4))
     assert np.allclose(Norm2().gradient(xi), 2 * xi, rtol=1e-15)
+
+
+def test_axis_derivative_shortcuts_keep_the_generic_bits(rng, monkeypatch):
+    # Norm2 answers an axis jvp and a one-axis hess without the (n, d) array
+    # of the generic path, and RadialClamp keeps xi . u under the class in
+    # the chunk memo: neither moves a bit
+    xi = rng.standard_normal((500, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (500, 5))
+    v = rng.standard_normal((500, 5))
+    f, twice = Norm2(), lambda w: 2.0 * w
+    for j in range(5):
+        assert f.jvp(xi, j).tobytes() == Functional.jvp(f, xi, j).tobytes()
+        assert f.hess(xi, j, v).tobytes() == Functional._bilinear(twice, xi, j, v).tobytes()
+        assert f.hess(xi, v, j).tobytes() == Functional._bilinear(twice, xi, v, j).tobytes()
+        assert f.hess(xi, j, 1).tobytes() == Functional._bilinear(twice, xi, j, 1).tobytes()
+
+    pts = rng.standard_normal((500, 5))
+    clamps = [RadialClamp(m) for m in (1.0, 1.5, 2.0)]
+    generic = [c._scale(pts) * rowsum(pts * v) for c in clamps]
+    dots = []
+    monkeypatch.setattr(functionals, "_dot",
+                        lambda a, u: dots.append(u) or functionals.rowsum(a * u))
+    with chunk_scope(pts):
+        kept = [c.jvp(pts, v) for c in clamps]
+    assert len(dots) == 1  # one row sum for every clamp of the chunk
+    assert [k.tobytes() for k in kept] == [g.tobytes() for g in generic]
 
 
 def test_kl_coordinate_functional_gradient():

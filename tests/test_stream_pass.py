@@ -1,11 +1,14 @@
-"""One stream pass per (model, G, n, seed): pass counts and column independence.
+"""One stream pass per (model, G, n, seed), and per (model, seed) in a run:
+pass counts, column independence and grouped jobs.
 
 A pass is one call of ``map_chunks`` or ``iter_sample_chunks``, counted in
 every glset namespace that imports them.  Every weight column of a pass
-must give the same bits alone as alongside other columns, and a fused path
-must give the same bits as the separate calls it replaces.
+must give the same bits alone as alongside other columns, a fused path
+must give the same bits as the separate calls it replaces, and a job fed
+from its seed's shared pass must give the bytes of its own run.
 """
 
+import collections
 import dataclasses
 import json
 import sys
@@ -14,11 +17,12 @@ import numpy as np
 import pytest
 
 from glset import (Constant, Coordinate, DensityJob, Norm2, Product, Query,
-                   RadialClamp, SurfaceMeasureHandle, build_model,
+                   RadialClamp, SurfaceMeasureHandle, UserFunctional, build_model,
                    conditional_vs_surface, density, disintegrate, estimate_density,
                    hyperplane_quadrature, ibp_battery, ibp_residuals, model,
                    parse_config, positivity_scan, resolve_functional, run,
                    sphere_quadrature, stream_pass, surface_report)
+from glset.density import density_plan, run_plans
 from glset.expressions import ExpressionFunctional
 from glset.surface import TRACE_LEVELS
 
@@ -37,6 +41,82 @@ job ibp
   n 40000
   seed 19
   estimator divergence
+"""
+
+# the surface job reads the first 30000 rows of the disintegrate job's 50000
+# in one pass; the ibp job has its own seed, so the density job, back on
+# seed 23, starts a third group
+GROUP_CONFIG = """\
+model iid_gaussian
+dim 3
+formats csv json
+
+functional bump = exp(-norm2())
+
+job surface
+  G norm2
+  phi_list 1 bump
+  r 2
+  n 30000
+  seed 23
+  k_list 1
+  trace true
+  hausdorff true
+
+job disintegrate
+  G norm2
+  phi_list 1 bump
+  bins 20
+  n 50000
+  seed 23
+
+job ibp
+  G norm2
+  phi bump
+  k_list 2
+  r_grid 1 3
+  n 20000
+  seed 29
+
+job density
+  G norm2
+  phi bump
+  r_grid 1 2 3
+  n 20000
+  seed 23
+  estimator both
+"""
+
+# the second job of the seed fails in the pass (G is 0/0 on every sample);
+# the third would succeed
+FAULT_CONFIG = """\
+model iid_gaussian
+dim 2
+formats csv json
+
+job density
+  G norm2
+  phi 1
+  r_grid 1 2
+  n 20000
+  seed 3
+  estimator mollified
+  epsilon 0.5
+
+job density
+  G xi(1)/(xi(1) - xi(1))
+  phi 1
+  r_grid 1
+  n 20000
+  seed 3
+  estimator mollified
+  epsilon 0.5
+
+job disintegrate
+  G norm2
+  bins 4
+  n 30000
+  seed 3
 """
 
 
@@ -112,6 +192,18 @@ class TestPassCounts:
         assert run(parse_config(IBP_CONFIG), output_dir=tmp_path) == 0
         assert len(passes) == 1
 
+    def test_runner_makes_one_pass_per_group_of_a_seed(self, tmp_path, passes):
+        config = parse_config(GROUP_CONFIG)
+        surface_and_bins = dataclasses.replace(config, jobs=config.jobs[:2])
+        assert run(surface_and_bins, output_dir=tmp_path / "two") == 0
+        assert len(passes) == 1
+        assert run(config, output_dir=tmp_path / "all") == 0
+        assert len(passes) == 1 + 3  # seed 23, seed 29, seed 23 again
+        jobs = config.jobs
+        adjacent = dataclasses.replace(config, jobs=(jobs[0], jobs[3], jobs[1], jobs[2]))
+        assert run(adjacent, output_dir=tmp_path / "adjacent") == 0
+        assert len(passes) == 4 + 2
+
 
 class TestFusedPaths:
     def test_runner_ibp_job_matches_per_pair_calls(self, iid3, tmp_path):
@@ -125,6 +217,100 @@ class TestFusedPaths:
                                           40_000, 19)
         # through JSON, where a record's flags tuple reads back as a list
         assert records == json.loads(json.dumps([dataclasses.asdict(rec) for rec in expected]))
+
+
+class TestGroupedJobs:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_artifact_is_its_own_runs(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        config = parse_config(GROUP_CONFIG)
+        assert run(config, output_dir=tmp_path / "group") == 0
+        for i, job in enumerate(config.jobs, 1):
+            alone = tmp_path / f"alone{i}"
+            assert run(dataclasses.replace(config, jobs=(job,)), output_dir=alone) == 0
+            for ext in ("csv", "json"):
+                grouped = tmp_path / "group" / f"job{i:02d}_{job.kind}.{ext}"
+                own = alone / f"job01_{job.kind}.{ext}"
+                assert grouped.read_bytes() == own.read_bytes(), grouped.name
+
+    def test_partial_last_chunk_keeps_its_callback_count(self, iid5):
+        # a value-only G is all finite differences, kept per chunk in the memo
+        # of the array a plan gets; on the 3616-row last chunk of n = 20000,
+        # a prefix of the longer job's chunk, the memo must hit as it does in
+        # the plan's own pass
+        def job(G, n):
+            return DensityJob(model=iid5, G=G, phi=ONE, r_grid=(1.0, 3.0), n=n, seed=37,
+                              estimator="divergence")
+
+        def counted():
+            rows = collections.Counter()
+
+            def value(xi):
+                rows[xi.shape[0]] += 1
+                return np.sum(xi * xi, axis=1)
+
+            return UserFunctional(value, name="norm2_fd"), rows
+
+        G_alone, alone_rows = counted()
+        alone = estimate_density(job(G_alone, 20_000))
+        G_short, short_rows = counted()
+        G_long, _ = counted()
+        short, _ = [finish() for finish in run_plans([density_plan(job(G_short, 20_000)),
+                                                      density_plan(job(G_long, 50_000))])]
+        assert short_rows == alone_rows
+        assert short_rows[16384] == short_rows[20_000 - 16384] > 0
+        assert np.array_equal(short["divergence"].estimates, alone["divergence"].estimates)
+        assert np.array_equal(short["divergence"].stderrs, alone["divergence"].stderrs)
+
+    def test_failing_plan_skips_its_later_chunks(self, iid3, monkeypatch):
+        # at one thread the pass stops after the chunk where every plan has
+        # failed, as a lone map_chunks stops at its first error
+        monkeypatch.setenv("GLSET_THREADS", "1")
+        error = ValueError("chunk 1")
+        calls = collections.defaultdict(list)
+
+        def worker(name, fails_at):
+            def work(index, pts):
+                calls[name].append(index)
+                if index == fails_at:
+                    raise error
+                return pts.shape[0]
+            return work
+
+        def plan(name, n, fails_at=None):
+            return density.Plan(iid3, n, 3, worker(name, fails_at), list)
+
+        with pytest.raises(ValueError) as info:
+            plan("alone", 4 * 16384, fails_at=1).run()
+        assert info.value is error and calls["alone"] == [0, 1]
+        failing, other = run_plans([plan("failing", 4 * 16384, fails_at=1),
+                                    plan("other", 3 * 16384 + 5)])
+        with pytest.raises(ValueError) as info:
+            failing()
+        assert info.value is error and calls["failing"] == [0, 1]
+        assert other() == [16384] * 3 + [5] and calls["other"] == [0, 1, 2, 3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fault_in_second_job_of_a_seed(self, tmp_path, capsys):
+        assert run(parse_config(FAULT_CONFIG), output_dir=tmp_path) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job01_density.csv",
+                                                              "job01_density.json"]
+        err = capsys.readouterr().err
+        assert "job 2 (density) failed: " in err and "non-finite" in err
+        assert "job 1" not in err and "job 3" not in err
+
+    def test_error_before_the_pass_ends_the_run_at_its_job(self, tmp_path, capsys):
+        # the parser rejects a level set without a quadrature oracle, so the
+        # job is built by hand: its plan cannot be made
+        config = parse_config(FAULT_CONFIG)
+        hausdorff = dataclasses.replace(config.jobs[1], kind="hausdorff", G="exp(-norm2())",
+                                        r=1.0, r_grid=(), estimator="divergence")
+        config = dataclasses.replace(config, jobs=(config.jobs[0], hausdorff,
+                                                   *config.jobs[2:]))
+        assert run(config, output_dir=tmp_path) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job01_density.csv",
+                                                              "job01_density.json"]
+        assert "job 2 (hausdorff) failed: no quadrature oracle" in capsys.readouterr().err
 
 
 class TestColumnIndependence:

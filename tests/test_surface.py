@@ -167,10 +167,12 @@ class TestPositivity:
         assert scan.consistent
 
     def test_single_chunk_scan_says_why_interior_is_not_positive(self, iid5):
-        # n = 10000 is one chunk: NaN stderrs leave no level detectably
-        # positive, and the report carries the reason
+        # n = 10000 is one chunk: NaN stderrs leave every level unresolved,
+        # not counted against the interval, and the report carries the reason
         scan = positivity_scan(iid5, Norm2(), (1.0, 5.0), 10 ** 4, seed=113)
-        assert scan.interior_not_positive == (1.0, 5.0)
+        assert scan.interior_not_positive == ()
+        assert scan.unresolved == (1.0, 5.0)
+        assert scan.consistent
         assert np.isnan(scan.stderrs).all()
         assert INSUFFICIENT_BATCHES in scan.flags
 
