@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import KernelField, hill_k, hill_tail_index, moment_diverging, smallest_norms
-from .functionals import (Constant, Functional, check_finite, chunk_scope, rowsum,
-                          stable_argsort)
+from .functionals import (Constant, Functional, buffer_pool, check_finite, chunk_scope,
+                          keep_buffers, rowsum, stable_argsort)
 from .model import GaussianModel, chunk_layout, draw_chunk
 
 VARIANCE_UNRELIABLE = "variance unreliable"
@@ -75,7 +75,10 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     and stored by index.  Each worker call runs in a
     :func:`~glset.functionals.chunk_scope` of its points, so finite-difference
     stencils and the kept derivatives at them are evaluated once per
-    functional per chunk.
+    functional per chunk; each thread reuses its finite-difference
+    perturbation buffers across the chunks it runs
+    (:func:`~glset.functionals.buffer_pool`) and drops them when the pass
+    ends.
     """
     layout = chunk_layout(n)
 
@@ -87,8 +90,10 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
 
     workers = thread_count()
     if workers == 1 or len(layout) == 1:
-        return [job(item) for item in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+        with buffer_pool():
+            return [job(item) for item in layout]
+    # a pool thread keeps its buffers until it ends, with the pass
+    with ThreadPoolExecutor(max_workers=workers, initializer=keep_buffers) as pool:
         return list(pool.map(job, layout))
 
 

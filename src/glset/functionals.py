@@ -25,17 +25,21 @@ central finite differences on kept sides:
   ``f(xi + a + b)`` and ``f(xi - a - b)`` at the sum of their steps
   (Abramowitz & Stegun 25.3.27).
 
-Every coordinate stencil perturbs one reused copy of its input.  Inside a
-chunk of a stream pass (:func:`chunk_scope`) one memo per thread keeps, at
-the chunk points, the axis sides and ray sides of every functional and the
-``value``, ``gradient`` and ``hess`` of callback and expression functionals
+The axis, ray and mixed sides are evaluated on per-thread buffers that are
+reused across the chunks of a pass (:func:`buffer_pool`): a side that is a
+view of its buffer is copied, and a callback that takes finite differences
+itself gets buffers of its own.  Inside a chunk of a stream pass
+(:func:`chunk_scope`) one memo per thread keeps, at the chunk points, the
+axis sides and ray sides of every functional and the ``value``,
+``gradient`` and ``hess`` of callback and expression functionals
 (:meth:`Functional._kept`); later calls read them, and the memo dies with
 the chunk.  Closed-form builtins and the product wrappers are recomputed:
 a density pass asks each of them once per chunk, so keeping them would only
 add copies.  The exceptions are ``|xi|`` and ``xi . u``, which every
 :class:`RadialClamp` level of a trace reads per chunk.  Oracles must be
-pure so they can be evaluated concurrently, re-evaluated chunk by chunk and
-called on a buffer that is perturbed again after they return.
+pure so they can be evaluated concurrently and re-evaluated chunk by chunk,
+and must not keep a reference to their input: a buffer is overwritten after
+they return and again in the next chunk.
 
 Sums and multiples of functionals are spelled as expressions
 (:class:`~glset.expressions.ExpressionFunctional`).  The one H-vector
@@ -114,30 +118,100 @@ def stable_argsort(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 FD_STEP = 1e-5
 
 
+# A perturbed evaluation writes its points into a buffer of its thread's
+# pool and gives the buffer back when it is done.  Each kind of side, "axis"
+# (fd_sides), "ray" and "corner" (the 2 new values of a mixed difference),
+# keeps its own: the ray and corner buffers are first taken after a chunk's
+# axis sides, so they sit above the chunk's working set in the allocator's
+# heap, which is then no longer trimmed at every chunk end and faulted in
+# again by the next chunk.  One fd-functional run of the benchmark at one
+# thread (2-core x86-64, glibc, numpy 2.4) took 57-69 k minor faults with a
+# new array per evaluation, 57 k with one buffer shared by all kinds, 11 k
+# with the ray and corner sides sharing one and 2.5-10 k with one per kind.
+
+
+class _Pool(threading.local):
+    """This thread's perturbation buffers not in use, a list per ``(kind,
+    columns)``; None while the thread keeps none."""
+
+    free = None
+
+
+_pool = _Pool()
+
+
+def keep_buffers():
+    """Keep the perturbation buffers of this thread for reuse from now on:
+    for a worker thread that ends with its pass."""
+    if _pool.free is None:
+        _pool.free = {}
+
+
+@contextmanager
+def buffer_pool():
+    """Keep the perturbation buffers of this thread for reuse until the
+    block ends, then drop them.
+
+    Outside such a block, or a thread that called :func:`keep_buffers`,
+    every perturbed evaluation gets a new buffer.
+    :func:`~glset.density.map_chunks` runs each pass in one, so the buffers
+    of a chunk serve the next chunk and none outlives the pass.
+    """
+    outer = _pool.free
+    keep_buffers()
+    try:
+        yield
+    finally:
+        _pool.free = outer
+
+
+@contextmanager
+def _perturbation(kind, xi):
+    """A float64 buffer of ``xi``'s shape, contents undefined, for the
+    perturbed points of one evaluation of a ``kind`` of side, given back to
+    this thread's pool when the block ends.
+
+    A free pooled buffer of the kind with ``xi``'s column count and at least
+    its rows is handed out as a view of its first rows, so a short chunk
+    reuses a full one; a nested block never gets a buffer that is in use.
+    """
+    n, d = xi.shape
+    free = [] if _pool.free is None else _pool.free.setdefault((kind, d), [])
+    fits = [i for i, kept in enumerate(free) if len(kept) >= n]
+    base = free.pop(fits[-1]) if fits else np.empty((n, d))
+    try:
+        yield base[:n]
+    finally:
+        free.append(base)
+
+
+def _own(values, buf):
+    """``values``, copied if they share memory with the perturbation buffer
+    ``buf``, which is written again after they are returned."""
+    return values.copy() if np.may_share_memory(values, buf.base) else values
+
+
 def fd_sides(f, xi, step, coords=None):
     """Both sides of the central-difference stencil of ``f`` at ``xi``.
 
     Yields ``(k, h, f(xi + h e_k), f(xi - h e_k))`` for every 0-based
     coordinate k in ``coords`` (all by default), with the per-row step
     ``h = step * (1 + |xi_k|)``.  Every side is evaluated on one copy of
-    ``xi``, perturbed in column k and restored before the next coordinate; a
-    side that shares memory with that copy is copied, so perturbing it again
-    cannot change what was yielded.
+    ``xi`` in a pooled buffer, perturbed in column k and restored before
+    the next coordinate; a side that shares memory with that buffer is
+    copied, so perturbing it again cannot change what was yielded.
     """
-    buf = xi.copy()
-    for k in range(xi.shape[1]) if coords is None else coords:
-        col = xi[:, k]
-        h = step * (1.0 + np.abs(col))
-        buf[:, k] = col + h
-        hi = f(buf)
-        if np.may_share_memory(hi, buf):
-            hi = hi.copy()
-        buf[:, k] = col - h
-        lo = f(buf)
-        if np.may_share_memory(lo, buf):
-            lo = lo.copy()
-        buf[:, k] = col
-        yield k, h, hi, lo
+    with _perturbation("axis", xi) as buf:
+        np.copyto(buf, xi)
+        for k in range(xi.shape[1]) if coords is None else coords:
+            col = xi[:, k]
+            h = step * (1.0 + np.abs(col))
+            np.add(col, h, out=buf[:, k])
+            hi = _own(f(buf), buf)
+            np.subtract(col, h, out=buf[:, k])
+            lo = _own(f(buf), buf)
+            buf[:, k] = col
+            yield k, h, hi, lo
 
 
 def _central_gradient(sides, xi):
@@ -162,6 +236,19 @@ def _is_axis(u):
 def _dot(a, u):
     """Row-wise ``a . u``: column j of ``a`` for the axis j."""
     return a[:, u] if _is_axis(u) else rowsum(a * u)
+
+
+def _step(op, x, u, s, out):
+    """``out = op(x, s)`` for the step s of the direction u; for the axis j,
+    s is the column ``h_j`` of the step ``h_j e_j``, whose other columns
+    ``op`` with 0.0 as an ``(n, d)`` step would, so the bits are the same
+    without building it.  ``out`` may be ``x``."""
+    if _is_axis(u):
+        col = op(x[:, u], s)
+        op(x, 0.0, out=out)
+        out[:, u] = col
+    else:
+        op(x, s, out=out)
 
 
 # The derivative methods keep their signatures, so the memo of the chunk a
@@ -262,21 +349,32 @@ class Functional:
     def _sides(self, xi, u):
         """``(|u|, a, s, f(xi + s), f(xi - s))`` for the step ``s = a u/|u|``
         along the direction u: the axis j takes its stencil step
-        ``a = h_j``, an array the row step ``a = FD_STEP (1 + |xi|)`` and a
-        zero row the step 0; the ray sides of an array are kept inside a
-        chunk like the axis sides."""
+        ``a = h_j`` and gives for s only the column ``h_j`` of ``h_j e_j``
+        (:func:`_step`), an array the row step ``a = FD_STEP (1 + |xi|)``
+        and a zero row the step 0; the ray sides of an array are kept
+        inside a chunk like the axis sides."""
         if _is_axis(u):
             [(_, h, hi, lo)] = self._stencil(xi, (u,))
-            s = np.zeros_like(xi)
-            s[:, u] = h
-            return 1.0, h, s, hi, lo
+            return 1.0, h, h, hi, lo
         return self._kept("ray", xi, (u,), lambda: self._ray(xi, u))
 
     def _ray(self, xi, u):
         norm = np.sqrt(rowsum(u * u))
         a = FD_STEP * (1.0 + np.sqrt(rowsum(xi * xi)))
         s = u * (a / np.where(norm > 0.0, norm, 1.0))[:, None]
-        return norm, a, s, self.value(xi + s), self.value(xi - s)
+        with _perturbation("ray", xi) as buf:
+            hi = _own(self.value(np.add(xi, s, out=buf)), buf)
+            lo = _own(self.value(np.subtract(xi, s, out=buf)), buf)
+        return norm, a, s, hi, lo
+
+    def _corner(self, xi, u, s, v, t, op):
+        """``f(op(op(xi, s), t))``, the value at the corner ``xi + s + t``
+        (``op`` ``np.add``) or ``xi - s - t`` (``np.subtract``) of the mixed
+        difference, with the bits of those expressions."""
+        with _perturbation("corner", xi) as buf:
+            _step(op, xi, u, s, buf)
+            _step(op, buf, v, t, buf)
+            return _own(self.value(buf), buf)
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         return _central_gradient(self._stencil(xi), xi)
@@ -316,8 +414,8 @@ class Functional:
         if u is v or _is_axis(u) and _is_axis(v) and u == v:
             return (hi - 2.0 * centre + lo) * (nu / a) ** 2
         nv, b, t, hi_v, lo_v = self._sides(xi, v)
-        c_plus = self.value(xi + s + t) - hi
-        c_minus = self.value(xi - s - t) - lo
+        c_plus = self._corner(xi, u, s, v, t, np.add) - hi
+        c_minus = self._corner(xi, u, s, v, t, np.subtract) - lo
         return (((c_plus - (hi_v - centre)) + (c_minus - (lo_v - centre)))
                 * (nu * nv / (2.0 * a * b)))
 

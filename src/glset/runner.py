@@ -12,8 +12,9 @@ fails, in config order, ends the run: the jobs before it keep their
 artifacts and the jobs after it write none.  Files are written atomically
 (temp file + rename) and contain no timestamps, so identical configurations
 yield byte-identical bodies; the manifest holds the config hash, library
-versions, the wall-clock time of the run and the runtime of every selftest
-criterion.
+versions, the wall-clock time of the run, the runtime of every selftest
+criterion and the run's ``getrusage`` deltas: CPU seconds in user and
+system mode and minor page faults, for every thread of the process.
 
 Exit codes: 0 success, 1 numerical or I/O fault, 2 acceptance failure in a
 selftest job.
@@ -27,6 +28,7 @@ import datetime
 import hashlib
 import json
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -295,6 +297,7 @@ def run(config: RunConfig, output_dir=None) -> int:
     """Execute all jobs; returns the process exit code."""
     out = Path(output_dir if output_dir is not None else config.output)
     out.mkdir(parents=True, exist_ok=True)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     model = resolve_model(config.model)
     written: list[str] = []
     runtimes = {}
@@ -330,8 +333,17 @@ def run(config: RunConfig, output_dir=None) -> int:
     }
     if runtimes:
         manifest["runtime_s"] = runtimes
+    manifest["rusage"] = _rusage_since(usage)
     write_json(out / "manifest.json", manifest)
     return exit_code
+
+
+def _rusage_since(before) -> dict:
+    """This process's CPU seconds and minor page faults since ``before``."""
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"user_s": after.ru_utime - before.ru_utime,
+            "system_s": after.ru_stime - before.ru_stime,
+            "minor_faults": after.ru_minflt - before.ru_minflt}
 
 
 def _versions():

@@ -130,6 +130,10 @@ def criterion_4_ibp_battery():
         for rec in ibp_battery(model, G, [phi], (1, 2), grid, 10 ** 6, 2404 + i):
             z = abs(rec.residual) / max(rec.combined_stderr, 1e-300)
             worst = max(worst, z)
+            if rec.unresolved:
+                return _result(4, "integration-by-parts battery", False,
+                               f"case {i} k={rec.k} r={rec.r}: unresolved record, band "
+                               f"{rec.band}, flags {list(rec.flags)}", t0)
             if not rec.within_band:
                 return _result(
                     4, "integration-by-parts battery", False,

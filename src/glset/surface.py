@@ -96,8 +96,16 @@ class IbpRecord:
         return 4.0 * self.combined_stderr
 
     @property
+    def unresolved(self) -> bool:
+        """The band is not finite (a single-chunk pass gives NaN standard
+        errors), so the record can neither pass nor fail it."""
+        return not np.isfinite(self.band)
+
+    @property
     def within_band(self) -> bool:
-        return abs(self.residual) <= self.band
+        """The residual lies in the band; an unresolved record never fails
+        it, as a :class:`~glset.disintegration.ConditionalSurfaceRecord`."""
+        return self.unresolved or abs(self.residual) <= self.band
 
 
 class _IbpSublevel(Functional):

@@ -14,6 +14,7 @@ directions; everywhere the results keep the bits they have outside a chunk.
 """
 
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -131,22 +132,141 @@ class TestChunkScope:
         assert map_chunks(iid5, 1000, 5, worker) == [True]
 
     def test_view_returning_callback(self, iid5):
+        # a side that is a view of the buffer it was evaluated on is copied
+        # before the buffer is written again: the axis sides, the kept ray
+        # sides of two directions and the corners of the mixed differences
         view = UserFunctional(lambda xi: xi[:, 0], name="view")
         copied = UserFunctional(lambda xi: xi[:, 0].copy(), name="copied")
 
-        def worker(index, pts):
-            return [(f.gradient(pts), f.laplacian(pts), f.hess(pts, pts, pts),
-                     f.hess(pts, 0, pts)) for f in (view, copied)]
+        def derivatives(f, pts):
+            u, w = np.cos(pts), pts[:, ::-1].copy()
+            return (f.gradient(pts), f.laplacian(pts), f.hess(pts, u, u),
+                    f.hess(pts, w, w), f.hess(pts, 0, u), f.hess(pts, u, 1),
+                    f.hess(pts, u, w), f.hess(pts, 0, 2))
 
-        [((grad, lap, quad, h1), want)] = map_chunks(iid5, 1000, 5, worker)
-        for got, ref in zip((grad, lap, quad, h1), want):
-            assert same_bits(got, ref)
-        assert np.allclose(grad[:, 0], 1.0) and np.all(grad[:, 1:] == 0.0)
-        assert np.allclose(lap, 0.0, atol=1e-4)
-        assert np.allclose(quad, 0.0, atol=1e-4)
-        assert np.allclose(h1, 0.0, atol=1e-4)
+        def worker(index, pts):
+            return pts.copy(), [derivatives(f, pts) for f in (view, copied)]
+
+        # two chunks, the second short: every kind of buffer is reused
+        for pts, (got, want) in map_chunks(iid5, 20_000, 5, worker):
+            outside = derivatives(copied, pts)
+            for a, b, c in zip(got, want, outside):
+                assert same_bits(a, b) and same_bits(a, c)
+            grad, lap, *second = got
+            assert np.allclose(grad[:, 0], 1.0) and np.all(grad[:, 1:] == 0.0)
+            assert np.allclose(lap, 0.0, atol=1e-4)
+            for h in second:
+                assert np.allclose(h, 0.0, atol=1e-4)
         pts = np.random.default_rng(3).standard_normal((200, 5))
         assert np.allclose(view.gradient(pts)[:, 0], 1.0)
+
+
+def test_axis_steps_keep_the_bits_of_a_full_step():
+    # an axis step writes h e_j without building it: the other columns take
+    # op(x, 0.0), as the zeros of an (n, d) step would (-0.0 + 0.0 is +0.0)
+    rng = np.random.default_rng(9)
+    xi = rng.standard_normal((64, 4))
+    xi[::3, 1] = -0.0
+    xi[1::5, 2] = 0.0
+    t = rng.standard_normal((64, 4))
+    h = FD_STEP * (1.0 + np.abs(xi[:, 2]))
+    full = np.zeros_like(xi)
+    full[:, 2] = h
+    for op in (np.add, np.subtract):
+        out = np.empty_like(xi)
+        functionals._step(op, xi, 2, h, out)
+        assert same_bits(out, op(xi, full))
+        # an array step, then the axis step in place: a corner of hess(xi, t, 2)
+        functionals._step(op, xi, t, t, out)
+        functionals._step(op, out, 2, h, out)
+        assert same_bits(out, op(op(xi, t), full))
+
+
+class TestPerturbationBuffers:
+    """Axis, ray and corner sides are evaluated on per-thread buffers that
+    serve every chunk of a pass and die with it."""
+
+    @staticmethod
+    def derivatives(G, pts):
+        g = G.gradient(pts)
+        return g, G.laplacian(pts), G.hess(pts, g, g), G.hess(pts, 0, g)
+
+    def test_nested_fd_derivatives_keep_their_bits(self, iid5, monkeypatch):
+        # a callback that takes FD derivatives of another value-only
+        # functional at the points it is given, in the same thread: its
+        # stencils take their own buffers, never the one its input lives in
+        inner = UserFunctional(Counted(), name="inner")
+
+        def outer_eval(xi):
+            g = inner.gradient(xi)
+            return np.sum(g * g, axis=1) + inner.hess(xi, g, g) + inner.hess(xi, 1, g)
+
+        outer = UserFunctional(outer_eval, name="outer")
+
+        def worker(index, pts):
+            return pts.copy(), self.derivatives(outer, pts)
+
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GLSET_THREADS", threads)
+            chunks = map_chunks(iid5, 20_000, 11, worker)
+            assert len(chunks) == 2
+            for pts, inside in chunks:
+                for a, b in zip(inside, self.derivatives(outer, pts)):
+                    assert same_bits(a, b)
+
+    def test_perturbed_sides_share_pooled_buffers_across_chunks(self, iid5, monkeypatch):
+        monkeypatch.setenv("GLSET_THREADS", "1")
+        chunk = {}
+        bases = Counter()
+
+        def record(xi):
+            if xi is not chunk["points"]:
+                assert xi.base is not None  # a view of a pooled buffer
+                pointer = xi.base.__array_interface__["data"][0]
+                assert xi.__array_interface__["data"][0] == pointer
+                bases[chunk["index"], pointer] += 1
+            return np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1]
+
+        G = UserFunctional(record, name="recorded")
+
+        def worker(index, pts):
+            chunk.update(index=index, points=pts)
+            self.derivatives(G, pts)
+
+        # 16384 + 16384 + 7232 rows: the short last chunk takes views too
+        map_chunks(iid5, 40_000, 3, worker)
+        per_chunk = [{p for (i, p) in bases if i == index} for index in range(3)]
+        # one buffer per kind of side (axis, ray, corner), the same in every chunk
+        assert len(per_chunk[0]) == 3
+        assert per_chunk[1] == per_chunk[0] and per_chunk[2] == per_chunk[0]
+        assert sum(bases.values()) == 3 * (2 * 5 + 2 + 2)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pool_is_empty_after_the_pass(self, iid5, monkeypatch, threads):
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        buffers = []
+
+        def record(xi):
+            if xi.base is not None:
+                buffers.append(weakref.ref(xi.base))
+            return np.sum(xi * xi, axis=1)
+
+        G = UserFunctional(record, name="recorded")
+
+        def worker(index, pts):
+            self.derivatives(G, pts)
+
+        map_chunks(iid5, 40_000, 3, worker)
+        assert buffers and all(ref() is None for ref in buffers)
+        assert functionals._pool.free is None
+
+        def failing(index, pts):
+            G.gradient(pts)
+            raise ValueError("chunk fault")
+
+        with pytest.raises(ValueError):
+            map_chunks(iid5, 40_000, 3, failing)
+        assert functionals._pool.free is None
 
 
 def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):

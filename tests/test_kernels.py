@@ -225,6 +225,39 @@ def test_fd_stencils_perturb_one_buffer():
                              f"functionals.{STENCIL_HELPER}: {path.name} lines {offenders}")
 
 
+def _names_xi(node):
+    """A sum or difference with ``xi`` among its terms."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _names_xi(node.left) or _names_xi(node.right)
+    return isinstance(node, ast.Name) and node.id == "xi"
+
+
+def perturbed_values(tree):
+    """Lines that call ``.value(xi + ...)`` or ``.value(xi - ...)``: a new
+    perturbed array per evaluation instead of a pooled buffer."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "value"
+                   and any(isinstance(arg, ast.BinOp) and _names_xi(arg) for arg in node.args)})
+
+
+def test_stencil_guard_sees_perturbed_values():
+    code = ("def hess(self, xi, s, t):\n"
+            "    hi = self.value(xi + s)\n"
+            "    lo = self.f.value(xi - s - t)\n"
+            "    mid = self.value(s + xi)\n"
+            "    c = self.value(xi) + self.value(buf) - self.value(2.0 * xi)\n"
+            "    return self.value(np.add(xi, s, out=buf)) + value(xi + s)\n")
+    assert perturbed_values(ast.parse(code)) == [2, 3, 4]
+
+
+def test_fd_stencils_evaluate_on_pooled_buffers():
+    path = SRC / "functionals.py"
+    offenders = perturbed_values(ast.parse(path.read_text()))
+    assert offenders == [], (f"evaluate perturbed points in a pooled buffer "
+                             f"(functionals._perturbation): {path.name} lines {offenders}")
+
+
 # ----------------------------- directional derivative guard -----------------------------
 
 DIRECTIONAL = "jvp"

@@ -173,6 +173,15 @@ class TestArtifacts:
         assert manifest["versions"]["glset"]
         assert "job01_density.csv" in manifest["files"]
 
+    def test_manifest_records_the_run_rusage(self, run_dir):
+        # getrusage deltas of the run; they stay out of every job body
+        rusage = json.loads((run_dir / "manifest.json").read_text())["rusage"]
+        assert set(rusage) == {"user_s", "system_s", "minor_faults"}
+        assert all(value >= 0 for value in rusage.values())
+        assert isinstance(rusage["minor_faults"], int) and rusage["user_s"] > 0.0
+        bodies = [p.read_text() for p in run_dir.iterdir() if p.name != "manifest.json"]
+        assert not any("minor_faults" in body for body in bodies)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

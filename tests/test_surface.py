@@ -104,6 +104,28 @@ class TestIbp:
                                      2 * 10 ** 5, seed=107):
                 assert rec.within_band, (k, rec.r, rec.residual, rec.band)
 
+    def test_single_chunk_record_is_unresolved(self, iid5):
+        # n = 10000 is one chunk: NaN stderrs give a band that can neither
+        # pass nor fail, and the record says so instead of failing it
+        rec = ibp_record(handle(iid5, Norm2(), 5.0, n=10 ** 4), ONE, 1)
+        assert np.isnan(rec.band)
+        assert rec.unresolved and rec.within_band
+        assert INSUFFICIENT_BATCHES in rec.flags
+        resolved = ibp_record(handle(iid5, Norm2(), 5.0, n=10 ** 5), ONE, 1)
+        assert not resolved.unresolved and resolved.within_band
+        # a property, not a field: the asdict artifacts keep their keys
+        assert "unresolved" not in dataclasses.asdict(rec)
+
+    def test_selftest_names_an_unresolved_record(self, iid5, monkeypatch):
+        from glset import selftest
+
+        rec = ibp_record(handle(iid5, Norm2(), 5.0, n=10 ** 4), ONE, 1)
+        monkeypatch.setattr(selftest, "ibp_battery", lambda *args: [rec])
+        result = selftest.criterion_4_ibp_battery()
+        assert not result.passed
+        assert result.detail == (f"case 0 k=1 r=5.0: unresolved record, band nan, "
+                                 f"flags {list(rec.flags)}")
+
     def test_direction_out_of_range(self, iid3):
         with pytest.raises(IndexError):
             ibp_record(handle(iid3, Norm2(), 2.0), ONE, 4)
