@@ -152,8 +152,7 @@ def run_plans(plans) -> list:
         for j, (plan, layout) in enumerate(zip(plans, layouts)):
             if index >= len(layout) or failed_before(j, index):
                 continue
-            size = layout[index][1]
-            rows = pts if size == pts.shape[0] else pts[:size]
+            rows = _prefix(pts, layout[index][1])
             try:
                 with chunk_scope(rows):
                     results[j][index] = plan.worker(index, rows)
@@ -170,6 +169,11 @@ def run_plans(plans) -> list:
         failed = [(-1, e)] * len(plans)
     return [functools.partial(_finish, plan, res, fail)
             for plan, res, fail in zip(plans, results, failed)]
+
+
+def _prefix(pts: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` rows of a chunk: those of a pass of ``size`` rows there."""
+    return pts if size == pts.shape[0] else pts[:size]
 
 
 class _Abandoned(Exception):

@@ -12,21 +12,28 @@ Empty bins are retained with zero weight and flagged, never interpolated:
 conditional measures are only defined where the image measure puts mass.
 
 :func:`disintegrate` makes one pass, its :func:`disintegrate_plan` run
-alone: each chunk keeps its G values and the values of every bin weight
-that is not a constant (8 bytes per row each); edges and per-bin sums
-follow the pass.  :func:`conditional_vs_surface` reads those sums and adds
-one pass of the same stream for the surface side of all of its levels.
+alone: each chunk keeps its G values, the values of every bin weight that
+is not a constant (8 bytes per row each) and the stable sort of its G
+values (2 bytes per row).  After the pass the edges come from a values-only
+sort, and each chunk's rows are binned through its own sort, so no n-row
+sort order is built; :attr:`EmpiricalDisintegration.order` makes one when
+asked.  :func:`conditional_vs_surface` reads the bin sums and adds one pass
+of the same stream, :func:`surface_side_plan`, for the surface side of all
+of its levels; that plan can share its pass with the disintegration's
+(:func:`~glset.density.run_plans`), and :func:`compare_with_surface` reads
+the two.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Plan, Query, stream_pass
+from .density import PassResult, Plan, Query, stream_plan
 from .functionals import Constant, Functional, check_finite, stable_argsort
-from .model import GaussianModel, chunk_layout
+from .model import CHUNK_ROW, GaussianModel, chunk_layout
 
 
 @dataclass
@@ -45,16 +52,15 @@ class BinSums:
 class EmpiricalDisintegration:
     """Particle representation of the conditional measures of mu along G.
 
-    ``order`` sorts samples by G-value and ``start`` delimits bins inside
-    it, so bin j's particle indices are ``order[start[j]:start[j+1]]``.
-    Weights sum to one exactly and every sample lies in exactly one bin.
-    ``binned`` holds the :class:`BinSums` of every weight, in order.
+    ``start`` delimits bins in the samples sorted by G-value, so bin j's
+    particle indices are ``order[start[j]:start[j+1]]``.  Weights sum to one
+    exactly and every sample lies in exactly one bin.  ``binned`` holds the
+    :class:`BinSums` of every weight, in order.
     """
 
     model: GaussianModel
     G: Functional
     edges: np.ndarray
-    order: np.ndarray
     start: np.ndarray
     counts: np.ndarray
     g_values: np.ndarray
@@ -80,6 +86,11 @@ class EmpiricalDisintegration:
             raise ValueError(f"level {r} outside the binned range")
         j = int(np.searchsorted(self.edges, r, side="right") - 1)
         return min(j, self.bins - 1)  # the top edge belongs to the last bin
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """The stable sort of the samples by G-value, made on first use."""
+        return stable_argsort(self.g_values)[0]
 
     def bin_indices(self, j: int) -> np.ndarray:
         return self.order[self.start[j]:self.start[j + 1]]
@@ -119,59 +130,77 @@ def disintegrate_plan(model: GaussianModel, G: Functional, n: int, seed: int,
     bounds = np.cumsum([0] + [size for _, size in chunk_layout(n)])
     held = [phi for phi in phis if not isinstance(phi, Constant)]
     g_values, values = np.empty(n), np.empty((len(held), n))
+    local = np.empty(n, dtype=CHUNK_ROW)  # each chunk's stable sort of its G values
 
     def worker(index, pts):
         rows = slice(bounds[index], bounds[index + 1])
-        g_values[rows] = check_finite(G.value(pts), "G", G.name)
+        g = check_finite(G.value(pts), "G", G.name)
+        g_values[rows] = g
+        local[rows] = stable_argsort(g)[0]
         for phi, out in zip(held, values):
             out[rows] = check_finite(phi.value(pts), "phi", phi.name)
 
     def finish(_):
-        # the edges and per-bin sums, from the values the workers wrote
-        order, g_sorted = stable_argsort(g_values)
-        if scheme == "quantile":
-            # np.quantile is faster on sorted values, but which of -0.0 and +0.0
-            # lands on a rank depends on the input order, so zeros of both signs
-            # take the values in stream order
-            q = np.linspace(0.0, 1.0, bins + 1)
-            signs = np.signbit(g_values[g_values == 0.0])
-            if signs.any() and not signs.all():
-                edges = np.quantile(g_values, q)
-            else:
-                # a copy for np.quantile would be a fifth n-row array at once,
-                # so it partitions the sorted values, and they are gathered
-                # back in place (mode="clip" is unbuffered; order is a
-                # permutation)
-                edges = np.quantile(g_sorted, q, overwrite_input=True)
-                np.take(g_values, order, out=g_sorted, mode="clip")
-        else:
-            edges = np.linspace(g_values.min(), g_values.max(), bins + 1)
-        # interior edges split [edge_j, edge_{j+1}); the top bin keeps the max
-        start = np.searchsorted(g_sorted, edges, side="left")
-        start[-1] = n
-        del g_sorted  # freed before the bin index takes its place
-        # each sample's bin, in stream order, from its place in the sort
-        bin_index = np.empty(n, dtype=np.intp)
-        for j in range(bins):
-            bin_index[order[start[j]:start[j + 1]]] = j
-        binned, columns = [], iter(values)
-        for phi in phis:
-            pv = None if isinstance(phi, Constant) else next(columns)
-            sums, sumsq, totals = [], [], []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                v = (check_finite(np.full(hi - lo, phi.c), "phi", phi.name) if pv is None
-                     else pv[lo:hi])
-                sums.append(np.bincount(bin_index[lo:hi], weights=v, minlength=bins))
-                sumsq.append(np.bincount(bin_index[lo:hi], weights=v * v, minlength=bins))
-                totals.append(float(np.sum(v)))
-            binned.append(BinSums(phi_name=phi.name, sums=np.sum(sums, axis=0),
-                                  sumsq=np.sum(sumsq, axis=0), total=float(np.sum(totals))))
-        return EmpiricalDisintegration(model=model, G=G, edges=edges, order=order,
-                                       start=start, counts=np.diff(start),
-                                       g_values=g_values, n=n, seed=seed,
-                                       scheme=scheme, binned=binned)
+        # the edges, then each chunk's bins through its own sort: a bin starts
+        # after the values below its lower edge, counted per chunk
+        edges = _edges(g_values, bins, scheme)
+        start = np.zeros(bins + 1, dtype=np.intp)
+        parts = [[] for _ in phis]  # per weight, per chunk: (sums, sumsq, total)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pos, labels = _chunk_bins(g_values[lo:hi], local[lo:hi], edges)
+            start += pos
+            columns = iter(values)
+            for phi, out in zip(phis, parts):
+                v = (check_finite(np.full(hi - lo, phi.c), "phi", phi.name)
+                     if isinstance(phi, Constant) else next(columns)[lo:hi])
+                out.append((np.bincount(labels, weights=v, minlength=bins),
+                            np.bincount(labels, weights=v * v, minlength=bins),
+                            float(np.sum(v))))
+        start[-1] = n  # the top bin keeps the max
+        return EmpiricalDisintegration(model=model, G=G, edges=edges, start=start,
+                                       counts=np.diff(start), g_values=g_values, n=n,
+                                       seed=seed, scheme=scheme,
+                                       binned=[_reduce(phi.name, out)
+                                               for phi, out in zip(phis, parts)])
 
     return Plan(model, n, seed, worker, finish)
+
+
+def _edges(g_values: np.ndarray, bins: int, scheme: str) -> np.ndarray:
+    """The ``bins + 1`` edges of ``scheme`` for the values in stream order."""
+    if scheme == "fixed":
+        return np.linspace(g_values.min(), g_values.max(), bins + 1)
+    q = np.linspace(0.0, 1.0, bins + 1)
+    # np.quantile is faster on sorted values, but which of -0.0 and +0.0 lands
+    # on a rank depends on the input order, so zeros of both signs take the
+    # values in stream order
+    signs = np.signbit(g_values[g_values == 0.0])
+    if signs.any() and not signs.all():
+        return np.quantile(g_values, q)
+    # a values-only sort, which np.quantile partitions in place
+    return np.quantile(np.sort(g_values), q, overwrite_input=True)
+
+
+def _chunk_bins(g: np.ndarray, order: np.ndarray, edges: np.ndarray):
+    """``(pos, labels)`` of one chunk, from its G values ``g`` and their
+    stable sort ``order``: ``pos[j]`` counts the values below ``edges[j]``,
+    and ``labels`` is the bin of each value, the top bin taking the values
+    at the top edge."""
+    order = order.astype(np.intp)  # one conversion for the gather and the scatter
+    pos = np.searchsorted(g[order], edges, side="left")
+    sizes = np.diff(pos)
+    sizes[-1] = len(g) - pos[-2]
+    labels = np.empty(len(g), dtype=np.intp)
+    labels[order[pos[0]:]] = np.repeat(np.arange(len(sizes)), sizes)
+    return pos, labels
+
+
+def _reduce(phi_name: str, parts) -> BinSums:
+    """The :class:`BinSums` of per-chunk ``(sums, sumsq, total)``, reduced in
+    chunk order."""
+    sums, sumsq, totals = zip(*parts)
+    return BinSums(phi_name=phi_name, sums=np.sum(sums, axis=0),
+                   sumsq=np.sum(sumsq, axis=0), total=float(np.sum(totals)))
 
 
 @dataclass
@@ -216,11 +245,19 @@ class SupportRecord:
 
 def support_check(D: EmpiricalDisintegration) -> SupportRecord:
     """The particles of each bin span at most the bin width (by construction)."""
-    g_sorted = D.g_values[D.order]
+    g_sorted = np.sort(D.g_values)
     widths = np.diff(D.edges)
-    occupied = D.counts > 0
+    occupied = np.flatnonzero(D.counts > 0)
+    lo, hi = g_sorted[D.start[occupied]], g_sorted[D.start[occupied + 1] - 1]
     spans = np.zeros(D.bins)
-    spans[occupied] = g_sorted[D.start[1:][occupied] - 1] - g_sorted[D.start[:-1][occupied]]
+    spans[occupied] = hi - lo
+    # all zeros share one bin; when it holds nothing else, its particles in
+    # stable order run from the first zero of the stream to the last, and
+    # their signs give the sign of the span
+    only_zeros = (lo == 0.0) & (hi == 0.0)
+    if only_zeros.any():
+        zeros = D.g_values[D.g_values == 0.0]
+        spans[occupied[only_zeros]] = zeros[-1] - zeros[0]
     excess = float(np.max(spans - widths)) if D.bins else 0.0
     return SupportRecord(widths=widths, in_bin_range=spans, max_excess=excess)
 
@@ -258,6 +295,22 @@ class ConditionalSurfaceRecord:
         return self.unresolved or abs(self.difference) <= self.band
 
 
+def surface_side_plan(model: GaussianModel, G: Functional, n: int, seed: int,
+                      phi: Functional, r_grid, estimator: str = "divergence",
+                      epsilon: float | None = None) -> Plan:
+    """The surface side of :func:`conditional_vs_surface` as a
+    :class:`~glset.density.Plan` of the ``(model, G, n, seed)`` stream:
+    ``q1`` and the surface integral of phi, by ``estimator``, at every level
+    of ``r_grid``.  It finishes as a :class:`~glset.density.PassResult`, and
+    it can share its pass with the :func:`disintegrate_plan` of the same
+    stream."""
+    if estimator not in ("divergence", "mollified"):
+        raise ValueError(f"estimator must be divergence or mollified, got {estimator!r}")
+    return stream_plan(model, G, n, seed, r_grid,
+                       [Query(Constant(1.0), estimator), Query(phi, estimator)],
+                       epsilon=epsilon)
+
+
 def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
                            estimator: str = "divergence",
                            epsilon: float | None = None) -> list[ConditionalSurfaceRecord]:
@@ -265,18 +318,28 @@ def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
     at every level r of ``r_grid``, one record per level.
 
     The conditional side is read off phi's :class:`BinSums` in ``D.binned``;
-    the surface side (``q1`` and the integral of phi, by ``estimator``) is
-    one pass of D's ``(model, G, n, seed)`` stream for all the levels.
+    the surface side is the :func:`surface_side_plan` of D's
+    ``(model, G, n, seed)`` stream, run alone after the levels are checked.
     """
-    if estimator not in ("divergence", "mollified"):
-        raise ValueError(f"estimator must be divergence or mollified, got {estimator!r}")
+    plan = surface_side_plan(D.model, D.G, D.n, D.seed, phi, r_grid, estimator, epsilon)
+    _levels(D, phi, r_grid)
+    return compare_with_surface(D, phi, r_grid, plan.run())
+
+
+def _levels(D: EmpiricalDisintegration, phi: Functional, r_grid):
+    """phi's :class:`BinSums` and ``(r, bin of r)`` for every level."""
     binned = next((b for b in D.binned if b.phi_name == phi.name), None)
     if binned is None:
         raise ValueError(f"{phi.name!r} is not a bin weight of the disintegration")
-    levels = [(float(r), D.bin_of(r)) for r in r_grid]
-    q1s, surfs = stream_pass(D.model, D.G, D.n, D.seed, r_grid,
-                             [Query(Constant(1.0), estimator), Query(phi, estimator)],
-                             epsilon=epsilon).results
+    return binned, [(float(r), D.bin_of(r)) for r in r_grid]
+
+
+def compare_with_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,
+                         surface: PassResult) -> list[ConditionalSurfaceRecord]:
+    """The records of :func:`conditional_vs_surface` from D and the finished
+    :func:`surface_side_plan` of phi at ``r_grid`` on D's stream."""
+    binned, levels = _levels(D, phi, r_grid)
+    q1s, surfs = surface.results
     flags = tuple(dict.fromkeys(q1s.flags + surfs.flags))
     cond = D.conditional_means(binned)
     mids = 0.5 * (D.edges[:-1] + D.edges[1:])

@@ -30,6 +30,11 @@ import numpy as np
 # without bumping the package version.
 CHUNK_SIZE = 16384
 
+# Holds a row's place within its chunk: a disintegration keeps each chunk's
+# sort order in it, 2 bytes per row.
+CHUNK_ROW = np.uint16
+assert CHUNK_SIZE <= np.iinfo(CHUNK_ROW).max + 1, "a chunk's row index must fit CHUNK_ROW"
+
 
 @dataclass(frozen=True)
 class GaussianModel:

@@ -235,6 +235,7 @@ def _write_hausdorff(job, rec, out_base, formats):
                rec.mc_stderr, rec.quad_value, rec.nodes, rec.quad_error, rec.rel_error]])
     return write_artifacts(out_base, formats, table, dataclasses.asdict(rec) | {
         "rel_error": rec.rel_error, "within_tolerance": rec.within_tolerance,
+        "unresolved": rec.unresolved,
         "job": dataclasses.asdict(job)})
 
 

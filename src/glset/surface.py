@@ -437,7 +437,8 @@ class HausdorffRecord:
 
     ``flags`` are the flags of the Monte Carlo curve it reads, then
     ``quadrature-not-converged`` when the rule was still apart at
-    ``QUAD_NODES`` nodes."""
+    ``QUAD_NODES`` nodes.  ``unresolved`` is a property, not a field, so the
+    record's fields are those of the artifacts that hold it."""
 
     g_name: str
     phi_name: str
@@ -460,11 +461,23 @@ class HausdorffRecord:
         return self.abs_error / scale
 
     @property
-    def within_tolerance(self) -> bool:
-        """Relative error within max(1%, 4 standard errors plus the
-        quadrature's last difference, relative to the quadrature value)."""
+    def tolerance(self) -> float:
+        """4 standard errors plus the quadrature's last difference, relative
+        to the quadrature value."""
         scale = max(abs(self.quad_value), 1e-300)
-        return self.rel_error <= max(0.01, (4.0 * self.mc_stderr + self.quad_error) / scale)
+        return (4.0 * self.mc_stderr + self.quad_error) / scale
+
+    @property
+    def unresolved(self) -> bool:
+        """The tolerance is not finite (a single-chunk pass gives a NaN
+        standard error), so the record can neither pass nor fail."""
+        return not np.isfinite(self.tolerance)
+
+    @property
+    def within_tolerance(self) -> bool:
+        """Relative error within max(1%, the tolerance); an unresolved record
+        never fails."""
+        return self.unresolved or self.rel_error <= max(0.01, self.tolerance)
 
 
 def quadrature_issue(G: Functional, d: int) -> str | None:

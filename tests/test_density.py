@@ -371,16 +371,17 @@ class TestSmoothness:
         assert np.all(div.estimates == 0.0)
 
 
+def chunk_stream_misses(model, n=40_000, seed=91):
+    """Whether the chunks of a pass, in index order, are not the batch
+    ``sample`` returns: ``["chunks"]`` or ``[]``."""
+    chunks = density.map_chunks(model, n, seed, lambda i, pts: pts.copy())
+    return [] if np.array_equal(np.concatenate(chunks), sample(model, n, seed)) else ["chunks"]
+
+
 class TestChunkStreaming:
     def test_map_chunks_sees_the_sample_batch(self, iid3):
         # the streaming path regenerates exactly the points sample() returns
-        from glset import sample
-        from glset.density import map_chunks
-
-        n, seed = 40_000, 91
-        chunks = map_chunks(iid3, n, seed, lambda i, pts: pts.copy())
-        assert np.array_equal(np.concatenate(chunks),
-                              sample(iid3, n, seed))
+        assert chunk_stream_misses(iid3) == []
 
 
 class TestBatchMeans:

@@ -5,11 +5,12 @@ import pytest
 from scipy import stats
 
 from glset import (Constant, Coordinate, Norm2, UserFunctional,
-                   conditional_vs_surface, density, disintegrate,
+                   conditional_vs_surface, density, disintegrate, disintegration,
                    support_check, verify_disintegration)
-from glset.density import INSUFFICIENT_BATCHES
+from glset.density import INSUFFICIENT_BATCHES, run_plans
+from glset.disintegration import compare_with_surface, disintegrate_plan, surface_side_plan
 from glset.expressions import ExpressionFunctional
-from glset.model import chunk_layout, sample
+from glset.model import CHUNK_SIZE, chunk_layout, sample
 
 ONE = Constant(1.0)
 
@@ -21,6 +22,101 @@ TIE_GS = [
     UserFunctional(lambda xi: np.where(np.abs(xi[:, 0]) < 0.4, 0.0 * xi[:, 0],
                                        xi[:, 0]), name="signed-zeros"),
 ]
+
+
+# values <= 0 with about a third of them zeros of both signs: the top
+# quantile bin holds the zeros only, and its span's sign is that of the
+# stream's last zero minus its first
+NONPOSITIVE = UserFunctional(lambda xi: np.where(np.abs(xi[:, 0]) < 0.4, 0.0 * xi[:, 0],
+                                                 -np.abs(xi[:, 0])), name="nonpositive")
+GAUSS = ExpressionFunctional("exp(-norm2())")
+
+
+def bin_sum_misses(model, G, n=40_000, seed=71, bins=200):
+    """The parts of a disintegration's :class:`BinSums` and counts that are
+    not ``np.bincount`` of each chunk of the sample, summed in chunk order."""
+    phis = [ONE, GAUSS]
+    D = disintegrate(model, G, n, seed=seed, bins=bins, phis=phis)
+    points = sample(model, n, seed=seed)
+    ends = np.cumsum([size for _, size in chunk_layout(n)])[:-1]
+    chunks = [(np.searchsorted(D.edges[1:-1], G.value(pts), side="right"), pts)
+              for pts in np.split(points, ends)]
+    misses = []
+    for phi, got in zip(phis, D.binned):
+        per_chunk = [np.broadcast_to(phi.value(pts), (len(pts),)) for _, pts in chunks]
+        want = [np.sum([np.bincount(b, weights=w, minlength=bins)
+                        for (b, _), w in zip(chunks, per_chunk)], axis=0),
+                np.sum([np.bincount(b, weights=w * w, minlength=bins)
+                        for (b, _), w in zip(chunks, per_chunk)], axis=0)]
+        if got.phi_name != phi.name:
+            misses.append(f"{phi.name} name")
+        if got.sums.tobytes() != want[0].tobytes():
+            misses.append(f"{phi.name} sums")
+        if got.sumsq.tobytes() != want[1].tobytes():
+            misses.append(f"{phi.name} sumsq")
+        if got.total != float(np.sum([float(np.sum(w)) for w in per_chunk])):
+            misses.append(f"{phi.name} total")
+    if not np.array_equal(D.counts, np.sum([np.bincount(b, minlength=bins)
+                                            for b, _ in chunks], axis=0)):
+        misses.append("counts")
+    return misses
+
+
+def finish_misses(model, G, scheme, n=40_000, seed=71, bins=200):
+    """The parts of a disintegration that do not have the bits of the
+    reference route: one stable argsort of all the G values, bin starts
+    searched in the sorted values, each sample's bin scattered through the
+    sort, per-chunk bincounts summed in chunk order, and the bin spans read
+    off the sorted values."""
+    phis = [ONE, GAUSS]
+    D = disintegrate(model, G, n, seed=seed, bins=bins, phis=phis, scheme=scheme)
+    points = sample(model, n, seed=seed)
+    g = G.value(points)
+    order = np.argsort(g, kind="stable")
+    g_sorted = g[order]
+    if scheme == "fixed":
+        edges = np.linspace(g.min(), g.max(), bins + 1)
+    else:
+        signs = np.signbit(g[g == 0.0])
+        mixed = signs.any() and not signs.all()
+        edges = np.quantile(g if mixed else g_sorted, np.linspace(0.0, 1.0, bins + 1))
+    start = np.searchsorted(g_sorted, edges, side="left")
+    start[-1] = n
+    label = np.empty(n, dtype=np.intp)
+    for j in range(bins):
+        label[order[start[j]:start[j + 1]]] = j
+    bounds = np.cumsum([0] + [size for _, size in chunk_layout(n)])
+    want = {"g_values": g, "edges": edges, "start": start, "counts": np.diff(start),
+            "order": order}
+    got = {"g_values": D.g_values, "edges": D.edges, "start": D.start,
+           "counts": D.counts, "order": D.order}
+    for phi, binned in zip(phis, D.binned):
+        w = np.broadcast_to(phi.value(points), (n,))
+        parts = [(np.bincount(label[lo:hi], weights=w[lo:hi], minlength=bins),
+                  np.bincount(label[lo:hi], weights=w[lo:hi] ** 2, minlength=bins),
+                  float(np.sum(w[lo:hi])))
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+        sums, sumsq, totals = zip(*parts)
+        want |= {f"{phi.name} sums": np.sum(sums, axis=0),
+                 f"{phi.name} sumsq": np.sum(sumsq, axis=0),
+                 f"{phi.name} total": np.float64(np.sum(totals))}
+        got |= {f"{phi.name} sums": binned.sums, f"{phi.name} sumsq": binned.sumsq,
+                f"{phi.name} total": np.float64(binned.total)}
+    occupied = start[1:] > start[:-1]
+    spans = np.zeros(bins)
+    spans[occupied] = g_sorted[start[1:][occupied] - 1] - g_sorted[start[:-1][occupied]]
+    support = support_check(D)
+    want |= {"widths": np.diff(edges), "spans": spans,
+             "max excess": np.float64(np.max(spans - np.diff(edges)))}
+    got |= {"widths": support.widths, "spans": support.in_bin_range,
+            "max excess": np.float64(support.max_excess)}
+    misses = [key for key in want
+              if np.asarray(got[key]).dtype != np.asarray(want[key]).dtype
+              or np.asarray(got[key]).tobytes() != np.asarray(want[key]).tobytes()]
+    if any(D.bin_indices(j).tobytes() != order[start[j]:start[j + 1]].tobytes()
+           for j in range(bins)):
+        misses.append("bin indices")
+    return misses
 
 
 class TestDisintegrate:
@@ -56,26 +152,46 @@ class TestDisintegrate:
         # reference: np.bincount of each chunk of the sample, summed in chunk
         # order; the pass must give its bits at any worker count
         monkeypatch.setenv("GLSET_THREADS", threads)
-        n, bins = 40_000, 200
-        phis = [ONE, ExpressionFunctional("exp(-norm2())")]
-        D = disintegrate(iid5, G, n, seed=71, bins=bins, phis=phis)
-        points = sample(iid5, n, seed=71)
-        ends = np.cumsum([size for _, size in chunk_layout(n)])[:-1]
-        chunks = [(np.searchsorted(D.edges[1:-1], G.value(pts), side="right"), pts)
-                  for pts in np.split(points, ends)]
-        for phi, got in zip(phis, D.binned):
-            per_chunk = [np.broadcast_to(phi.value(pts), (len(pts),))
-                         for _, pts in chunks]
-            want = [np.sum([np.bincount(b, weights=w, minlength=bins)
-                            for (b, _), w in zip(chunks, per_chunk)], axis=0),
-                    np.sum([np.bincount(b, weights=w * w, minlength=bins)
-                            for (b, _), w in zip(chunks, per_chunk)], axis=0)]
-            assert got.phi_name == phi.name
-            assert got.sums.tobytes() == want[0].tobytes()
-            assert got.sumsq.tobytes() == want[1].tobytes()
-            assert got.total == float(np.sum([float(np.sum(w)) for w in per_chunk]))
-        assert np.array_equal(D.counts, np.sum([np.bincount(b, minlength=bins)
-                                                for b, _ in chunks], axis=0))
+        assert bin_sum_misses(iid5, G) == []
+
+    @pytest.mark.parametrize("G", TIE_GS + [NONPOSITIVE], ids=lambda G: G.name)
+    @pytest.mark.parametrize("scheme", ["quantile", "fixed"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_finish_matches_a_global_stable_sort(self, iid5, G, scheme, threads,
+                                                 monkeypatch):
+        # the chunks' own sorts must give every bit of one stable sort of all
+        # the values, at any worker count
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        assert finish_misses(iid5, G, scheme) == []
+
+    def test_only_chunks_are_sorted_by_index(self, iid5, monkeypatch):
+        # the finish sorts values only; the n-row order is made when asked for
+        sizes = []
+        sort = disintegration.stable_argsort
+        monkeypatch.setattr(disintegration, "stable_argsort",
+                            lambda v: sizes.append(len(v)) or sort(v))
+        n = 40_000
+        D = disintegrate(iid5, Norm2(), n, seed=5, bins=20, phis=[ONE, GAUSS])
+        verify_disintegration(D, D.binned[1])
+        support_check(D)
+        assert sizes == [size for _, size in chunk_layout(n)]
+        assert max(sizes) <= CHUNK_SIZE
+        D.bin_indices(3)
+        D.bin_indices(4)
+        assert sizes[-1] == n and len(sizes) == len(chunk_layout(n)) + 1
+
+    def test_peak_holds_no_row_order(self, iid5):
+        # the G values, one weight column, 2 bytes of chunk order and one
+        # sorted copy of the values: 26 bytes per row; an n-row int64 order
+        # and sorted values beside it read 33.6 bytes per row
+        n = 2 * 10 ** 5
+        tracemalloc.start()
+        try:
+            disintegrate(iid5, Norm2(), n, seed=7, bins=200, phis=[ONE, GAUSS])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * n
 
     def test_constant_weight_holds_no_column(self, iid3):
         # a held column of the weight's values would add 8 n bytes to the peak
@@ -242,6 +358,26 @@ class TestConditionalVsSurface:
         recs = conditional_vs_surface(D, g, [2.0, 4.0, 6.0])
         assert all(np.isnan(rec.band) for rec in recs)
         assert all(rec.unresolved and rec.within_band for rec in recs)
+
+    def test_shared_pass_gives_the_records_of_separate_passes(self, iid5):
+        n, seed, levels = 40_000, 83, (3.0, 5.0)
+        D = disintegrate(iid5, Norm2(), n, seed=seed, bins=50, phis=[GAUSS])
+        alone = conditional_vs_surface(D, GAUSS, levels)
+        disintegrated, surface = run_plans([
+            disintegrate_plan(iid5, Norm2(), n, seed, bins=50, phis=[GAUSS]),
+            surface_side_plan(iid5, Norm2(), n, seed, GAUSS, levels)])
+        shared = compare_with_surface(disintegrated(), GAUSS, levels, surface())
+        assert repr(shared) == repr(alone)
+
+    def test_criterion_6_makes_one_pass_per_case(self, monkeypatch):
+        from glset import selftest
+
+        calls = []
+        map_chunks = density.map_chunks
+        monkeypatch.setattr(density, "map_chunks",
+                            lambda *args: calls.append(args) or map_chunks(*args))
+        assert selftest.criterion_6_disintegration().passed
+        assert len(calls) == 2
 
     def test_level_outside_range_rejected(self, iid5):
         D = disintegrate(iid5, Norm2(), 10 ** 4, seed=61, bins=20, phis=[ONE])

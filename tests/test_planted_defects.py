@@ -38,6 +38,18 @@ on the sphere ``|xi|^2 = r`` the weight ``exp(-a norm2())`` is the constant
 density at r, to rounding.  At d = 5, r = 5 a rule stuck at 4 nodes per angle
 is off by 1.3e-2 relative; at d = 3 and r = 1 (criterion 5) by only 8e-6,
 far inside that criterion's 1 % band.
+
+The last four plant defects in the pass and its reductions.  A
+disintegration's bin sums and counts are held to ``np.bincount`` of each
+chunk of the sample summed in chunk order (``tests/test_disintegration.py``):
+a chunk's sort order written over the next chunk's rows moves the counts and
+sums, and a reduction in reverse chunk order moves the sums of a weight that
+is not a constant, and its total (``(a + b) + c`` against ``(c + b) + a``
+over 3 chunks).
+A pass whose layout drops its last chunk no longer streams the batch
+``sample`` returns (``tests/test_density.py``), and ``run_plans`` handing a
+plan the last rows of a longer chunk instead of the first gives it other
+estimates than its own pass (``tests/test_stream_pass.py``).
 """
 
 import numpy as np
@@ -46,11 +58,15 @@ from scipy import stats
 
 from glset import (Coordinate, Norm2, Product, SurfaceMeasureHandle, UserFunctional,
                    build_model, ibp_residuals, surface_report)
-from glset import functionals, surface
+from glset import density, disintegration, functionals, surface
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
+from glset.model import CHUNK_SIZE
 from test_calculus import kernel_div
+from test_density import chunk_stream_misses
+from test_disintegration import bin_sum_misses
 from test_functionals import GAUSS, HESS, fd_hess_misses
+from test_stream_pass import shared_pass_misses
 
 R = 3.0
 N = 10 ** 6
@@ -237,3 +253,40 @@ def test_quadrature_stuck_at_four_nodes_is_caught(monkeypatch):
     monkeypatch.setattr(surface, "_converge",
                         lambda rule: (float(rule(4)), 4, 0.0, True))
     assert sphere_oracle_misses([5]) == [(5, 0.0), (5, 0.5)]
+
+
+def test_chunk_order_over_the_next_chunks_rows_is_caught(iid5, monkeypatch):
+    # at one thread the chunks are sorted in order: each full chunk's rows get
+    # the order of the chunk before, and the first chunk keeps its own
+    monkeypatch.setenv("GLSET_THREADS", "1")
+    sort, before = disintegration.stable_argsort, []
+
+    def shifted(v):
+        order, values = sort(v)
+        if len(v) != CHUNK_SIZE:
+            return order, values
+        before.append(order)
+        return before[-2] if len(before) > 1 else order, values
+
+    monkeypatch.setattr(disintegration, "stable_argsort", shifted)
+    assert bin_sum_misses(iid5, Norm2()) == ["1.0 sums", "1.0 sumsq", "exp(-norm2()) sums",
+                                             "exp(-norm2()) sumsq", "counts"]
+
+
+def test_reduction_in_reverse_chunk_order_is_caught(iid5, monkeypatch):
+    reduce = disintegration._reduce
+    monkeypatch.setattr(disintegration, "_reduce",
+                        lambda name, parts: reduce(name, parts[::-1]))
+    assert bin_sum_misses(iid5, Norm2()) == ["exp(-norm2()) sums", "exp(-norm2()) sumsq",
+                                             "exp(-norm2()) total"]
+
+
+def test_dropped_last_chunk_is_caught(iid5, monkeypatch):
+    layout = density.chunk_layout
+    monkeypatch.setattr(density, "chunk_layout", lambda n: layout(n)[:-1] or layout(n))
+    assert chunk_stream_misses(iid5) == ["chunks"]
+
+
+def test_plan_fed_the_last_rows_of_a_chunk_is_caught(iid5, monkeypatch):
+    monkeypatch.setattr(density, "_prefix", lambda pts, size: pts[len(pts) - size:])
+    assert shared_pass_misses(iid5) == ["estimates", "stderrs"]

@@ -219,6 +219,40 @@ class TestFusedPaths:
         assert records == json.loads(json.dumps([dataclasses.asdict(rec) for rec in expected]))
 
 
+def shared_pass_misses(model):
+    """What a density plan of n = 20000 that shares its pass with one of
+    n = 50000 gets wrong against its own pass: the rows its callback saw,
+    its estimates or its stderrs."""
+    def job(G, n):
+        return DensityJob(model=model, G=G, phi=ONE, r_grid=(1.0, 3.0), n=n, seed=37,
+                          estimator="divergence")
+
+    def counted():
+        rows = collections.Counter()
+
+        def value(xi):
+            rows[xi.shape[0]] += 1
+            return np.sum(xi * xi, axis=1)
+
+        return UserFunctional(value, name="norm2_fd"), rows
+
+    G_alone, alone_rows = counted()
+    alone = estimate_density(job(G_alone, 20_000))["divergence"]
+    G_short, short_rows = counted()
+    G_long, _ = counted()
+    short, _ = [finish() for finish in run_plans([density_plan(job(G_short, 20_000)),
+                                                  density_plan(job(G_long, 50_000))])]
+    short = short["divergence"]
+    misses = []
+    if not (short_rows == alone_rows and short_rows[16384] == short_rows[20_000 - 16384] > 0):
+        misses.append("callback rows")
+    if not np.array_equal(short.estimates, alone.estimates):
+        misses.append("estimates")
+    if not np.array_equal(short.stderrs, alone.stderrs):
+        misses.append("stderrs")
+    return misses
+
+
 class TestGroupedJobs:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_every_artifact_is_its_own_runs(self, tmp_path, monkeypatch, threads):
@@ -238,29 +272,7 @@ class TestGroupedJobs:
         # of the array a plan gets; on the 3616-row last chunk of n = 20000,
         # a prefix of the longer job's chunk, the memo must hit as it does in
         # the plan's own pass
-        def job(G, n):
-            return DensityJob(model=iid5, G=G, phi=ONE, r_grid=(1.0, 3.0), n=n, seed=37,
-                              estimator="divergence")
-
-        def counted():
-            rows = collections.Counter()
-
-            def value(xi):
-                rows[xi.shape[0]] += 1
-                return np.sum(xi * xi, axis=1)
-
-            return UserFunctional(value, name="norm2_fd"), rows
-
-        G_alone, alone_rows = counted()
-        alone = estimate_density(job(G_alone, 20_000))
-        G_short, short_rows = counted()
-        G_long, _ = counted()
-        short, _ = [finish() for finish in run_plans([density_plan(job(G_short, 20_000)),
-                                                      density_plan(job(G_long, 50_000))])]
-        assert short_rows == alone_rows
-        assert short_rows[16384] == short_rows[20_000 - 16384] > 0
-        assert np.array_equal(short["divergence"].estimates, alone["divergence"].estimates)
-        assert np.array_equal(short["divergence"].stderrs, alone["divergence"].stderrs)
+        assert shared_pass_misses(iid5) == []
 
     def test_failing_plan_skips_its_later_chunks(self, iid3, monkeypatch):
         # at one thread the pass stops after the chunk where every plan has

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -379,6 +380,29 @@ class TestHausdorffCompare:
         assert not rec.within_tolerance
         assert not dataclasses.replace(rec, mc_stderr=0.0, quad_error=0.011).within_tolerance
         assert dataclasses.replace(rec, quad_error=0.011).within_tolerance
+
+    def test_single_chunk_record_is_unresolved(self, iid3):
+        # n = 10000 is one chunk: a NaN stderr gives a tolerance that can
+        # neither pass nor fail, not the 1 % rule alone
+        rec = hausdorff_of(handle(iid3, Norm2(), 1.0, n=10 ** 4, estimator="mollified"),
+                           ONE)
+        assert np.isnan(rec.mc_stderr) and np.isnan(rec.tolerance)
+        assert rec.unresolved and rec.within_tolerance
+        assert not dataclasses.replace(rec, mc_stderr=0.01).unresolved
+        # a property, not a field: the asdict artifacts keep their keys
+        assert "unresolved" not in dataclasses.asdict(rec)
+
+    def test_selftest_names_an_unresolved_record(self, iid3, monkeypatch):
+        from glset import selftest
+
+        rec = hausdorff_of(handle(iid3, Norm2(), 1.0, n=10 ** 4, estimator="mollified"),
+                           ONE)
+        monkeypatch.setattr(selftest, "surface_report",
+                            lambda *args, **kw: types.SimpleNamespace(hausdorff=rec))
+        result = selftest.criterion_5_hausdorff()
+        assert not result.passed
+        assert result.detail == (f"sphere: unresolved record, tolerance nan, "
+                                 f"flags {list(rec.flags)}")
 
     def test_unsupported_geometry_rejected(self, iid3):
         phi = ExpressionFunctional("exp(-norm2())")
