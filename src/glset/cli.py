@@ -58,17 +58,9 @@ def main(argv=None) -> int:
             return 1
         return run(config, output_dir=args.output)
     if args.command == "selftest":
-        from .runner import selftest_runtimes, write_json, write_selftest
-        from .selftest import run_acceptance
+        from .runner import run_selftest
 
-        results = run_acceptance(verbose=True)
-        if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
-            write_selftest(args.output / "selftest", results)
-            write_json(args.output / "manifest.json",
-                       {"files": ["selftest.json"],
-                        "runtime_s": {"selftest": selftest_runtimes(results)}})
-        return 0 if all(r.passed for r in results) else 2
+        return run_selftest(args.output)
     return 1
 
 

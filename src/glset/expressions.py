@@ -1,27 +1,23 @@
 """Expression language for authoring functionals in whitened coordinates.
 
-Grammar (also printed by ``glset grammar``)::
-
-    expr    := ('+' | '-')? term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := primary ('^' int)*
-    primary := number
-             | 'xi' '(' int ')'                   # coordinate, 1-based
-             | 'norm2' '(' ')'                    # sum of squared coordinates
-             | ('exp'|'sin'|'cos'|'abs') '(' expr ')'
-             | ('min'|'max') '(' expr ',' expr ')'
-             | '(' expr ')'
-
-A leading sign on the first term is accepted (so ``exp(-norm2())`` parses).
+The grammar is :data:`GRAMMAR`, which ``glset grammar`` prints; a leading
+sign on the first term is accepted (so ``exp(-norm2())`` parses).
 ASTs evaluate vectorized over sample batches and differentiate symbolically;
 derivatives of ``abs``/``min``/``max`` use internal sign/branch nodes that
-are exact away from the (measure zero) kink sets.
+are exact away from the (measure zero) kink sets.  All arithmetic, on
+constants too, is numpy's float64: an overflow or ``0^-1`` gives inf and a
+``0/0`` NaN, never an exception, and a non-finite value is left to the
+finite checks of the pass that reads it.  :func:`simplify` folds constant
+subtrees and makes only rewrites that keep every bit of the value: ``1*x``,
+``x*1``, ``x/1``, ``x^1`` and ``--x`` to ``x``, ``x - 0`` (+0.0 only) to
+``x``, and a branch with equal sides to that side.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,9 +51,21 @@ class ExpressionError(ValueError):
 
 # ----------------------------- AST -----------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num:
+    """A constant; equal to another only with the same sign, so -0.0 and
+    +0.0 are different nodes (and evaluation memo keys)."""
+
     value: float
+
+    def _key(self):
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Num) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,6 @@ class ParsedExpression:
     ast: object
     source: str
     xi_refs: tuple[tuple[int, int], ...]  # (index, source offset) pairs
-    norm2: bool = False  # whether it calls norm2(), which reads every coordinate
 
     @property
     def max_index(self) -> int:
@@ -155,7 +162,6 @@ class _Parser:
         self.src = source
         self.pos = 0
         self.xi_refs: list[tuple[int, int]] = []
-        self.norm2 = False
 
     def error(self, message, pos=None):
         raise ExpressionError(message, self.pos if pos is None else pos, self.src)
@@ -264,7 +270,6 @@ class _Parser:
         if name == "norm2":
             self.expect("(")
             self.expect(")")
-            self.norm2 = True
             return Call("norm2", ())
         if name in _UNARY_FN:
             self.expect("(")
@@ -284,8 +289,7 @@ class _Parser:
 def parse_expression(source: str) -> ParsedExpression:
     p = _Parser(source)
     ast = p.parse()
-    return ParsedExpression(ast=ast, source=source, xi_refs=tuple(p.xi_refs),
-                            norm2=p.norm2)
+    return ParsedExpression(ast=ast, source=source, xi_refs=tuple(p.xi_refs))
 
 
 # ----------------------------- printing -----------------------------
@@ -344,7 +348,7 @@ def _eval(node, xi: np.ndarray, memo: dict):
     if got is not None:
         return got
     if isinstance(node, Num):
-        out = node.value
+        out = np.float64(node.value)
     elif isinstance(node, Xi):
         out = xi[:, node.k - 1]
     elif isinstance(node, Add):
@@ -354,8 +358,7 @@ def _eval(node, xi: np.ndarray, memo: dict):
     elif isinstance(node, Mul):
         out = _eval(node.a, xi, memo) * _eval(node.b, xi, memo)
     elif isinstance(node, DivOp):
-        # numpy semantics even for scalar/scalar: 0/0 is nan, not an error
-        out = np.divide(_eval(node.a, xi, memo), _eval(node.b, xi, memo))
+        out = _eval(node.a, xi, memo) / _eval(node.b, xi, memo)
     elif isinstance(node, PowInt):
         base = _eval(node.base, xi, memo)
         out = np.float_power(base, node.exponent) if node.exponent < 0 \
@@ -391,127 +394,125 @@ def evaluate(node, xi: np.ndarray, memo=None) -> np.ndarray:
 
 # ----------------------------- differentiation -----------------------------
 
+def _plus(a, b):
+    """``a + b`` where either may be the zero derivative ``ZERO``."""
+    if a is ZERO:
+        return b
+    return a if b is ZERO else Add(a, b)
+
+
+def _minus(a, b):
+    if b is ZERO:
+        return a
+    return Neg(b) if a is ZERO else Sub(a, b)
+
+
+def _times(a, b):
+    return ZERO if a is ZERO or b is ZERO else Mul(a, b)
+
+
+def _branch(a, b, then, other):
+    return ZERO if then is ZERO and other is ZERO else IfLe(a, b, then, other)
+
+
 def diff(node, k: int):
-    """Symbolic partial derivative with respect to xi_k."""
+    """Symbolic partial derivative with respect to xi_k.  It is ``ZERO``
+    itself for a node that does not depend on xi_k, and no term is built
+    from such a zero: ``d(c x) = c dx`` for a constant c, not ``0 x + c dx``,
+    which differs where x is not finite."""
     if isinstance(node, (Num, SignOf)):
         return ZERO
     if isinstance(node, Xi):
         return ONE if node.k == k else ZERO
     if isinstance(node, Add):
-        return Add(diff(node.a, k), diff(node.b, k))
+        return _plus(diff(node.a, k), diff(node.b, k))
     if isinstance(node, Sub):
-        return Sub(diff(node.a, k), diff(node.b, k))
+        return _minus(diff(node.a, k), diff(node.b, k))
     if isinstance(node, Mul):
-        return Add(Mul(diff(node.a, k), node.b), Mul(node.a, diff(node.b, k)))
+        return _plus(_times(diff(node.a, k), node.b), _times(node.a, diff(node.b, k)))
     if isinstance(node, DivOp):
-        num = Sub(Mul(diff(node.a, k), node.b), Mul(node.a, diff(node.b, k)))
-        return DivOp(num, PowInt(node.b, 2))
+        num = _minus(_times(diff(node.a, k), node.b), _times(node.a, diff(node.b, k)))
+        return num if num is ZERO else DivOp(num, PowInt(node.b, 2))
     if isinstance(node, PowInt):
-        if node.exponent == 0:
-            return ZERO
-        inner = diff(node.base, k)
-        return Mul(Mul(Num(float(node.exponent)), PowInt(node.base, node.exponent - 1)),
-                   inner)
+        if node.exponent in (0, 1):
+            return ZERO if node.exponent == 0 else diff(node.base, k)
+        return _times(Mul(Num(float(node.exponent)), PowInt(node.base, node.exponent - 1)),
+                      diff(node.base, k))
     if isinstance(node, Neg):
-        return Neg(diff(node.a, k))
+        return _minus(ZERO, diff(node.a, k))
     if isinstance(node, Call):
         if node.fn == "norm2":
             return Mul(Num(2.0), Xi(k))
         a = node.args[0]
         da = diff(a, k)
         if node.fn == "exp":
-            return Mul(Call("exp", (a,)), da)
+            return _times(Call("exp", (a,)), da)
         if node.fn == "sin":
-            return Mul(Call("cos", (a,)), da)
+            return _times(Call("cos", (a,)), da)
         if node.fn == "cos":
-            return Neg(Mul(Call("sin", (a,)), da))
+            return _minus(ZERO, _times(Call("sin", (a,)), da))
         if node.fn == "abs":
-            return Mul(SignOf(a), da)
+            return _times(SignOf(a), da)
         b = node.args[1]
-        db = diff(b, k)
         if node.fn == "min":
-            return IfLe(a, b, da, db)
+            return _branch(a, b, da, diff(b, k))
         if node.fn == "max":
-            return IfLe(a, b, db, da)
+            return _branch(a, b, diff(b, k), da)
     if isinstance(node, IfLe):
-        return IfLe(node.a, node.b, diff(node.then, k), diff(node.other, k))
+        return _branch(node.a, node.b, diff(node.then, k), diff(node.other, k))
     raise TypeError(f"cannot differentiate {node!r}")
 
 
-def _is_zero(node) -> bool:
-    return isinstance(node, Num) and node.value == 0.0
+def _args(node) -> tuple:
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, PowInt):
+        return (node.base,)
+    if isinstance(node, (Num, Xi)):
+        return ()
+    return tuple(getattr(node, f.name) for f in fields(node))
 
 
-def _is_one(node) -> bool:
-    return isinstance(node, Num) and node.value == 1.0
+def _with_args(node, args: tuple):
+    if isinstance(node, Call):
+        return Call(node.fn, args)
+    if isinstance(node, PowInt):
+        return PowInt(args[0], node.exponent)
+    return type(node)(*args) if args else node
 
 
 def simplify(node):
-    """Fold constants and drop 0/1 identities (used on derivative trees)."""
-    if isinstance(node, (Num, Xi)):
-        return node
-    if isinstance(node, Add):
-        a, b = simplify(node.a), simplify(node.b)
-        if _is_zero(a):
-            return b
-        if _is_zero(b):
-            return a
-        if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value + b.value)
-        return Add(a, b)
-    if isinstance(node, Sub):
-        a, b = simplify(node.a), simplify(node.b)
-        if _is_zero(b):
-            return a
-        if _is_zero(a):
-            return simplify(Neg(b))
-        if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value - b.value)
-        return Sub(a, b)
-    if isinstance(node, Mul):
-        a, b = simplify(node.a), simplify(node.b)
-        if _is_zero(a) or _is_zero(b):
-            return ZERO
-        if _is_one(a):
-            return b
-        if _is_one(b):
-            return a
-        if isinstance(a, Num) and isinstance(b, Num):
-            return Num(a.value * b.value)
-        return Mul(a, b)
-    if isinstance(node, DivOp):
-        a, b = simplify(node.a), simplify(node.b)
-        if _is_zero(a):
-            return ZERO
-        if _is_one(b):
-            return a
-        return DivOp(a, b)
-    if isinstance(node, PowInt):
-        base = simplify(node.base)
-        if node.exponent == 0:
-            return ONE
-        if node.exponent == 1:
-            return base
-        if isinstance(base, Num):
-            return Num(float(base.value ** node.exponent))
-        return PowInt(base, node.exponent)
-    if isinstance(node, Neg):
-        a = simplify(node.a)
-        if isinstance(a, Num):
-            return Num(-a.value)
-        if isinstance(a, Neg):
-            return a.a
-        return Neg(a)
-    if isinstance(node, Call):
-        return Call(node.fn, tuple(simplify(a) for a in node.args))
-    if isinstance(node, SignOf):
-        return SignOf(simplify(node.a))
-    if isinstance(node, IfLe):
-        t, o = simplify(node.then), simplify(node.other)
-        if t == o:
-            return t
-        return IfLe(simplify(node.a), simplify(node.b), t, o)
-    raise TypeError(f"not an expression node: {node!r}")
+    """The same value at every point, bit for bit, from a smaller tree.
+
+    A subtree of constants becomes the ``Num`` of its value, computed as
+    :func:`evaluate` computes it, in numpy's float64: an overflow or
+    ``0^-1`` folds to inf and ``0/0`` to NaN, with no warning or exception,
+    and a pass's finite checks judge the result.  The other rewrites are
+    exact: ``1*x``, ``x*1``, ``x/1``, ``x^1`` and ``--x`` to ``x``,
+    ``x - 0`` (+0.0 only) to ``x``, and a branch whose sides are equal to
+    that side.  ``0*x``, ``x + 0`` and the like stay: they are NaN where x
+    is not finite and can flip the sign of a zero (:func:`diff` builds none
+    of them).  So does ``x^0``: as 1 it would turn a column into a scalar,
+    and numpy's power of a column can differ in the last bit from that of
+    the same scalar.
+    """
+    if isinstance(node, PowInt) and node.exponent == 1:
+        return simplify(node.base)
+    args = tuple(simplify(a) for a in _args(node))
+    node = _with_args(node, args)
+    if args and all(isinstance(a, Num) for a in args):
+        with np.errstate(all="ignore"):
+            return Num(float(_eval(node, None, {})))
+    if isinstance(node, Mul) and ONE in (node.a, node.b):
+        return node.b if node.a == ONE else node.a
+    if (isinstance(node, DivOp) and node.b == ONE
+            or isinstance(node, Sub) and node.b == ZERO):
+        return node.a
+    if isinstance(node, Neg) and isinstance(node.a, Neg):
+        return node.a.a
+    if isinstance(node, IfLe) and node.then == node.other:
+        return node.then
+    return node
 
 
 # ----------------------------- functional adapter -----------------------------
@@ -534,11 +535,6 @@ class ExpressionFunctional(Functional):
         self.min_dim = max(1, self.parsed.max_index)
         self._grads: dict[int, object] = {}
         self._hess: dict[tuple[int, int], object] = {}
-
-    def _active(self, d: int):
-        if self.parsed.norm2:
-            return range(1, d + 1)
-        return sorted({k for k, _ in self.parsed.xi_refs if k <= d})
 
     def _grad_ast(self, k: int):
         if k not in self._grads:
@@ -567,9 +563,9 @@ class ExpressionFunctional(Functional):
     def _gradient(self, xi):
         out = np.zeros_like(xi)
         memo = {}
-        for k in self._active(xi.shape[1]):
+        for k in range(1, xi.shape[1] + 1):
             ast = self._grad_ast(k)
-            if not _is_zero(ast):
+            if ast is not ZERO:
                 out[:, k - 1] = evaluate(ast, xi, memo)
         return out
 
@@ -577,9 +573,9 @@ class ExpressionFunctional(Functional):
         self._check_dim(xi)
         out = np.zeros(xi.shape[0])
         memo = {}
-        for k in self._active(xi.shape[1]):
+        for k in range(1, xi.shape[1] + 1):
             ast = self._hess_ast(k, k)
-            if not _is_zero(ast):
+            if ast is not ZERO:
                 out += evaluate(ast, xi, memo)
         return out
 
@@ -591,10 +587,12 @@ class ExpressionFunctional(Functional):
     def _hessian_times(self, xi, u):
         out = np.zeros_like(xi)
         memo = {}
-        active = self._active(xi.shape[1])
-        for j in active:
-            for k in active:
+        axes = range(1, xi.shape[1] + 1)
+        for j in axes:
+            if self._grad_ast(j) is ZERO:
+                continue
+            for k in axes:
                 ast = self._hess_ast(j, k)
-                if not _is_zero(ast):
+                if ast is not ZERO:
                     out[:, j - 1] += evaluate(ast, xi, memo) * u[:, k - 1]
         return out

@@ -324,19 +324,40 @@ def run(config: RunConfig, output_dir=None) -> int:
             print(f"job {i} ({job.kind}) failed: {e}", file=sys.stderr)
             return 1
         written.extend(str(f.name) for f in files)
-    manifest = {
-        "config_hash": hashlib.sha256(serialize_config(config).encode()).hexdigest(),
+    write_manifest(out, written, exit_code, usage, runtimes,
+                   config_hash=hashlib.sha256(serialize_config(config).encode()).hexdigest(),
+                   seeds=[job.seed for job in config.jobs])
+    return exit_code
+
+
+def run_selftest(output: Path | None = None) -> int:
+    """Run the acceptance battery; with ``output``, write its report there
+    as ``selftest.json`` beside a manifest.  Returns 0, or 2 on a failed
+    criterion."""
+    from .selftest import run_acceptance  # selftest imports this module
+
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    results = run_acceptance(verbose=True)
+    exit_code = 0 if all(r.passed for r in results) else 2
+    if output is not None:
+        output.mkdir(parents=True, exist_ok=True)
+        files = write_selftest(output / "selftest", results)
+        write_manifest(output, [f.name for f in files], exit_code, usage,
+                       {"selftest": selftest_runtimes(results)})
+    return exit_code
+
+
+def write_manifest(out: Path, files, exit_code: int, usage, runtimes=None, **fields):
+    """``out/manifest.json``: ``fields``, the files written, the exit code,
+    the library versions, the wall-clock time, ``runtimes`` if any and the
+    ``getrusage`` deltas since ``usage``."""
+    manifest = fields | {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "versions": _versions(),
-        "seeds": [job.seed for job in config.jobs],
-        "files": written,
-        "exit_code": exit_code,
-    }
+        "versions": _versions(), "files": list(files), "exit_code": exit_code}
     if runtimes:
         manifest["runtime_s"] = runtimes
     manifest["rusage"] = _rusage_since(usage)
     write_json(out / "manifest.json", manifest)
-    return exit_code
 
 
 def _rusage_since(before) -> dict:

@@ -39,7 +39,7 @@ density at r, to rounding.  At d = 5, r = 5 a rule stuck at 4 nodes per angle
 is off by 1.3e-2 relative; at d = 3 and r = 1 (criterion 5) by only 8e-6,
 far inside that criterion's 1 % band.
 
-The last four plant defects in the pass and its reductions.  A
+The last five plant defects in the pass and its reductions.  A
 disintegration's bin sums and counts are held to ``np.bincount`` of each
 chunk of the sample summed in chunk order (``tests/test_disintegration.py``):
 a chunk's sort order written over the next chunk's rows moves the counts and
@@ -49,7 +49,11 @@ over 3 chunks).
 A pass whose layout drops its last chunk no longer streams the batch
 ``sample`` returns (``tests/test_density.py``), and ``run_plans`` handing a
 plan the last rows of a longer chunk instead of the first gives it other
-estimates than its own pass (``tests/test_stream_pass.py``).
+estimates than its own pass (``tests/test_stream_pass.py``).  A stream
+pass's estimates and stderrs are held, bit for bit, to a batch-means
+reduction of its per-chunk sums in chunk order written in the test
+(``tests/test_stream_pass.py``); ``batch_mean_stderr`` reading the chunks
+back to front moves them.
 """
 
 import numpy as np
@@ -66,7 +70,7 @@ from test_calculus import kernel_div
 from test_density import chunk_stream_misses
 from test_disintegration import bin_sum_misses
 from test_functionals import GAUSS, HESS, fd_hess_misses
-from test_stream_pass import shared_pass_misses
+from test_stream_pass import reduction_misses, shared_pass_misses
 
 R = 3.0
 N = 10 ** 6
@@ -290,3 +294,12 @@ def test_dropped_last_chunk_is_caught(iid5, monkeypatch):
 def test_plan_fed_the_last_rows_of_a_chunk_is_caught(iid5, monkeypatch):
     monkeypatch.setattr(density, "_prefix", lambda pts, size: pts[len(pts) - size:])
     assert shared_pass_misses(iid5) == ["estimates", "stderrs"]
+
+
+def test_batch_means_in_reverse_chunk_order_is_caught(iid5, monkeypatch):
+    reduce = density.batch_mean_stderr
+    monkeypatch.setattr(density, "batch_mean_stderr",
+                        lambda sums, counts: reduce(sums[::-1], counts[::-1]))
+    # the cdf column's chunk sums are counts, whose total is exact in any order
+    assert reduction_misses(iid5) == ["cdf stderrs", "divergence estimates",
+                                      "divergence stderrs"]

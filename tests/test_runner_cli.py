@@ -57,6 +57,12 @@ job hausdorff
 """
 
 
+def phi_job(phi: str) -> str:
+    """A density job of weight ``phi`` on norm2 in two dimensions."""
+    return ("model iid_gaussian\ndim 2\nformats csv\njob density\n  G norm2\n"
+            f"  phi {phi}\n  r_grid 1 2\n  n 20000\n")
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -216,6 +222,24 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 1
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_constant_is_numpy_arithmetic(self, tmp_path):
+        # 0^-1 is inf, so min(xi(1), 0^-1) is xi(1) with xi(1)'s derivative
+        for name, phi in (("inf", "min(xi(1), 0^-1)"), ("plain", "xi(1)")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(phi_job(phi))
+            assert main(["run", str(cfg), "--output", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "inf" / "job01_density.csv").read_bytes()
+                == (tmp_path / "plain" / "job01_density.csv").read_bytes())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_constant_fails_the_job(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(phi_job("xi(1)*1e200^3"))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "job 1 (density) failed: " in err and "non-finite" in err
+
     def test_all_excluded_curve_is_flagged_in_json(self, tmp_path):
         cfg = parse_config("model iid_gaussian\ndim 3\nformats json\njob density\n"
                            "  G 1\n  phi 1\n  r_grid 1 2\n  n 20000\n")
@@ -282,6 +306,10 @@ class TestSelftestJob:
                                      "detail": "fine"}]}
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["runtime_s"] == {"selftest": {"1": 0.75}}
+        assert manifest["files"] == ["selftest.json"]
+        assert manifest["exit_code"] == 0
+        assert manifest["versions"]["glset"]
+        assert set(manifest["rusage"]) == {"user_s", "system_s", "minor_faults"}
 
     def test_all_pass_maps_to_exit_zero(self, tmp_path, monkeypatch):
         import glset.selftest as selftest_mod

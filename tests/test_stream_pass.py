@@ -253,6 +253,45 @@ def shared_pass_misses(model):
     return misses
 
 
+def reduction_misses(model):
+    """The columns of a stream pass over 10 chunks whose estimates or
+    stderrs differ in any bit from a batch-means reduction of its per-chunk
+    sums written out here in chunk order: the chunk sums added one after
+    another, and the squared deviations of the chunk means likewise."""
+    plan = density.stream_plan(model, Norm2(), 150_000, 5, (1.0, 3.0, 6.0),
+                               [Query(ONE, "cdf"), Query(ONE, "divergence")])
+    stats = {}
+
+    def worker(index, pts):
+        stats[index] = plan.worker(index, pts)
+        return stats[index]
+
+    result = dataclasses.replace(plan, worker=worker).run()
+    chunks = [stats[i] for i in range(len(stats))]
+    n = float(sum(st.count for st in chunks))
+    misses = []
+    for i, (route, got) in enumerate(zip(("cdf", "divergence"), result.results)):
+        total = chunks[0].columns[i]
+        for st in chunks[1:]:
+            total = total + st.columns[i]
+        mean = total / n
+        squares = 0.0
+        for st in chunks:
+            dev = st.columns[i] / float(st.count) - mean
+            squares = squares + float(st.count) * dev * dev
+        stderr = np.sqrt(squares / (len(chunks) - 1) / n)
+        est, se = got if route == "cdf" else (got.estimates, got.stderrs)
+        if not np.array_equal(est, mean):
+            misses.append(f"{route} estimates")
+        if not np.array_equal(se, stderr):
+            misses.append(f"{route} stderrs")
+    return misses
+
+
+def test_pass_reduces_its_chunks_in_order(iid5):
+    assert reduction_misses(iid5) == []
+
+
 class TestGroupedJobs:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_every_artifact_is_its_own_runs(self, tmp_path, monkeypatch, threads):
