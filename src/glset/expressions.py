@@ -387,8 +387,11 @@ def _eval(node, xi: np.ndarray, memo: dict):
 
 
 def evaluate(node, xi: np.ndarray, memo=None) -> np.ndarray:
+    """The value of ``node`` at the rows of ``xi``, warning-free: a
+    non-finite result is left to the finite checks of the pass."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    out = _eval(node, xi, {} if memo is None else memo)
+    with np.errstate(all="ignore"):
+        out = _eval(node, xi, {} if memo is None else memo)
     return np.broadcast_to(np.asarray(out, dtype=float), (xi.shape[0],))
 
 

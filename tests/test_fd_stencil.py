@@ -48,6 +48,26 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def chunk_misses(model):
+    """The derivatives of a value-only functional that differ in any bit
+    inside the chunks of a 3-chunk pass (16384 + 16384 + 7232 rows) from the
+    same derivatives outside any chunk.  Inside, a thread's pooled buffers,
+    the centre's included, serve every chunk it runs; outside, each
+    evaluation takes a new one."""
+    G = fd_functional()
+
+    def derivatives(pts):
+        g = G.gradient(pts)
+        return {"value": G.value(pts), "gradient": g, "laplacian": G.laplacian(pts),
+                "hess(g, g)": G.hess(pts, g, g), "hess(e_1, g)": G.hess(pts, 0, g)}
+
+    chunks = map_chunks(model, 40_000, 3, lambda index, pts: (pts.copy(), derivatives(pts)))
+    outside = [derivatives(pts) for pts, _ in chunks]
+    return [name for name in outside[0]
+            if any(not same_bits(inside[name], out[name])
+                   for (_, inside), out in zip(chunks, outside))]
+
+
 class TestValueCalls:
     # one chunk; an explicit epsilon leaves out the bandwidth chunk
     @pytest.mark.parametrize("d", [3, 5, 8])
@@ -99,6 +119,11 @@ class TestChunkScope:
             assert same_bits(lap, G.laplacian(pts))
             assert same_bits(grad, G.gradient(pts))
             assert same_bits(grad, fd_gradient(G.value, pts, FD_STEP))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pooled_chunks_equal_outside(self, iid5, monkeypatch, threads):
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        assert chunk_misses(iid5) == []
 
     def test_other_points_are_not_shared(self, iid5):
         G = fd_functional()
@@ -183,8 +208,9 @@ def test_axis_steps_keep_the_bits_of_a_full_step():
 
 
 class TestPerturbationBuffers:
-    """Axis, ray and corner sides are evaluated on per-thread buffers that
-    serve every chunk of a pass and die with it."""
+    """A callback's centre and its axis, ray and corner sides are evaluated
+    on per-thread column-major buffers that serve every chunk of a pass and
+    die with it."""
 
     @staticmethod
     def derivatives(G, pts):
@@ -220,11 +246,14 @@ class TestPerturbationBuffers:
         bases = Counter()
 
         def record(xi):
-            if xi is not chunk["points"]:
-                assert xi.base is not None  # a view of a pooled buffer
-                pointer = xi.base.__array_interface__["data"][0]
-                assert xi.__array_interface__["data"][0] == pointer
-                bases[chunk["index"], pointer] += 1
+            # a float64 view of the first rows of a pooled column-major
+            # buffer, the centre included; contiguous unless the chunk is short
+            assert xi.base is not None and xi.base.flags.f_contiguous
+            assert xi.dtype == np.float64 and xi.shape == chunk["points"].shape
+            assert xi.flags.f_contiguous == (len(xi) == len(xi.base))
+            pointer = xi.base.__array_interface__["data"][0]
+            assert xi.__array_interface__["data"][0] == pointer
+            bases[chunk["index"], pointer] += 1
             return np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1]
 
         G = UserFunctional(record, name="recorded")
@@ -236,10 +265,44 @@ class TestPerturbationBuffers:
         # 16384 + 16384 + 7232 rows: the short last chunk takes views too
         map_chunks(iid5, 40_000, 3, worker)
         per_chunk = [{p for (i, p) in bases if i == index} for index in range(3)]
-        # one buffer per kind of side (axis, ray, corner), the same in every chunk
-        assert len(per_chunk[0]) == 3
+        # one buffer per kind (centre, axis, ray, corner), the same in every chunk
+        assert len(per_chunk[0]) == 4
         assert per_chunk[1] == per_chunk[0] and per_chunk[2] == per_chunk[0]
-        assert sum(bases.values()) == 3 * (2 * 5 + 2 + 2)
+        assert sum(bases.values()) == 3 * (1 + 2 * 5 + 2 + 2)
+
+    def test_pooled_evaluations_keep_the_bits_of_c_ordered_ones(self, iid5):
+        # at d = 5 a callback's row sums take the same bits on the
+        # column-major buffers as on C-ordered points, so the stencils equal
+        # the same differences written out here on C-ordered copies
+        def f(xi):
+            return np.sum(xi * xi, axis=1) + np.sin(xi[:, 0]) * xi[:, -1]
+
+        def c_ordered(xi):
+            centre = f(xi.copy())
+            grad, lap = np.empty_like(xi), np.zeros(len(xi))
+            for k in range(xi.shape[1]):
+                h = FD_STEP * (1.0 + np.abs(xi[:, k]))
+                hi_pts, lo_pts = xi.copy(), xi.copy()
+                hi_pts[:, k] += h
+                lo_pts[:, k] -= h
+                hi, lo = f(hi_pts), f(lo_pts)
+                grad[:, k] = (hi - lo) / (2.0 * h)
+                lap += (hi - 2.0 * centre + lo) / (h * h)
+            norm = np.sqrt(np.sum(grad * grad, axis=1))
+            a = FD_STEP * (1.0 + np.sqrt(np.sum(xi * xi, axis=1)))
+            s = grad * (a / np.where(norm > 0.0, norm, 1.0))[:, None]
+            quad = (f(xi + s) - 2.0 * centre + f(xi - s)) * (norm / a) ** 2
+            return grad, lap, quad
+
+        G = UserFunctional(f, name="fd")
+
+        def worker(index, pts):
+            g = G.gradient(pts)
+            return pts.copy(), (g, G.laplacian(pts), G.hess(pts, g, g))
+
+        for pts, inside in map_chunks(iid5, 20_000, 5, worker):
+            for a, b in zip(inside, c_ordered(pts)):
+                assert same_bits(a, b)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_pool_is_empty_after_the_pass(self, iid5, monkeypatch, threads):

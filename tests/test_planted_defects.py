@@ -54,14 +54,28 @@ pass's estimates and stderrs are held, bit for bit, to a batch-means
 reduction of its per-chunk sums in chunk order written in the test
 (``tests/test_stream_pass.py``); ``batch_mean_stderr`` reading the chunks
 back to front moves them.
+
+A value-only functional's value and derivatives inside the chunks of a
+3-chunk pass are held, bit for bit, to the same quantities outside any chunk
+(``chunk_misses`` in ``tests/test_fd_stencil.py``).  A pooled centre buffer
+filled only when it is first allocated hands the second and third chunks
+the first chunk's points: the value and every derivative that reads the
+centre move, and the gradient, which reads only axis sides, does not.
+
+The divergence route of ``exp(-a norm2())`` on ``norm2`` at d = 5 is held
+to its closed form ``e^(-a r)`` times the chi-square(5) density, within
+``max(2 %, 4 s.e.)`` at r = 2, 5 and 8 (n = 2e5).  Dropping the cross term
+``<grad phi, psi>`` of ``div(phi psi)`` biases it by ``a`` times the
+sublevel integral of phi at r, many standard errors.
 """
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (Coordinate, Norm2, Product, SurfaceMeasureHandle, UserFunctional,
-                   build_model, ibp_residuals, surface_report)
+from glset import (Coordinate, DensityJob, Norm2, Product, SurfaceMeasureHandle,
+                   UserFunctional, build_model, estimate_density, ibp_residuals,
+                   surface_report)
 from glset import density, disintegration, functionals, surface
 from glset.density import map_chunks
 from glset.expressions import ExpressionFunctional
@@ -69,6 +83,7 @@ from glset.model import CHUNK_SIZE
 from test_calculus import kernel_div
 from test_density import chunk_stream_misses
 from test_disintegration import bin_sum_misses
+from test_fd_stencil import chunk_misses
 from test_functionals import GAUSS, HESS, fd_hess_misses
 from test_stream_pass import reduction_misses, shared_pass_misses
 
@@ -259,6 +274,33 @@ def test_quadrature_stuck_at_four_nodes_is_caught(monkeypatch):
     assert sphere_oracle_misses([5]) == [(5, 0.0), (5, 0.5)]
 
 
+def exp_weight_oracle_misses(model, a=0.5, levels=(2.0, 5.0, 8.0)):
+    """The levels r at which the divergence route of ``exp(-a norm2())`` on
+    norm2 (n = 2e5) lies farther than ``max(2 %, 4 s.e.)`` from
+    ``e^(-a r)`` times the chi-square(d) density at r."""
+    phi = ExpressionFunctional(f"exp(-{a}*norm2())")
+    [curve] = estimate_density(DensityJob(model=model, G=Norm2(), phi=phi, r_grid=levels,
+                                          n=200_000, seed=SEED,
+                                          estimator="divergence")).values()
+    misses = []
+    for r, est, se in zip(levels, curve.estimates, curve.stderrs):
+        want = np.exp(-a * r) * stats.chi2.pdf(r, model.dim)
+        if not abs(est - want) <= max(0.02 * want, 4.0 * se):
+            misses.append(r)
+    return misses
+
+
+def test_exp_weight_divergence_matches_closed_form(iid5):
+    assert exp_weight_oracle_misses(iid5) == []
+
+
+def test_dropped_cross_term_is_caught(iid5, monkeypatch):
+    # phi's directional derivative read as 0: div(phi psi) loses <grad phi, psi>
+    monkeypatch.setattr(ExpressionFunctional, "jvp",
+                        lambda self, xi, u: np.zeros(xi.shape[0]))
+    assert exp_weight_oracle_misses(iid5) == [2.0, 5.0, 8.0]
+
+
 def test_chunk_order_over_the_next_chunks_rows_is_caught(iid5, monkeypatch):
     # at one thread the chunks are sorted in order: each full chunk's rows get
     # the order of the chunk before, and the first chunk keeps its own
@@ -303,3 +345,19 @@ def test_batch_means_in_reverse_chunk_order_is_caught(iid5, monkeypatch):
     # the cdf column's chunk sums are counts, whose total is exact in any order
     assert reduction_misses(iid5) == ["cdf stderrs", "divergence estimates",
                                       "divergence stderrs"]
+
+
+def test_centre_buffer_filled_only_when_new_is_caught(iid5, monkeypatch):
+    monkeypatch.setenv("GLSET_THREADS", "1")
+    filled = []
+
+    def stale_centre(self, xi):
+        # a reused centre buffer keeps the points of the chunk it last served
+        with functionals._perturbation("centre", xi) as buf:
+            if not any(buf.base is base for base in filled):
+                filled.append(buf.base)
+                np.copyto(buf, xi)
+            return functionals._own(self._call(buf), buf)
+
+    monkeypatch.setattr(UserFunctional, "_centre", stale_centre)
+    assert chunk_misses(iid5) == ["value", "laplacian", "hess(g, g)", "hess(e_1, g)"]

@@ -211,7 +211,6 @@ class TestExitCodes:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_fault_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "fault.cfg"
         # 1/xi(1)^2 blows up at the origin; with the mollified estimator the
@@ -222,7 +221,6 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 1
         assert "failed" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_constant_is_numpy_arithmetic(self, tmp_path):
         # 0^-1 is inf, so min(xi(1), 0^-1) is xi(1) with xi(1)'s derivative
         for name, phi in (("inf", "min(xi(1), 0^-1)"), ("plain", "xi(1)")):
@@ -232,7 +230,15 @@ class TestExitCodes:
         assert ((tmp_path / "inf" / "job01_density.csv").read_bytes()
                 == (tmp_path / "plain" / "job01_density.csv").read_bytes())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_arithmetic_warns_nothing(self, tmp_path, capsys):
+        # numpy's divide-by-zero in 0^-1 is left to the finite checks: with
+        # every warning an error the run still succeeds and stderr stays empty
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(phi_job("min(xi(1), 0^-1)"))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_overflowing_constant_fails_the_job(self, tmp_path, capsys):
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(phi_job("xi(1)*1e200^3"))

@@ -341,7 +341,6 @@ class TestGroupedJobs:
         assert info.value is error and calls["failing"] == [0, 1]
         assert other() == [16384] * 3 + [5] and calls["other"] == [0, 1, 2, 3]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fault_in_second_job_of_a_seed(self, tmp_path, capsys):
         assert run(parse_config(FAULT_CONFIG), output_dir=tmp_path) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job01_density.csv",
