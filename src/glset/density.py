@@ -72,21 +72,16 @@ def map_chunks(model: GaussianModel, n: int, seed: int, worker):
 
     GLSET_THREADS caps concurrent workers; the result list is identical for
     any worker count because chunks are generated from per-index substreams
-    and stored by index.  Each worker call runs in a
-    :func:`~glset.functionals.chunk_scope` of its points, so finite-difference
-    stencils and the kept derivatives at them are evaluated once per
-    functional per chunk; each thread reuses its finite-difference
+    and stored by index.  Each thread reuses its finite-difference
     perturbation buffers across the chunks it runs
     (:func:`~glset.functionals.buffer_pool`) and drops them when the pass
-    ends.
-    """
+    ends.  No chunk memo is opened here: :func:`run_plans` opens each one
+    (:func:`~glset.functionals.chunk_scope`)."""
     layout = chunk_layout(n)
 
     def job(item):
         index, size = item
-        pts = draw_chunk(model, seed, index, size)
-        with chunk_scope(pts):
-            return worker(index, pts)
+        return worker(index, draw_chunk(model, seed, index, size))
 
     workers = thread_count()
     if workers == 1 or len(layout) == 1:
@@ -126,8 +121,9 @@ def run_plans(plans) -> list:
     ``size`` rows of chunk i: a chunk's rows are a prefix of any longer
     chunk of the same index, so each plan sees the rows, and gives the bits,
     of its own pass.  Each plan's worker runs in a
-    :func:`~glset.functionals.chunk_scope` of exactly the array it gets, so
-    its memo hits on a partial last chunk and is never another plan's.
+    :func:`~glset.functionals.chunk_scope` of exactly the array it gets, the
+    only chunk memo the library opens, so its memo hits on a partial last
+    chunk and is never another plan's.
 
     Returns one function per plan, in order, that gives ``plan.finish`` of
     its results or raises the error of its first failing chunk; a failing

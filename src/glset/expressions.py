@@ -314,7 +314,8 @@ def _wrap(node, minimum: int) -> str:
 
 
 def to_string(node) -> str:
-    """Grammar-conformant text; ``parse(to_string(ast)) == ast``."""
+    """Text of a tree; ``parse(to_string(ast)) == ast`` for grammar nodes
+    only: the ``sign(...)`` and ``ifle(...)`` of derivatives do not parse."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Xi):

@@ -30,18 +30,17 @@ buffers that are reused across the chunks of a pass (:func:`buffer_pool`),
 and a callback's centre value on a column-major copy of the points in one
 more (:class:`UserFunctional`): a side that is a view of its buffer is
 copied, and a callback that takes finite differences itself gets buffers of
-its own.  Inside a chunk of a stream pass
-(:func:`chunk_scope`) one memo per thread keeps, at the chunk points, the
-axis sides and ray sides of every functional and the ``value``,
-``gradient`` and ``hess`` of callback and expression functionals
-(:meth:`Functional._kept`); later calls read them, and the memo dies with
-the chunk.  Closed-form builtins and the product wrappers are recomputed:
-a density pass asks each of them once per chunk, so keeping them would only
-add copies.  The exceptions are ``|xi|`` and ``xi . u``, which every
-:class:`RadialClamp` level of a trace reads per chunk.  Oracles must be
-pure so they can be evaluated concurrently and re-evaluated chunk by chunk,
-and must not keep a reference to their input: a buffer is overwritten after
-they return and again in the next chunk.
+its own.  Inside a chunk of a stream pass (:func:`chunk_scope`, opened
+only by :func:`~glset.density.run_plans`) one memo per thread keeps, at the
+chunk points, what costs a callback or a tree walk (:meth:`Functional._kept`):
+a callback's value and its axis sides, ray sides and mixed-difference
+corners, an expression's value, gradient and Hessian products, and the
+``|xi|`` and ``xi . u`` that every :class:`RadialClamp` level of a trace
+reads.  Everything else is arithmetic on kept entries, or a closed-form
+builtin asked once per chunk, and is recomputed.  The memo dies with the
+chunk.  Oracles must be pure so they can be evaluated concurrently and
+re-evaluated chunk by chunk, and must not keep a reference to their input:
+a buffer is overwritten after they return and again in the next chunk.
 
 Sums and multiples of functionals are spelled as expressions
 (:class:`~glset.expressions.ExpressionFunctional`).  The one H-vector
@@ -123,16 +122,12 @@ FD_STEP = 1e-5
 # A perturbed evaluation writes its points into a buffer of its thread's
 # pool and gives the buffer back when it is done.  Each kind of side, "axis"
 # (fd_sides), "ray" and "corner" (the 2 new values of a mixed difference),
-# and a callback's "centre" keeps its own: the ray and corner buffers are
-# first taken after a chunk's axis sides, so they sit above the chunk's
+# and a callback's "centre" keeps its own, so the buffers sit above a chunk's
 # working set in the allocator's heap, which is then no longer trimmed at
-# every chunk end and faulted in again by the next chunk.  One fd-functional
+# every chunk end and faulted in again by the next chunk: one fd-functional
 # run of the benchmark at one thread (2-core x86-64, glibc, numpy 2.4) took
-# 57-69 k minor faults with a new array per evaluation, 57 k with one buffer
-# shared by all kinds, 11 k with the ray and corner sides sharing one and
-# 2.5-10 k with one per kind, all C-ordered; with the column-major buffers
-# and the centre's it takes 5.5 k, and a pass that asks only the gradient and
-# Laplacian 1.6 k instead of 19.5 k.  The counts follow the heap layout.
+# 57-69 k minor faults with a new array per evaluation and 5.5-10 k with one
+# buffer per kind.  The counts follow the heap layout.
 
 
 class _Pool(threading.local):
@@ -274,15 +269,15 @@ _chunk = threading.local()
 
 @contextmanager
 def chunk_scope(points):
-    """Keep derivatives at ``points`` for later calls in this thread.
+    """Keep the costly quantities at ``points`` for later calls in this thread.
 
     Until the block ends, a quantity that :meth:`Functional._kept` keeps is
     computed once per functional (and directions) at exactly this array
     (``xi is points``) and read back by later calls; the finite-difference
-    derivatives evaluate each axis side and each ray side once and share
+    derivatives evaluate each axis side, ray side and corner once and share
     them.  Neither the points nor a direction passed to a kept quantity may
-    be written to inside the block.
-    """
+    be written to inside the block.  Only :func:`~glset.density.run_plans`
+    opens one, around each plan's worker."""
     outer = getattr(_chunk, "scope", None)
     _chunk.scope = (points, {})
     try:
@@ -316,11 +311,12 @@ class Functional:
     def _kept(self, quantity, xi, directions, compute):
         """``compute()``, the ``quantity`` of this functional at ``xi`` along
         the tuple ``directions``.  At the points of the current
-        :func:`chunk_scope` it is computed on first use and kept until the
-        chunk ends, under the key ``(quantity, functional, directions)``, an
-        array direction by identity and an axis by index; every call gets
-        its own copy of an array, so a caller may write to what it gets
-        (the tuples of sides are shared and only read)."""
+        :func:`chunk_scope` (a plan's chunk in :func:`~glset.density.run_plans`)
+        it is computed on first use and kept until the chunk ends, under the
+        key ``(quantity, functional, directions)``, an axis by index and any
+        other direction by identity; every call gets its own copy of an
+        array, so a caller may write to what it gets (the tuples of sides
+        are shared and only read)."""
         memo = _chunk_memo(xi)
         if memo is None:
             return compute()
@@ -386,11 +382,13 @@ class Functional:
     def _corner(self, xi, u, s, v, t, op):
         """``f(op(op(xi, s), t))``, the value at the corner ``xi + s + t``
         (``op`` ``np.add``) or ``xi - s - t`` (``np.subtract``) of the mixed
-        difference, with the bits of those expressions."""
-        with _perturbation("corner", xi) as buf:
-            _step(op, xi, u, s, buf)
-            _step(op, buf, v, t, buf)
-            return _own(self.value(buf), buf)
+        difference, with the bits of those expressions; kept like a side."""
+        def compute():
+            with _perturbation("corner", xi) as buf:
+                _step(op, xi, u, s, buf)
+                _step(op, buf, v, t, buf)
+                return _own(self.value(buf), buf)
+        return self._kept("corner", xi, (u, v, op), compute)
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         return _central_gradient(self._stencil(xi), xi)
@@ -421,10 +419,10 @@ class Functional:
             [f(xi + s + t) - f(xi + s) - f(xi + t) + 2 f(xi)
              - f(xi - s) - f(xi - t) + f(xi - s - t)] / (2 a b).
 
-        The sides of each direction (:meth:`_sides`) and the centre are kept
-        inside a chunk, so ``g^T H g`` takes 2 new values and
-        ``((D^2 f) g)_k`` the 2 at ``xi +- (h_k e_k + t)``.  A row where a
-        direction is 0 gives 0."""
+        The sides of each direction (:meth:`_sides`), the centre and the
+        corners are kept inside a chunk, so ``g^T H g`` takes 2 new values,
+        ``((D^2 f) g)_k`` the 2 at ``xi +- (h_k e_k + t)``, and a repeated
+        form none.  A row where a direction is 0 gives 0."""
         centre = self.value(xi)
         nu, a, s, hi, lo = self._sides(xi, u)
         if u is v or _is_axis(u) and _is_axis(v) and u == v:
@@ -474,18 +472,12 @@ class UserFunctional(Functional):
             np.copyto(buf, xi)
             return _own(self._call(buf), buf)
 
-    def gradient(self, xi):
-        return self._kept("gradient", xi, (), lambda: Functional.gradient(self, xi))
-
     def jvp(self, xi, u):
         if _is_axis(u):
             # D_j f from the two sides along e_j, not the 2d of the gradient
             [(_, h, hi, lo)] = self._stencil(xi, (u,))
             return (hi - lo) / (2.0 * h)
         return super().jvp(xi, u)
-
-    def hess(self, xi, u, v):
-        return self._kept("hess", xi, (u, v), lambda: Functional.hess(self, xi, u, v))
 
 
 class Constant(Functional):

@@ -37,7 +37,6 @@ import numpy as np
 from .config import RunConfig, resolve_functional, resolve_model, serialize_config
 from .density import DensityJob, density_plan, run_plans
 from .disintegration import disintegrate_plan, support_check, verify_disintegration
-from .expressions import ExpressionError
 from .functionals import NumericalFault
 from .surface import SurfaceMeasureHandle, ibp_plan, report_plan
 
@@ -320,7 +319,7 @@ def run(config: RunConfig, output_dir=None) -> int:
                     finishes.extend(_plan_group(config, model, i - 1))
                 files = _EXECUTORS[job.kind][1](job, finishes.popleft()(), base,
                                                 config.formats)
-        except (NumericalFault, ExpressionError, ValueError, OSError) as e:
+        except (NumericalFault, ValueError, OSError) as e:
             print(f"job {i} ({job.kind}) failed: {e}", file=sys.stderr)
             return 1
         written.extend(str(f.name) for f in files)

@@ -220,9 +220,18 @@ class TraceReport:
     diffs: tuple[float, ...]
 
     @property
+    def band(self) -> float:
+        return 4.0 * float(np.hypot(self.target_stderr, self.stderrs[-1]))
+
+    @property
+    def unresolved(self) -> bool:
+        """The band is not finite (one chunk gives NaN standard errors)."""
+        return not np.isfinite(self.band)
+
+    @property
     def converged(self) -> bool:
-        band = 4.0 * float(np.hypot(self.target_stderr, self.stderrs[-1]))
-        return abs(self.diffs[-1]) <= band
+        """Within the band, or unresolved, as an :class:`IbpRecord`."""
+        return self.unresolved or abs(self.diffs[-1]) <= self.band
 
     @property
     def exact_tail(self) -> bool:

@@ -7,10 +7,13 @@ give the gradient, ``D_k f = jvp(xi, k - 1)`` from its own two sides, and
 with the centre value the Laplacian; the ray sides ``f(xi +- t u/|u|)``,
 ``t = FD_STEP (1 + |xi|)``, give ``hess(xi, u, u)`` (2 values), and
 ``hess(xi, k - 1, u)`` adds the 2 values at ``xi +- (h_k e_k + t u/|u|)``.
-Inside a ``map_chunks`` worker each axis side and each ray side at the chunk
-points is evaluated once per functional, and the value, gradient and
-``hess`` of a callback or expression functional once per functional and
-directions; everywhere the results keep the bits they have outside a chunk.
+Inside a chunk of a pass, the memo that ``run_plans`` opens keeps what
+costs a callback or a tree walk: a callback's value, axis sides, ray sides
+and mixed-difference corners, each evaluated once per functional and
+directions, and an expression's value, gradient and Hessian products; the
+derivatives of a callback are recomputed from its kept evaluations, and
+everywhere the results keep the bits they have outside a chunk.  A bare
+``map_chunks`` worker gets no memo.
 """
 
 import sys
@@ -24,9 +27,10 @@ from glset import (Constant, DensityJob, Norm2, RadialClamp, SurfaceMeasureHandl
                    UserFunctional, build_model, estimate_density, ibp_battery,
                    ibp_residuals, surface_report)
 from glset import expressions, functionals
-from glset.density import map_chunks
+from glset.density import Plan, map_chunks
 from glset.expressions import ExpressionFunctional
 from glset.functionals import FD_STEP, chunk_scope, fd_gradient
+from glset.surface import ibp_plan
 
 
 class Counted:
@@ -48,6 +52,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def plan_chunks(model, n, seed, worker):
+    """``worker(index, points)`` over every chunk of a pass, each call inside
+    the chunk memo that ``run_plans`` opens; the results in chunk order."""
+    return Plan(model, n, seed, worker, list).run()
+
+
 def chunk_misses(model):
     """The derivatives of a value-only functional that differ in any bit
     inside the chunks of a 3-chunk pass (16384 + 16384 + 7232 rows) from the
@@ -61,7 +71,7 @@ def chunk_misses(model):
         return {"value": G.value(pts), "gradient": g, "laplacian": G.laplacian(pts),
                 "hess(g, g)": G.hess(pts, g, g), "hess(e_1, g)": G.hess(pts, 0, g)}
 
-    chunks = map_chunks(model, 40_000, 3, lambda index, pts: (pts.copy(), derivatives(pts)))
+    chunks = plan_chunks(model, 40_000, 3, lambda index, pts: (pts.copy(), derivatives(pts)))
     outside = [derivatives(pts) for pts, _ in chunks]
     return [name for name in outside[0]
             if any(not same_bits(inside[name], out[name])
@@ -114,7 +124,7 @@ class TestChunkScope:
             # the Laplacian first, then the gradient
             return (pts.copy(), G.laplacian(pts), G.gradient(pts), G._eval.calls)
 
-        for pts, lap, grad, calls in map_chunks(iid5, 3000, 5, worker):
+        for pts, lap, grad, calls in plan_chunks(iid5, 3000, 5, worker):
             assert calls == 11  # one 2d + 1 stencil for both
             assert same_bits(lap, G.laplacian(pts))
             assert same_bits(grad, G.gradient(pts))
@@ -134,11 +144,11 @@ class TestChunkScope:
             G.gradient(pts.copy())
             return G._eval.calls - before
 
-        assert map_chunks(iid5, 1000, 5, worker) == [10]
+        assert plan_chunks(iid5, 1000, 5, worker) == [10]
 
     def test_memo_ends_with_the_chunk(self, iid5):
         G = fd_functional()
-        [pts] = map_chunks(iid5, 1000, 5, lambda index, pts: (G.gradient(pts), pts)[1])
+        [pts] = plan_chunks(iid5, 1000, 5, lambda index, pts: (G.gradient(pts), pts)[1])
         before = G._eval.calls
         G.gradient(pts)
         assert G._eval.calls - before == 10
@@ -154,7 +164,7 @@ class TestChunkScope:
             again = (G.gradient(pts), G.laplacian(pts))
             return all(same_bits(a, b) for a, b in zip(kept, again))
 
-        assert map_chunks(iid5, 1000, 5, worker) == [True]
+        assert plan_chunks(iid5, 1000, 5, worker) == [True]
 
     def test_view_returning_callback(self, iid5):
         # a side that is a view of the buffer it was evaluated on is copied
@@ -173,7 +183,7 @@ class TestChunkScope:
             return pts.copy(), [derivatives(f, pts) for f in (view, copied)]
 
         # two chunks, the second short: every kind of buffer is reused
-        for pts, (got, want) in map_chunks(iid5, 20_000, 5, worker):
+        for pts, (got, want) in plan_chunks(iid5, 20_000, 5, worker):
             outside = derivatives(copied, pts)
             for a, b, c in zip(got, want, outside):
                 assert same_bits(a, b) and same_bits(a, c)
@@ -184,6 +194,31 @@ class TestChunkScope:
                 assert np.allclose(h, 0.0, atol=1e-4)
         pts = np.random.default_rng(3).standard_normal((200, 5))
         assert np.allclose(view.gradient(pts)[:, 0], 1.0)
+
+
+class TestMemoRule:
+    def test_value_only_memo_keeps_evaluations_only(self, iid5):
+        # one chunk of a divergence plus IBP pass, two weights and k = 1, 2:
+        # the memo holds G's value, its 5 axis sides, the ray sides of its
+        # gradient and the 2 corners of each e_k^T H g, and nothing derived
+        G = fd_functional()
+        plan = ibp_plan(iid5, G, [Constant(1.0), Norm2()], (1, 2), (3.0,), 2000, 1)
+
+        def worker(index, pts):
+            plan.worker(index, pts)
+            memo = functionals._chunk_memo(pts)
+            return Counter((entry[0], key[0]) for key, entry in memo.items())
+
+        [kept] = plan_chunks(iid5, 2000, 1, worker)
+        assert kept == {(G, "value"): 1, (G, "side"): 5, (G, "ray"): 1, (G, "corner"): 4}
+        assert G._eval.calls == 2 * 5 + 3 + 2 * 2
+
+    def test_only_a_plan_opens_a_chunk_memo(self, iid5):
+        def has_memo(index, pts):
+            return functionals._chunk_memo(pts) is not None
+
+        assert map_chunks(iid5, 20_000, 5, has_memo) == [False, False]
+        assert plan_chunks(iid5, 20_000, 5, has_memo) == [True, True]
 
 
 def test_axis_steps_keep_the_bits_of_a_full_step():
@@ -234,7 +269,7 @@ class TestPerturbationBuffers:
 
         for threads in ("1", "2"):
             monkeypatch.setenv("GLSET_THREADS", threads)
-            chunks = map_chunks(iid5, 20_000, 11, worker)
+            chunks = plan_chunks(iid5, 20_000, 11, worker)
             assert len(chunks) == 2
             for pts, inside in chunks:
                 for a, b in zip(inside, self.derivatives(outer, pts)):
@@ -263,7 +298,7 @@ class TestPerturbationBuffers:
             self.derivatives(G, pts)
 
         # 16384 + 16384 + 7232 rows: the short last chunk takes views too
-        map_chunks(iid5, 40_000, 3, worker)
+        plan_chunks(iid5, 40_000, 3, worker)
         per_chunk = [{p for (i, p) in bases if i == index} for index in range(3)]
         # one buffer per kind (centre, axis, ray, corner), the same in every chunk
         assert len(per_chunk[0]) == 4
@@ -300,7 +335,7 @@ class TestPerturbationBuffers:
             g = G.gradient(pts)
             return pts.copy(), (g, G.laplacian(pts), G.hess(pts, g, g))
 
-        for pts, inside in map_chunks(iid5, 20_000, 5, worker):
+        for pts, inside in plan_chunks(iid5, 20_000, 5, worker):
             for a, b in zip(inside, c_ordered(pts)):
                 assert same_bits(a, b)
 
@@ -319,7 +354,7 @@ class TestPerturbationBuffers:
         def worker(index, pts):
             self.derivatives(G, pts)
 
-        map_chunks(iid5, 40_000, 3, worker)
+        plan_chunks(iid5, 40_000, 3, worker)
         assert buffers and all(ref() is None for ref in buffers)
         assert functionals._pool.free is None
 
@@ -328,7 +363,7 @@ class TestPerturbationBuffers:
             raise ValueError("chunk fault")
 
         with pytest.raises(ValueError):
-            map_chunks(iid5, 40_000, 3, failing)
+            plan_chunks(iid5, 40_000, 3, failing)
         assert functionals._pool.free is None
 
 

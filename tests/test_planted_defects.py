@@ -39,7 +39,7 @@ density at r, to rounding.  At d = 5, r = 5 a rule stuck at 4 nodes per angle
 is off by 1.3e-2 relative; at d = 3 and r = 1 (criterion 5) by only 8e-6,
 far inside that criterion's 1 % band.
 
-The last five plant defects in the pass and its reductions.  A
+Five checks plant defects in the pass and its reductions.  A
 disintegration's bin sums and counts are held to ``np.bincount`` of each
 chunk of the sample summed in chunk order (``tests/test_disintegration.py``):
 a chunk's sort order written over the next chunk's rows moves the counts and
@@ -67,23 +67,35 @@ to its closed form ``e^(-a r)`` times the chi-square(5) density, within
 ``max(2 %, 4 s.e.)`` at r = 2, 5 and 8 (n = 2e5).  Dropping the cross term
 ``<grad phi, psi>`` of ``div(phi psi)`` biases it by ``a`` times the
 sublevel integral of phi at r, many standard errors.
+
+The closed form and this oracle also catch a 5 % scale on the values of
+``KernelField.divergence``: the closed form flags only its surface side
+(``rhs``, +6.4 s.e. at n = 10^6, seed 1), and the oracle all of r = 2, 5
+and 8.  A 3 % bias on the IBP sublevel integrand ``_IbpSublevel.value``
+moves only the closed form's ``lhs``, by +15.1 s.e.
+
+The last check holds a sublevel integral at an atom of G.  On iid d = 5,
+``G = min(norm2(), 6)`` puts mass ``P(chi2_5 >= 6) = 0.306`` at 6, and
+``E[1{G < r}]`` is the chi-square(5) CDF at r = 5.5 and at r = 6, held
+within 4 s.e. at n = 2e5 (``atom_oracle_misses``).  A pass whose level search
+takes the right side counts ``{G <= r}``: the level 6 reads 1.0, and 5.5,
+where G has no atom, does not move.
 """
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from glset import (Coordinate, DensityJob, Norm2, Product, SurfaceMeasureHandle,
+from glset import (Constant, Coordinate, DensityJob, Norm2, Product, SurfaceMeasureHandle,
                    UserFunctional, build_model, estimate_density, ibp_residuals,
                    surface_report)
-from glset import density, disintegration, functionals, surface
-from glset.density import map_chunks
+from glset import calculus, density, disintegration, functionals, surface
 from glset.expressions import ExpressionFunctional
 from glset.model import CHUNK_SIZE
 from test_calculus import kernel_div
 from test_density import chunk_stream_misses
 from test_disintegration import bin_sum_misses
-from test_fd_stencil import chunk_misses
+from test_fd_stencil import chunk_misses, plan_chunks
 from test_functionals import GAUSS, HESS, fd_hess_misses
 from test_stream_pass import reduction_misses, shared_pass_misses
 
@@ -120,6 +132,25 @@ def test_scaled_hessian_vector_product_is_caught(iid5, monkeypatch):
     assert [m[:3] for m in closed_form_misses(iid5)] == ["rhs"]
 
 
+def test_scaled_kernel_divergence_is_caught(iid5, monkeypatch):
+    divergence = calculus.KernelField.divergence
+
+    def scaled(self, xi, g, s):
+        values, excluded = divergence(self, xi, g, s)
+        return 1.05 * values, excluded
+
+    monkeypatch.setattr(calculus.KernelField, "divergence", scaled)
+    assert [m[:3] for m in closed_form_misses(iid5)] == ["rhs"]
+    assert exp_weight_oracle_misses(iid5) == [2.0, 5.0, 8.0]
+
+
+def test_biased_ibp_sublevel_side_is_caught(iid5, monkeypatch):
+    value = surface._IbpSublevel.value
+    monkeypatch.setattr(surface._IbpSublevel, "value",
+                        lambda self, xi: 1.03 * value(self, xi))
+    assert [m[:3] for m in closed_form_misses(iid5)] == ["lhs"]
+
+
 def test_dropped_hessian_term_is_caught(iid5, monkeypatch):
     def jvp(self, xi, u):
         # D(D_k G) . u as 0: the product rule for phi D_k G without its
@@ -145,7 +176,7 @@ def kept_hess_misses(model):
         return pts.copy(), pairs, [[f.hess(pts, a, b) for a, b in pairs] for f in fs]
 
     misses = []
-    for pts, pairs, kept in map_chunks(model, 2000, 3, worker):
+    for pts, pairs, kept in plan_chunks(model, 2000, 3, worker):
         for f, forms in zip(fs, kept):
             if any(got.tobytes() != f.hess(pts, a, b).tobytes()
                    for (a, b), got in zip(pairs, forms)):
@@ -361,3 +392,41 @@ def test_centre_buffer_filled_only_when_new_is_caught(iid5, monkeypatch):
 
     monkeypatch.setattr(UserFunctional, "_centre", stale_centre)
     assert chunk_misses(iid5) == ["value", "laplacian", "hess(g, g)", "hess(e_1, g)"]
+
+
+ATOM = 6.0
+
+
+def atom_oracle_misses(model, levels=(5.5, ATOM)):
+    """The levels r at which the sublevel integral of 1 for
+    ``G = min(norm2(), 6)`` (n = 2e5) lies more than 4 s.e. from the
+    chi-square(d) CDF at r.  G has an atom of mass ``P(chi2_d >= 6)`` at 6,
+    which ``{G < 6}`` leaves out."""
+    G = ExpressionFunctional(f"min(norm2(), {ATOM})")
+    [(est, se)] = density.stream_pass(model, G, 200_000, SEED, levels,
+                                      [density.Query(Constant(1.0), "cdf")]).results
+    want = stats.chi2.cdf(levels, model.dim)
+    return [r for r, e, s, w in zip(levels, est, se, want) if not abs(e - w) <= 4.0 * s]
+
+
+def test_sublevel_integral_at_an_atom_matches_closed_form(iid5):
+    assert stats.chi2.sf(ATOM, 5) == pytest.approx(0.306, abs=1e-3)
+    assert atom_oracle_misses(iid5) == []
+
+
+class _SearchRight:
+    """numpy as ``glset.density`` sees it, with every ``searchsorted`` on the
+    right side."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def searchsorted(a, v, side="left", sorter=None):
+        return np.searchsorted(a, v, side="right", sorter=sorter)
+
+
+def test_level_search_on_the_right_side_is_caught(iid5, monkeypatch):
+    # {G <= r} instead of {G < r}: the level at the atom counts its mass
+    monkeypatch.setattr(density, "np", _SearchRight())
+    assert atom_oracle_misses(iid5) == [ATOM]

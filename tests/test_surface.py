@@ -163,6 +163,23 @@ class TestTrace:
         assert rep.target == mass
         assert rep.estimates[-1] == mass
 
+    def test_single_chunk_trace_is_unresolved_not_failed(self, iid5):
+        # one chunk: NaN stderrs, so |0| <= NaN cannot decide the verdict
+        rep = trace_of(handle(iid5, Norm2(), 4.0, n=10 ** 4, seed=5),
+                       ExpressionFunctional("exp(-norm2())"))
+        assert np.isnan(rep.target_stderr) and np.isnan(rep.stderrs[-1])
+        assert rep.exact_tail and rep.diffs[-1] == 0.0
+        assert rep.unresolved and rep.converged
+
+    def test_two_chunk_trace_keeps_its_verdict(self, iid5):
+        rep = trace_of(handle(iid5, Norm2(), 4.0, n=2 * 10 ** 4, seed=5),
+                       ExpressionFunctional("exp(-norm2())"))
+        assert np.isfinite(rep.band) and not rep.unresolved
+        assert rep.converged and rep.exact_tail
+        # a finite band still fails a last level outside it
+        off = dataclasses.replace(rep, diffs=rep.diffs[:-1] + (2.0 * rep.band,))
+        assert not off.unresolved and not off.converged
+
 
 class TestPositivity:
     def test_gaussian_level_always_positive(self, iid3):
