@@ -10,7 +10,10 @@ Format by example (README "Config format" has a longer one)::
       phi bump
       r_grid 1 3 5
 
-Indented lines are parameters of the preceding ``job`` line.  Each job kind
+Indented lines are parameters of the preceding ``job`` line.  A key given
+twice, at the top level or in one job, is an issue on its second line
+(``functional`` and ``job`` lines repeat by their own rules), and
+``formats`` takes ``csv``, ``json`` or both.  Each job kind
 reads the parameters below, optional ones in brackets (``a|b``: one of the
 two); any other parameter is an error::
 
@@ -49,6 +52,7 @@ from .model import GaussianModel, build_model, chunk_layout
 from .surface import quadrature_issue
 
 ESTIMATORS = ("divergence", "mollified", "both")
+FORMATS = ("csv", "json")
 BUILTIN_NAMES = ("norm2", "bm_endpoint")
 
 
@@ -84,7 +88,7 @@ class RunConfig:
     functionals: tuple[tuple[str, str], ...] = ()
     jobs: tuple[JobSpec, ...] = ()
     output: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = FORMATS
 
 
 @dataclass
@@ -305,11 +309,11 @@ def parse_config(text: str) -> RunConfig:
             error(line, f"{what}: {e}")
 
     model_family = None
-    model_line = 0
     dim = None
     spectrum = None
     output = "out"
-    formats = ("csv", "json")
+    formats = FORMATS
+    first: dict[str, int] = {}  # top-level key: the line that gave it
     defs: dict[str, tuple[str, int]] = {}  # name: (source, line)
     jobs: list[tuple[int, str, dict]] = []  # (line, kind, {key: (line, value)})
     current: dict | None = None
@@ -323,13 +327,19 @@ def parse_config(text: str) -> RunConfig:
         if line[0] in " \t":
             if current is None:
                 error(lineno, "indented parameter outside a job block")
-                continue
-            current[key] = (lineno, rest)
+            elif key in current:
+                error(lineno, f"{key}: given again, first on line {current[key][0]}")
+            else:
+                current[key] = (lineno, rest)
             continue
         current = None
+        if key in ("model", "dim", "spectrum", "output", "formats"):
+            if key in first:
+                error(lineno, f"{key}: given again, first on line {first[key]}")
+                continue
+            first[key] = lineno
         if key == "model":
             model_family = rest.strip()
-            model_line = lineno
         elif key == "dim":
             dim = number(int, rest, lineno, "dim")
         elif key == "spectrum":
@@ -339,6 +349,9 @@ def parse_config(text: str) -> RunConfig:
             output = rest.strip()
         elif key == "formats":
             formats = tuple(parts[1:])
+            if not formats or len(set(formats)) < len(formats) \
+                    or not set(formats) <= set(FORMATS):
+                error(lineno, f"formats: {rest!r} is not csv, json or both")
         elif key == "functional":
             if "=" not in rest:
                 error(lineno, "functional definition needs 'name = expression'")
@@ -363,6 +376,7 @@ def parse_config(text: str) -> RunConfig:
             error(lineno, f"unknown key {key!r}")
 
     # ---- model: checked by building it ----
+    model_line = first.get("model", 0)
     if model_family is None:
         error(1, "missing 'model' line")
         model_family = "iid_gaussian"

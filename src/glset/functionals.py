@@ -32,11 +32,12 @@ more (:class:`UserFunctional`): a side that is a view of its buffer is
 copied, and a callback that takes finite differences itself gets buffers of
 its own.  Inside a chunk of a stream pass (:func:`chunk_scope`, opened
 only by :func:`~glset.density.run_plans`) one memo per thread keeps, at the
-chunk points, what costs a callback or a tree walk (:meth:`Functional._kept`):
-a callback's value and its axis sides, ray sides and mixed-difference
-corners, an expression's value, gradient and Hessian products, and the
-``|xi|`` and ``xi . u`` that every :class:`RadialClamp` level of a trace
-reads.  Everything else is arithmetic on kept entries, or a closed-form
+chunk points, behind one door (:meth:`Functional._kept`) that hands every
+read of a kept array the same read-only view, what costs a callback or a
+tree walk: a callback's value and its axis sides, ray sides and mixed-
+difference corners, an expression's value, gradient and Hessian products,
+and the ``|xi|`` and ``xi . u`` that every :class:`RadialClamp` level of a
+trace reads.  Everything else is arithmetic on kept entries, or a closed-form
 builtin asked once per chunk, and is recomputed.  The memo dies with the
 chunk.  Oracles must be pure so they can be evaluated concurrently and
 re-evaluated chunk by chunk, and must not keep a reference to their input:
@@ -273,11 +274,11 @@ def chunk_scope(points):
 
     Until the block ends, a quantity that :meth:`Functional._kept` keeps is
     computed once per functional (and directions) at exactly this array
-    (``xi is points``) and read back by later calls; the finite-difference
-    derivatives evaluate each axis side, ray side and corner once and share
-    them.  Neither the points nor a direction passed to a kept quantity may
-    be written to inside the block.  Only :func:`~glset.density.run_plans`
-    opens one, around each plan's worker."""
+    (``xi is points``) and read back, read-only, by later calls; the
+    finite-difference derivatives evaluate each axis side, ray side and
+    corner once and share them.  Neither the points nor a direction passed
+    to a kept quantity may be written to inside the block.  Only
+    :func:`~glset.density.run_plans` opens one, around each plan's worker."""
     outer = getattr(_chunk, "scope", None)
     _chunk.scope = (points, {})
     try:
@@ -310,13 +311,13 @@ class Functional:
 
     def _kept(self, quantity, xi, directions, compute):
         """``compute()``, the ``quantity`` of this functional at ``xi`` along
-        the tuple ``directions``.  At the points of the current
-        :func:`chunk_scope` (a plan's chunk in :func:`~glset.density.run_plans`)
-        it is computed on first use and kept until the chunk ends, under the
-        key ``(quantity, functional, directions)``, an axis by index and any
-        other direction by identity; every call gets its own copy of an
-        array, so a caller may write to what it gets (the tuples of sides
-        are shared and only read)."""
+        the tuple ``directions``: the one door to a chunk's memo.  At the
+        points of the current :func:`chunk_scope` it is computed on first use
+        and kept until the chunk ends, under ``(quantity, functional,
+        directions)``, an axis by index and any other direction by identity.
+        A kept array is stored once as a read-only view that every read
+        shares, so a write to it raises ValueError; a tuple or a dict is
+        shared as it is."""
         memo = _chunk_memo(xi)
         if memo is None:
             return compute()
@@ -324,10 +325,13 @@ class Functional:
                tuple(("axis", int(u)) if _is_axis(u) else id(u) for u in directions))
         entry = memo.get(key)
         if entry is None:
+            kept = compute()
+            if isinstance(kept, np.ndarray):
+                kept = kept.view()
+                kept.flags.writeable = False
             # the entry holds self and the directions, so no id is reused in the chunk
-            entry = memo[key] = (self, directions, compute())
-        kept = entry[2]
-        return kept.copy() if isinstance(kept, np.ndarray) else kept
+            entry = memo[key] = (self, directions, kept)
+        return entry[2]
 
     @staticmethod
     def _bilinear(product, xi, u, v):
@@ -343,28 +347,23 @@ class Functional:
         return rowsum(u * product(v))
 
     def _stencil(self, xi, coords=None):
-        """The axis sides at ``xi``, as :func:`fd_sides` yields them for
-        ``coords`` (all by default); at the points of the current
-        :func:`chunk_scope` each axis is evaluated on first use and kept
-        until the chunk ends, so ``D_k f`` costs its own two sides."""
-        memo = _chunk_memo(xi)
-        if memo is None:
-            return fd_sides(self.value, xi, FD_STEP, coords)
+        """The axis sides at ``xi`` for ``coords`` (all by default), as
+        :func:`fd_sides` yields them: one kept dict by coordinate that gains
+        the missing ones in one batch, so inside a chunk each axis is
+        evaluated on first use and ``D_k f`` costs its own two sides."""
         coords = range(xi.shape[1]) if coords is None else coords
-        keys = [("side", id(self), k) for k in coords]
-        missing = [k for k, key in zip(coords, keys) if key not in memo]
+        sides = self._kept("sides", xi, (), dict)
+        missing = [k for k in coords if k not in sides]
         if missing:
-            for side in fd_sides(self.value, xi, FD_STEP, missing):
-                memo["side", id(self), side[0]] = (self, (), side)
-        return [memo[key][2] for key in keys]
+            sides.update((side[0], side) for side in fd_sides(self.value, xi, FD_STEP, missing))
+        return [sides[k] for k in coords]
 
     def _sides(self, xi, u):
         """``(|u|, a, s, f(xi + s), f(xi - s))`` for the step ``s = a u/|u|``
-        along the direction u: the axis j takes its stencil step
-        ``a = h_j`` and gives for s only the column ``h_j`` of ``h_j e_j``
-        (:func:`_step`), an array the row step ``a = FD_STEP (1 + |xi|)``
-        and a zero row the step 0; the ray sides of an array are kept
-        inside a chunk like the axis sides."""
+        along the direction u: the axis j takes its stencil step ``a = h_j``
+        and gives for s only the column ``h_j`` of ``h_j e_j`` (:func:`_step`),
+        an array the row step ``a = FD_STEP (1 + |xi|)`` and a zero row the
+        step 0; the ray sides of an array are kept like the axis sides."""
         if _is_axis(u):
             [(_, h, hi, lo)] = self._stencil(xi, (u,))
             return 1.0, h, h, hi, lo

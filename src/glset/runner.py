@@ -9,7 +9,10 @@ still sees exactly the rows of its own n.  A group's plans are made and run
 when its first job comes up, and its jobs are finished and written, in
 config order, before the next group is planned.  The first job that
 fails, in config order, ends the run: the jobs before it keep their
-artifacts and the jobs after it write none.  Files are written atomically
+artifacts, the jobs after it write none, and the manifest says
+``exit_code: 1``, lists only the files this run wrote and names the job
+under ``failed_job`` (its number, kind and message); files an earlier run
+left in the directory stay, unlisted.  Files are written atomically
 (temp file + rename) and contain no timestamps, so identical configurations
 yield byte-identical bodies; the manifest holds the config hash, library
 versions, the wall-clock time of the run, the runtime of every selftest
@@ -302,6 +305,7 @@ def run(config: RunConfig, output_dir=None) -> int:
     written: list[str] = []
     runtimes = {}
     exit_code = 0
+    failed = {}
     finishes = collections.deque()  # of the current group's jobs still to write
     for i, job in enumerate(config.jobs, 1):
         base = out / f"job{i:02d}_{job.kind}"
@@ -321,11 +325,17 @@ def run(config: RunConfig, output_dir=None) -> int:
                                                 config.formats)
         except (NumericalFault, ValueError, OSError) as e:
             print(f"job {i} ({job.kind}) failed: {e}", file=sys.stderr)
-            return 1
+            exit_code = 1
+            failed = {"failed_job": {"number": i, "kind": job.kind, "message": str(e)}}
+            break
         written.extend(str(f.name) for f in files)
-    write_manifest(out, written, exit_code, usage, runtimes,
-                   config_hash=hashlib.sha256(serialize_config(config).encode()).hexdigest(),
-                   seeds=[job.seed for job in config.jobs])
+    try:
+        write_manifest(out, written, exit_code, usage, runtimes,
+                       config_hash=hashlib.sha256(serialize_config(config).encode()).hexdigest(),
+                       seeds=[job.seed for job in config.jobs], **failed)
+    except OSError as e:
+        print(f"cannot write the manifest: {e}", file=sys.stderr)
+        return 1
     return exit_code
 
 

@@ -102,6 +102,11 @@ class TestParse:
                          "functional f = xi(1)\nfunctional f = xi(2)\n")
         assert "already defined" in str(exc.value)
 
+    def test_formats_take_csv_or_json_or_both(self):
+        for words in ("csv", "json", "json csv"):
+            cfg = parse_config(f"model iid_gaussian\ndim 2\nformats {words}\n")
+            assert cfg.formats == tuple(words.split())
+
     def test_hausdorff_preconditions_checked_statically(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("model iid_gaussian\ndim 8\njob hausdorff\n"
@@ -307,6 +312,17 @@ REJECTED = {
         _job("disintegrate\n  G norm2\n  phi_list a exp(-norm2()) 1 1.0\n  bins 4\n",
              head="functional a = exp(-norm2())\n"), 6,
         "'1.0' is a second weight named '1.0'"),
+    # a repeated key would run its last line only
+    "repeated dim": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n", dim=2,
+                          head="dim 3\n"), 3, "dim: given again, first on line 2"),
+    "repeated job parameter": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n"
+                                    "  n 20000\n  n 40000\n"), 8,
+                               "n: given again, first on line 7"),
+    # a run writes only the formats it knows, so any other word is an error
+    "unknown format": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n",
+                            head="formats jsn\n"), 3, "'jsn' is not csv, json or both"),
+    "empty formats": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n",
+                           head="formats\n"), 3, "'' is not csv, json or both"),
 }
 
 

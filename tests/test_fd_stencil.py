@@ -63,12 +63,14 @@ def chunk_misses(model):
     inside the chunks of a 3-chunk pass (16384 + 16384 + 7232 rows) from the
     same derivatives outside any chunk.  Inside, a thread's pooled buffers,
     the centre's included, serve every chunk it runs; outside, each
-    evaluation takes a new one."""
+    evaluation takes a new one.  ``D_3`` comes first, so the gradient adds
+    the other four axes to the kept sides."""
     G = fd_functional()
 
     def derivatives(pts):
+        d3 = G.jvp(pts, 2)
         g = G.gradient(pts)
-        return {"value": G.value(pts), "gradient": g, "laplacian": G.laplacian(pts),
+        return {"value": G.value(pts), "D_3": d3, "gradient": g, "laplacian": G.laplacian(pts),
                 "hess(g, g)": G.hess(pts, g, g), "hess(e_1, g)": G.hess(pts, 0, g)}
 
     chunks = plan_chunks(model, 40_000, 3, lambda index, pts: (pts.copy(), derivatives(pts)))
@@ -199,19 +201,45 @@ class TestChunkScope:
 class TestMemoRule:
     def test_value_only_memo_keeps_evaluations_only(self, iid5):
         # one chunk of a divergence plus IBP pass, two weights and k = 1, 2:
-        # the memo holds G's value, its 5 axis sides, the ray sides of its
-        # gradient and the 2 corners of each e_k^T H g, and nothing derived
+        # the memo holds G's value, its sides along the 5 axes, the ray
+        # sides of its gradient and the 2 corners of each e_k^T H g, and
+        # nothing derived
         G = fd_functional()
         plan = ibp_plan(iid5, G, [Constant(1.0), Norm2()], (1, 2), (3.0,), 2000, 1)
 
         def worker(index, pts):
             plan.worker(index, pts)
             memo = functionals._chunk_memo(pts)
-            return Counter((entry[0], key[0]) for key, entry in memo.items())
+            [sides] = [entry[2] for key, entry in memo.items() if key[0] == "sides"]
+            return Counter((entry[0], key[0]) for key, entry in memo.items()), sorted(sides)
 
-        [kept] = plan_chunks(iid5, 2000, 1, worker)
-        assert kept == {(G, "value"): 1, (G, "side"): 5, (G, "ray"): 1, (G, "corner"): 4}
+        [(kept, axes)] = plan_chunks(iid5, 2000, 1, worker)
+        assert kept == {(G, "value"): 1, (G, "sides"): 1, (G, "ray"): 1, (G, "corner"): 4}
+        assert axes == [0, 1, 2, 3, 4]
         assert G._eval.calls == 2 * 5 + 3 + 2 * 2
+
+    def test_kept_arrays_are_shared_read_only(self, iid5):
+        # every read of a kept array gets the one view the memo holds: a
+        # write to it raises, and the next read sees the unwritten value
+        f = ExpressionFunctional("exp(-norm2())*xi(1)")
+        reads = {"value": f.value, "gradient": f.gradient,
+                 "radius": RadialClamp(2.0)._radius}
+
+        def worker(index, pts):
+            seen = {}
+            for name, read in reads.items():
+                kept = read(pts)
+                try:
+                    kept[...] = 7.0
+                    refused = False
+                except ValueError:
+                    refused = True
+                seen[name] = refused, read(pts) is kept, kept.copy()
+            return pts.copy(), seen
+
+        for pts, seen in plan_chunks(iid5, 20_000, 5, worker):
+            for name, (refused, shared, got) in seen.items():
+                assert refused and shared and same_bits(got, reads[name](pts)), name
 
     def test_only_a_plan_opens_a_chunk_memo(self, iid5):
         def has_memo(index, pts):

@@ -61,6 +61,13 @@ A value-only functional's value and derivatives inside the chunks of a
 filled only when it is first allocated hands the second and third chunks
 the first chunk's points: the value and every derivative that reads the
 centre move, and the gradient, which reads only axis sides, does not.
+The check asks ``D_3`` before the gradient, so the gradient adds four axes
+to the kept sides.  A ``_stencil`` that keeps each new side under its
+position in the list of missing axes instead of under its axis keeps the
+sides of ``D_3`` under axis 0: the check cannot read them back and fails
+with a KeyError.  (Such a plant cannot give wrong bits: the last missing
+axis becomes a key only when the missing axes are 0, 1, ..., m, where
+position and axis agree.)
 
 The divergence route of ``exp(-a norm2())`` on ``norm2`` at d = 5 is held
 to its closed form ``e^(-a r)`` times the chi-square(5) density, within
@@ -197,8 +204,7 @@ def test_hvp_memo_keyed_without_direction_is_caught(iid5, monkeypatch):
         key = (quantity, id(self))
         if key not in memo:
             memo[key] = (self, directions, compute())
-        got = memo[key][2]
-        return got.copy() if isinstance(got, np.ndarray) else got
+        return memo[key][2]
 
     monkeypatch.setattr(functionals.Functional, "_kept", kept)
     assert kept_hess_misses(iid5) == ["fd", "exp(-norm2())*xi(1)"]
@@ -392,6 +398,23 @@ def test_centre_buffer_filled_only_when_new_is_caught(iid5, monkeypatch):
 
     monkeypatch.setattr(UserFunctional, "_centre", stale_centre)
     assert chunk_misses(iid5) == ["value", "laplacian", "hess(g, g)", "hess(e_1, g)"]
+
+
+def test_sides_kept_by_position_are_caught(iid5, monkeypatch):
+    def stencil(self, xi, coords=None):
+        # the sides of missing[i] kept under i instead of under their axis
+        coords = range(xi.shape[1]) if coords is None else coords
+        sides = self._kept("sides", xi, (), dict)
+        missing = [k for k in coords if k not in sides]
+        if missing:
+            sides.update(enumerate(functionals.fd_sides(self.value, xi, functionals.FD_STEP,
+                                                        missing)))
+        return [sides[k] for k in coords]
+
+    monkeypatch.setattr(functionals.Functional, "_stencil", stencil)
+    # D_3 keeps the sides along e_3 under axis 0, and reads axis 2 back
+    with pytest.raises(KeyError):
+        chunk_misses(iid5)
 
 
 ATOM = 6.0

@@ -246,6 +246,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "job 1 (density) failed: " in err and "non-finite" in err
 
+    def test_failed_rerun_writes_its_own_manifest(self, tmp_path, capsys):
+        # a rerun into the same directory whose job 2 fails: the manifest is
+        # this run's, not the earlier run's, and lists only this run's files
+        def config(weight):
+            return parse_config(phi_job("1").replace("formats csv", "formats json")
+                                + f"job density\n  G norm2\n  phi {weight}\n"
+                                  "  r_grid 1 2\n  n 20000\n  seed 2\n")
+
+        assert run(config("1"), output_dir=tmp_path) == 0
+        assert run(config("0/0"), output_dir=tmp_path) == 1
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+        assert manifest["files"] == ["job01_density.json"]
+        failed = manifest["failed_job"]
+        assert (failed["number"], failed["kind"]) == (2, "density")
+        assert f"job 2 (density) failed: {failed['message']}" in err
+        assert (tmp_path / "job02_density.json").exists()  # the earlier run's, unlisted
+
     def test_all_excluded_curve_is_flagged_in_json(self, tmp_path):
         cfg = parse_config("model iid_gaussian\ndim 3\nformats json\njob density\n"
                            "  G 1\n  phi 1\n  r_grid 1 2\n  n 20000\n")

@@ -344,7 +344,8 @@ class TestGroupedJobs:
     def test_fault_in_second_job_of_a_seed(self, tmp_path, capsys):
         assert run(parse_config(FAULT_CONFIG), output_dir=tmp_path) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job01_density.csv",
-                                                              "job01_density.json"]
+                                                              "job01_density.json",
+                                                              "manifest.json"]
         err = capsys.readouterr().err
         assert "job 2 (density) failed: " in err and "non-finite" in err
         assert "job 1" not in err and "job 3" not in err
@@ -359,7 +360,8 @@ class TestGroupedJobs:
                                                    *config.jobs[2:]))
         assert run(config, output_dir=tmp_path) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job01_density.csv",
-                                                              "job01_density.json"]
+                                                              "job01_density.json",
+                                                              "manifest.json"]
         assert "job 2 (hausdorff) failed: no quadrature oracle" in capsys.readouterr().err
 
 
