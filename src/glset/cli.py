@@ -6,8 +6,8 @@ Subcommands::
     glset selftest          run the acceptance battery (exit 2 on failure)
     glset grammar           print the functional expression grammar
 
-``GLSET_THREADS`` caps the number of chunk workers; results are identical
-for any worker count.
+``GLSET_THREADS`` is the number of worker threads every pass runs its
+chunks on (default 1); results are identical for any worker count.
 """
 
 from __future__ import annotations

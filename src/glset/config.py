@@ -342,11 +342,22 @@ def parse_config(text: str) -> RunConfig:
             model_family = rest.strip()
         elif key == "dim":
             dim = number(int, rest, lineno, "dim")
+            if dim is not None and dim < 1:
+                error(lineno, f"dim: must be positive, got {dim}")
+                dim = None
         elif key == "spectrum":
-            spectrum = tuple(v for v in (number(float, p, lineno, "spectrum")
-                                         for p in parts[1:]) if v is not None)
+            values = [number(float, p, lineno, "spectrum") for p in parts[1:]]
+            if not values:
+                error(lineno, "spectrum: needs at least one eigenvalue")
+            elif None not in values:
+                if all(0 < v < math.inf for v in values):
+                    spectrum = tuple(values)
+                else:
+                    error(lineno, "spectrum: eigenvalues must be positive and finite")
         elif key == "output":
             output = rest.strip()
+            if not output:
+                error(lineno, "output: needs a directory")
         elif key == "formats":
             formats = tuple(parts[1:])
             if not formats or len(set(formats)) < len(formats) \
@@ -380,19 +391,22 @@ def parse_config(text: str) -> RunConfig:
     if model_family is None:
         error(1, "missing 'model' line")
         model_family = "iid_gaussian"
+    # a value that failed on its own line stands in as None and adds no issue here
     if model_family == "explicit":
         if spectrum is None:
-            error(model_line, "explicit model needs a 'spectrum' line")
-            spectrum = (1.0,)
+            if "spectrum" not in first:
+                error(model_line, "explicit model needs a 'spectrum' line")
+            spectrum = (1.0,) * (dim or 1)
         if dim is None:
             dim = len(spectrum)
         elif dim != len(spectrum):
             error(model_line, f"dim {dim} does not match spectrum length {len(spectrum)}")
     else:
-        if spectrum is not None:
+        if "spectrum" in first:
             error(model_line, "'spectrum' is only valid with model explicit")
         if dim is None:
-            error(model_line or 1, "missing 'dim' line")
+            if "dim" not in first:
+                error(model_line or 1, "missing 'dim' line")
             dim = 1
     model_spec = ModelSpec(family=model_family, dim=dim, spectrum=spectrum)
     try:

@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import KernelField, hill_k, hill_tail_index, moment_diverging, smallest_norms
-from .functionals import (Constant, Functional, buffer_pool, check_finite, chunk_scope,
-                          keep_buffers, rowsum, stable_argsort)
+from .functionals import (Constant, Functional, check_finite, chunk_scope, keep_buffers,
+                          rowsum, stable_argsort)
 from .model import GaussianModel, chunk_layout, draw_chunk
 
 VARIANCE_UNRELIABLE = "variance unreliable"
@@ -70,26 +70,19 @@ def thread_count() -> int:
 def map_chunks(model: GaussianModel, n: int, seed: int, worker):
     """Run ``worker(index, points)`` over every chunk; results in index order.
 
-    GLSET_THREADS caps concurrent workers; the result list is identical for
-    any worker count because chunks are generated from per-index substreams
-    and stored by index.  Each thread reuses its finite-difference
-    perturbation buffers across the chunks it runs
-    (:func:`~glset.functionals.buffer_pool`) and drops them when the pass
-    ends.  No chunk memo is opened here: :func:`run_plans` opens each one
-    (:func:`~glset.functionals.chunk_scope`)."""
-    layout = chunk_layout(n)
+    Every pass, of one chunk or one worker too, runs on a pool of
+    :func:`thread_count` threads, each a chunk worker
+    (:func:`~glset.functionals.keep_buffers`) that ends with the pass, so the
+    calling thread holds no pass state.  Chunks come from per-index
+    substreams and are stored by index, the same for any worker count.  A
+    chunk's error cancels the chunks not yet started and is raised here."""
 
     def job(item):
         index, size = item
         return worker(index, draw_chunk(model, seed, index, size))
 
-    workers = thread_count()
-    if workers == 1 or len(layout) == 1:
-        with buffer_pool():
-            return [job(item) for item in layout]
-    # a pool thread keeps its buffers until it ends, with the pass
-    with ThreadPoolExecutor(max_workers=workers, initializer=keep_buffers) as pool:
-        return list(pool.map(job, layout))
+    with ThreadPoolExecutor(max_workers=thread_count(), initializer=keep_buffers) as pool:
+        return list(pool.map(job, chunk_layout(n)))
 
 
 @dataclass(frozen=True)
@@ -275,6 +268,13 @@ def default_bandwidth(model: GaussianModel, G: Functional, n: int, seed: int) ->
 
 
 ROUTES = ("divergence", "mollified", "cdf")
+
+
+def density_route(estimator: str) -> str:
+    """``estimator``, checked to name a density route: a surface call reads one."""
+    if estimator not in ROUTES[:2]:
+        raise ValueError(f"estimator must be divergence or mollified, got {estimator!r}")
+    return estimator
 
 
 @dataclass(frozen=True)

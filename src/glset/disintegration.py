@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PassResult, Plan, Query, stream_plan
+from .density import PassResult, Plan, Query, density_route, stream_plan
 from .functionals import Constant, Functional, check_finite, stable_argsort
 from .model import CHUNK_ROW, GaussianModel, chunk_layout
 
@@ -304,11 +304,9 @@ def surface_side_plan(model: GaussianModel, G: Functional, n: int, seed: int,
     of ``r_grid``.  It finishes as a :class:`~glset.density.PassResult`, and
     it can share its pass with the :func:`disintegrate_plan` of the same
     stream."""
-    if estimator not in ("divergence", "mollified"):
-        raise ValueError(f"estimator must be divergence or mollified, got {estimator!r}")
+    route = density_route(estimator)
     return stream_plan(model, G, n, seed, r_grid,
-                       [Query(Constant(1.0), estimator), Query(phi, estimator)],
-                       epsilon=epsilon)
+                       [Query(Constant(1.0), route), Query(phi, route)], epsilon=epsilon)
 
 
 def conditional_vs_surface(D: EmpiricalDisintegration, phi: Functional, r_grid,

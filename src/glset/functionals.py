@@ -25,19 +25,21 @@ central finite differences on kept sides:
   ``f(xi + a + b)`` and ``f(xi - a - b)`` at the sum of their steps
   (Abramowitz & Stegun 25.3.27).
 
-The axis, ray and mixed sides are evaluated on per-thread column-major
-buffers that are reused across the chunks of a pass (:func:`buffer_pool`),
-and a callback's centre value on a column-major copy of the points in one
-more (:class:`UserFunctional`): a side that is a view of its buffer is
+Every pass runs on a pool of ``GLSET_THREADS`` worker threads
+(:func:`~glset.density.map_chunks`), and only a worker holds pass state, in
+its :class:`_Worker`: the column-major buffers that the axis, ray and mixed
+sides and a callback's centre value (:class:`UserFunctional`) are evaluated
+on, reused across its chunks, and the memo of its chunk; any other thread
+gets new buffers and no memo.  A side that is a view of its buffer is
 copied, and a callback that takes finite differences itself gets buffers of
-its own.  Inside a chunk of a stream pass (:func:`chunk_scope`, opened
-only by :func:`~glset.density.run_plans`) one memo per thread keeps, at the
-chunk points, behind one door (:meth:`Functional._kept`) that hands every
-read of a kept array the same read-only view, what costs a callback or a
-tree walk: a callback's value and its axis sides, ray sides and mixed-
-difference corners, an expression's value, gradient and Hessian products,
-and the ``|xi|`` and ``xi . u`` that every :class:`RadialClamp` level of a
-trace reads.  Everything else is arithmetic on kept entries, or a closed-form
+its own.  Inside a chunk of a stream pass (:func:`chunk_scope`, opened only
+by :func:`~glset.density.run_plans`) the memo keeps, at the chunk points,
+behind one door (:meth:`Functional._kept`) that hands every read of a kept
+array the same read-only view, what costs a callback or a tree walk: a
+callback's value and its axis sides, ray sides and mixed-difference
+corners, an expression's value, gradient and Hessian products, and the
+``|xi|`` and ``xi . u`` that every :class:`RadialClamp` level of a trace
+reads.  Everything else is arithmetic on kept entries, or a closed-form
 builtin asked once per chunk, and is recomputed.  The memo dies with the
 chunk.  Oracles must be pure so they can be evaluated concurrently and
 re-evaluated chunk by chunk, and must not keep a reference to their input:
@@ -114,64 +116,72 @@ def stable_argsort(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, v[order]
 
 
+# ----------------------------- worker state -----------------------------
+
+class _Worker(threading.local):
+    """This thread's pass state, which reaches the derivative methods through
+    the thread: ``scope``, the points and memo of the current
+    :func:`chunk_scope`, and ``free``, a chunk worker's perturbation buffers
+    not in use, a list per ``(kind, columns)``; each None otherwise, and
+    dropped when the thread ends.
+
+    Each kind, the "axis" sides (fd_sides), the "ray" sides, the "corner"
+    values of a mixed difference and a callback's "centre", keeps buffers of
+    its own, so they sit above a chunk's working set in the heap, which is
+    then not trimmed at every chunk end and faulted in again: one
+    fd-functional benchmark run at one thread (2-core x86-64, glibc, numpy
+    2.4) took 57-69 k minor faults with a new array per evaluation and
+    5.5-10 k with one buffer per kind; the counts follow the heap layout."""
+
+    free = None
+    scope = None
+
+
+_worker = _Worker()
+
+
+def keep_buffers():
+    """Make this thread a chunk worker, which reuses its perturbation buffers
+    until it ends: the initializer of every :func:`~glset.density.map_chunks` thread."""
+    _worker.free = {}
+
+
+@contextmanager
+def chunk_scope(points):
+    """Keep the costly quantities at ``points`` for later calls in this thread.
+
+    Until the block ends, a quantity that :meth:`Functional._kept` keeps is
+    computed once per functional (and directions) at exactly this array
+    (``xi is points``) and read back, read-only, by later calls; the
+    finite-difference derivatives evaluate each axis side, ray side and
+    corner once and share them.  Neither the points nor a direction passed
+    to a kept quantity may be written to inside the block.  Only a plan's
+    worker in :func:`~glset.density.run_plans` opens one, on a pool thread."""
+    outer = _worker.scope
+    _worker.scope = (points, {})
+    try:
+        yield
+    finally:
+        _worker.scope = outer
+
+
+def _chunk_memo(xi):
+    """The memo of the current chunk when ``xi`` is its points, else None."""
+    scope = _worker.scope
+    return scope[1] if scope is not None and scope[0] is xi else None
+
+
 # ----------------------------- finite differences -----------------------------
 
 # Relative step of every central difference.
 FD_STEP = 1e-5
 
 
-# A perturbed evaluation writes its points into a buffer of its thread's
-# pool and gives the buffer back when it is done.  Each kind of side, "axis"
-# (fd_sides), "ray" and "corner" (the 2 new values of a mixed difference),
-# and a callback's "centre" keeps its own, so the buffers sit above a chunk's
-# working set in the allocator's heap, which is then no longer trimmed at
-# every chunk end and faulted in again by the next chunk: one fd-functional
-# run of the benchmark at one thread (2-core x86-64, glibc, numpy 2.4) took
-# 57-69 k minor faults with a new array per evaluation and 5.5-10 k with one
-# buffer per kind.  The counts follow the heap layout.
-
-
-class _Pool(threading.local):
-    """This thread's perturbation buffers not in use, a list per ``(kind,
-    columns)``; None while the thread keeps none."""
-
-    free = None
-
-
-_pool = _Pool()
-
-
-def keep_buffers():
-    """Keep the perturbation buffers of this thread for reuse from now on:
-    for a worker thread that ends with its pass."""
-    if _pool.free is None:
-        _pool.free = {}
-
-
-@contextmanager
-def buffer_pool():
-    """Keep the perturbation buffers of this thread for reuse until the
-    block ends, then drop them.
-
-    Outside such a block, or a thread that called :func:`keep_buffers`,
-    every perturbed evaluation gets a new buffer.
-    :func:`~glset.density.map_chunks` runs each pass in one, so the buffers
-    of a chunk serve the next chunk and none outlives the pass.
-    """
-    outer = _pool.free
-    keep_buffers()
-    try:
-        yield
-    finally:
-        _pool.free = outer
-
-
 @contextmanager
 def _perturbation(kind, xi):
     """A column-major float64 buffer of ``xi``'s shape, contents undefined,
-    for the points of one evaluation of a ``kind`` of side, or of a
-    callback's centre (``"centre"``), given back to this thread's pool when
-    the block ends.
+    for the points of one evaluation of a ``kind``, given back to the pool of
+    a chunk worker's thread when the block ends.
 
     A free pooled buffer of the kind with ``xi``'s column count and at least
     its rows is handed out as a view of its first rows, so a short chunk
@@ -185,7 +195,7 @@ def _perturbation(kind, xi):
     C-ordered row pairwise instead).
     """
     n, d = xi.shape
-    free = [] if _pool.free is None else _pool.free.setdefault((kind, d), [])
+    free = [] if _worker.free is None else _worker.free.setdefault((kind, d), [])
     fits = [i for i, kept in enumerate(free) if len(kept) >= n]
     base = free.pop(fits[-1]) if fits else np.empty((n, d), order="F")
     try:
@@ -261,36 +271,6 @@ def _step(op, x, u, s, out):
         out[:, u] = col
     else:
         op(x, s, out=out)
-
-
-# The derivative methods keep their signatures, so the memo of the chunk a
-# worker is in reaches them through its thread, not through an argument.
-_chunk = threading.local()
-
-
-@contextmanager
-def chunk_scope(points):
-    """Keep the costly quantities at ``points`` for later calls in this thread.
-
-    Until the block ends, a quantity that :meth:`Functional._kept` keeps is
-    computed once per functional (and directions) at exactly this array
-    (``xi is points``) and read back, read-only, by later calls; the
-    finite-difference derivatives evaluate each axis side, ray side and
-    corner once and share them.  Neither the points nor a direction passed
-    to a kept quantity may be written to inside the block.  Only
-    :func:`~glset.density.run_plans` opens one, around each plan's worker."""
-    outer = getattr(_chunk, "scope", None)
-    _chunk.scope = (points, {})
-    try:
-        yield
-    finally:
-        _chunk.scope = outer
-
-
-def _chunk_memo(xi):
-    """The memo of the current chunk when ``xi`` is its points, else None."""
-    scope = getattr(_chunk, "scope", None)
-    return scope[1] if scope is not None and scope[0] is xi else None
 
 
 # ----------------------------- scalar functionals -----------------------------

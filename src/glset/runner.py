@@ -299,7 +299,8 @@ def _plan_group(config, model, first: int) -> list:
 def run(config: RunConfig, output_dir=None) -> int:
     """Execute all jobs; returns the process exit code."""
     out = Path(output_dir if output_dir is not None else config.output)
-    out.mkdir(parents=True, exist_ok=True)
+    if not _make_output_dir(out):
+        return 1
     usage = resource.getrusage(resource.RUSAGE_SELF)
     model = resolve_model(config.model)
     written: list[str] = []
@@ -341,19 +342,30 @@ def run(config: RunConfig, output_dir=None) -> int:
 
 def run_selftest(output: Path | None = None) -> int:
     """Run the acceptance battery; with ``output``, write its report there
-    as ``selftest.json`` beside a manifest.  Returns 0, or 2 on a failed
-    criterion."""
+    as ``selftest.json`` beside a manifest, made before the battery runs.
+    Returns 0, 2 on a failed criterion, or 1 if ``output`` cannot be made."""
     from .selftest import run_acceptance  # selftest imports this module
 
+    if output is not None and not _make_output_dir(output):
+        return 1
     usage = resource.getrusage(resource.RUSAGE_SELF)
     results = run_acceptance(verbose=True)
     exit_code = 0 if all(r.passed for r in results) else 2
     if output is not None:
-        output.mkdir(parents=True, exist_ok=True)
         files = write_selftest(output / "selftest", results)
         write_manifest(output, [f.name for f in files], exit_code, usage,
                        {"selftest": selftest_runtimes(results)})
     return exit_code
+
+
+def _make_output_dir(out: Path) -> bool:
+    """Make the output directory ``out``; on failure say why on stderr."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"cannot create output directory {out}: {e.strerror or e}", file=sys.stderr)
+        return False
+    return True
 
 
 def write_manifest(out: Path, files, exit_code: int, usage, runtimes=None, **fields):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityCurve, Plan, Query, stream_pass, stream_plan
+from .density import DensityCurve, Plan, Query, density_route, stream_pass, stream_plan
 from .functionals import (Constant, Functional, Linear, Norm2, Product,
                           RadialClamp)
 from .model import GaussianModel
@@ -62,9 +62,7 @@ class SurfaceMeasureHandle:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.estimator not in ("divergence", "mollified"):
-            raise ValueError(f"handle estimator must be divergence or mollified, "
-                             f"got {self.estimator!r}")
+        density_route(self.estimator)
 
 
 # ----------------------------- integration by parts -----------------------------
@@ -187,7 +185,8 @@ def ibp_plan(model: GaussianModel, G: Functional, phis, k_list, r_grid, n: int,
     """The :class:`~glset.density.Plan` of :func:`ibp_battery`."""
     pairs = [(phi, k) for phi in phis for k in k_list]
     plan = stream_plan(model, G, n, seed, r_grid,
-                       _ibp_columns(model, G, pairs, estimator), epsilon=epsilon)
+                       _ibp_columns(model, G, pairs, density_route(estimator)),
+                       epsilon=epsilon)
     return plan.then(lambda res: _ibp_records(pairs, iter(res.results)))
 
 
@@ -272,8 +271,8 @@ class PositivityReport:
 def positivity_scan(model: GaussianModel, G: Functional, r_grid, n: int, seed: int,
                     estimator: str = "divergence",
                     epsilon: float | None = None) -> PositivityReport:
-    res = stream_pass(model, G, n, seed, r_grid, [Query(Constant(1.0), estimator)],
-                      epsilon=epsilon)
+    res = stream_pass(model, G, n, seed, r_grid,
+                      [Query(Constant(1.0), density_route(estimator))], epsilon=epsilon)
     curve, g_min, g_max = res.results[0], res.g_min, res.g_max
 
     interior_bad, exterior_bad, unresolved = [], [], []

@@ -79,3 +79,68 @@ def test_no_module_imports_private_names_of_another():
     offenders = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
                  if (names := _private_imports(path.read_text()))}
     assert offenders == {}
+
+
+# the names through which the os module reads or writes the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_reads(source: str) -> list[tuple[str, str | None]]:
+    """``(function, key)`` for every use of the process environment in
+    ``source`` (``os.environ``, ``os.getenv`` and the like, imported by any
+    spelling): the enclosing function, ``<module>`` at the top level, and the
+    key when it is a string literal, else None."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def key(node):
+        up = parent.get(node)
+        if isinstance(up, ast.Attribute):  # os.environ.get(...)
+            up = parent.get(up)
+        if isinstance(up, ast.Subscript):
+            arg = up.slice
+        elif isinstance(up, ast.Call) and up.args:
+            arg = up.args[0]
+        else:
+            return None
+        return arg.value if isinstance(arg, ast.Constant) else None
+
+    def function(node):
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return "<module>"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in ENVIRONMENT:
+            found.append((function(node), None if isinstance(node, ast.alias) else key(node)))
+    return sorted(found, key=str)
+
+
+def test_environment_read_detector():
+    source = ("import os\nfrom os import getenv as ge, environ\n"
+              "LEVEL = os.environ['LEVEL']\n"
+              "def f():\n    return os.getenv('A'), environ.get('B', '1')\n"
+              "def g(name):\n    return os.environ.get(name)\n")
+    assert _environment_reads(source) == [("<module>", "LEVEL"), ("<module>", None),
+                                          ("<module>", None), ("f", "A"), ("f", "B"),
+                                          ("g", None)]
+
+
+def test_no_new_knob():
+    # GLSET_THREADS, read in thread_count, is the one setting outside a
+    # config file, and the API keeps its 58 names
+    reads = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+             if (found := _environment_reads(path.read_text()))}
+    assert reads == {"density.py": [("thread_count", "GLSET_THREADS")]}
+    assert len(glset.__all__) == 58

@@ -323,6 +323,13 @@ REJECTED = {
                             head="formats jsn\n"), 3, "'jsn' is not csv, json or both"),
     "empty formats": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n",
                            head="formats\n"), 3, "'' is not csv, json or both"),
+    # a bare output line would write the run into the current directory
+    "empty output": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n",
+                          head="output\n"), 3, "output: needs a directory"),
+    "nonpositive dim": (_job("density\n  G norm2\n  phi 1\n  r_grid 1 2\n", dim=-3),
+                        2, "dim: must be positive, got -3"),
+    "empty spectrum": ("model explicit\nspectrum\njob density\n  G norm2\n  phi 1\n"
+                       "  r_grid 1 2\n", 2, "spectrum: needs at least one eigenvalue"),
 }
 
 
@@ -349,6 +356,13 @@ class TestJobSchema:
             parse_config(text)
         assert any(issue.line == line and fragment in issue.message
                    for issue in exc.value.issues), str(exc.value)
+
+    @pytest.mark.parametrize("case", ["empty output", "nonpositive dim", "empty spectrum"])
+    def test_top_level_value_is_one_issue_on_its_line(self, case):
+        text, line, _ = REJECTED[case]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert [issue.line for issue in exc.value.issues] == [line], str(exc.value)
 
     @pytest.mark.parametrize("case", ["surface k_list without phi",
                                       "surface hausdorff dim 7",

@@ -17,6 +17,7 @@ everywhere the results keep the bits they have outside a chunk.  A bare
 """
 
 import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -56,6 +57,12 @@ def plan_chunks(model, n, seed, worker):
     """``worker(index, points)`` over every chunk of a pass, each call inside
     the chunk memo that ``run_plans`` opens; the results in chunk order."""
     return Plan(model, n, seed, worker, list).run()
+
+
+def chunk_threads(model, n=40_000):
+    """The thread that ran each plan worker of a pass of ``n`` rows (3 chunks
+    by default), in chunk order."""
+    return plan_chunks(model, n, 3, lambda index, pts: threading.get_ident())
 
 
 def chunk_misses(model):
@@ -270,10 +277,23 @@ def test_axis_steps_keep_the_bits_of_a_full_step():
         assert same_bits(out, op(op(xi, t), full))
 
 
+class TestOnePath:
+    """Every pass, of one worker or one chunk too, runs on a pool of
+    ``GLSET_THREADS`` threads, so the calling thread runs no chunk."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_plan_workers_run_off_the_calling_thread(self, iid5, monkeypatch, threads):
+        monkeypatch.setenv("GLSET_THREADS", threads)
+        for n, chunks in ((40_000, 3), (100, 1)):
+            ran = chunk_threads(iid5, n)
+            assert len(ran) == chunks and threading.get_ident() not in ran
+
+
 class TestPerturbationBuffers:
     """A callback's centre and its axis, ray and corner sides are evaluated
-    on per-thread column-major buffers that serve every chunk of a pass and
-    die with it."""
+    on column-major buffers of the worker thread that runs the chunks, which
+    serve every chunk it runs and die with it; the calling thread holds
+    neither buffers nor a chunk memo."""
 
     @staticmethod
     def derivatives(G, pts):
@@ -324,9 +344,12 @@ class TestPerturbationBuffers:
         def worker(index, pts):
             chunk.update(index=index, points=pts)
             self.derivatives(G, pts)
+            return threading.get_ident()
 
         # 16384 + 16384 + 7232 rows: the short last chunk takes views too
-        plan_chunks(iid5, 40_000, 3, worker)
+        ran = plan_chunks(iid5, 40_000, 3, worker)
+        # one worker thread, not the caller, runs every chunk
+        assert len(set(ran)) == 1 and threading.get_ident() not in ran
         per_chunk = [{p for (i, p) in bases if i == index} for index in range(3)]
         # one buffer per kind (centre, axis, ray, corner), the same in every chunk
         assert len(per_chunk[0]) == 4
@@ -384,7 +407,7 @@ class TestPerturbationBuffers:
 
         plan_chunks(iid5, 40_000, 3, worker)
         assert buffers and all(ref() is None for ref in buffers)
-        assert functionals._pool.free is None
+        assert functionals._worker.free is None and functionals._worker.scope is None
 
         def failing(index, pts):
             G.gradient(pts)
@@ -392,7 +415,7 @@ class TestPerturbationBuffers:
 
         with pytest.raises(ValueError):
             plan_chunks(iid5, 40_000, 3, failing)
-        assert functionals._pool.free is None
+        assert functionals._worker.free is None and functionals._worker.scope is None
 
 
 def test_expression_evaluates_once_per_chunk_per_quantity(iid5, monkeypatch):

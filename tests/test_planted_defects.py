@@ -81,6 +81,11 @@ The closed form and this oracle also catch a 5 % scale on the values of
 and 8.  A 3 % bias on the IBP sublevel integrand ``_IbpSublevel.value``
 moves only the closed form's ``lhs``, by +15.1 s.e.
 
+Every plan worker of a pass runs on a pool thread, never on the calling
+thread, at one worker too (``chunk_threads`` in ``tests/test_fd_stencil.py``).
+A ``map_chunks`` that runs the chunks inline on the calling thread when
+there is one worker, as it once did, puts every chunk on that thread.
+
 The last check holds a sublevel integral at an atom of G.  On iid d = 5,
 ``G = min(norm2(), 6)`` puts mass ``P(chi2_5 >= 6) = 0.306`` at 6, and
 ``E[1{G < r}]`` is the chi-square(5) CDF at r = 5.5 and at r = 6, held
@@ -88,6 +93,8 @@ within 4 s.e. at n = 2e5 (``atom_oracle_misses``).  A pass whose level search
 takes the right side counts ``{G <= r}``: the level 6 reads 1.0, and 5.5,
 where G has no atom, does not move.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -102,7 +109,7 @@ from glset.model import CHUNK_SIZE
 from test_calculus import kernel_div
 from test_density import chunk_stream_misses
 from test_disintegration import bin_sum_misses
-from test_fd_stencil import chunk_misses, plan_chunks
+from test_fd_stencil import chunk_misses, chunk_threads, plan_chunks
 from test_functionals import GAUSS, HESS, fd_hess_misses
 from test_stream_pass import reduction_misses, shared_pass_misses
 
@@ -415,6 +422,27 @@ def test_sides_kept_by_position_are_caught(iid5, monkeypatch):
     # D_3 keeps the sides along e_3 under axis 0, and reads axis 2 back
     with pytest.raises(KeyError):
         chunk_misses(iid5)
+
+
+def test_inline_pass_at_one_worker_is_caught(iid5, monkeypatch):
+    monkeypatch.setenv("GLSET_THREADS", "1")
+    pooled = density.map_chunks
+
+    def inline(model, n, seed, worker):
+        # one worker: the chunks on the calling thread, which keeps its
+        # buffers until the pass ends
+        if density.thread_count() > 1:
+            return pooled(model, n, seed, worker)
+        outer, functionals._worker.free = functionals._worker.free, {}
+        try:
+            return [worker(index, density.draw_chunk(model, seed, index, size))
+                    for index, size in density.chunk_layout(n)]
+        finally:
+            functionals._worker.free = outer
+
+    assert threading.get_ident() not in chunk_threads(iid5)
+    monkeypatch.setattr(density, "map_chunks", inline)
+    assert chunk_threads(iid5) == [threading.get_ident()] * 3
 
 
 ATOM = 6.0

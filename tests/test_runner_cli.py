@@ -211,6 +211,17 @@ class TestExitCodes:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
+    def test_output_that_is_a_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("model iid_gaussian\ndim 2\njob density\n  G norm2\n  phi 1\n"
+                       "  r_grid 1 2\n  n 5000\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["run", str(cfg), "--output", str(afile)]) == 1
+        assert capsys.readouterr().err == f"cannot create output directory {afile}: " \
+                                          "File exists\n"
+        assert afile.read_text() == ""
+
     def test_numerical_fault_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "fault.cfg"
         # 1/xi(1)^2 blows up at the origin; with the mollified estimator the
@@ -335,6 +346,20 @@ class TestSelftestJob:
         assert manifest["exit_code"] == 0
         assert manifest["versions"]["glset"]
         assert set(manifest["rusage"]) == {"user_s", "system_s", "minor_faults"}
+
+    def test_cli_output_that_is_a_file_exits_one_before_the_battery(
+            self, tmp_path, monkeypatch, capsys):
+        import glset.selftest as selftest_mod
+
+        def battery(verbose=True):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(selftest_mod, "run_acceptance", battery)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["selftest", "--output", str(afile)]) == 1
+        assert capsys.readouterr().err == f"cannot create output directory {afile}: " \
+                                          "File exists\n"
 
     def test_all_pass_maps_to_exit_zero(self, tmp_path, monkeypatch):
         import glset.selftest as selftest_mod

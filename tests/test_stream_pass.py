@@ -314,8 +314,9 @@ class TestGroupedJobs:
         assert shared_pass_misses(iid5) == []
 
     def test_failing_plan_skips_its_later_chunks(self, iid3, monkeypatch):
-        # at one thread the pass stops after the chunk where every plan has
-        # failed, as a lone map_chunks stops at its first error
+        # no plan's worker sees a chunk after the one it failed at: the pass
+        # raises at the first chunk where every plan has failed, and
+        # map_chunks then cancels the chunks not yet started
         monkeypatch.setenv("GLSET_THREADS", "1")
         error = ValueError("chunk 1")
         calls = collections.defaultdict(list)

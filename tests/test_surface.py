@@ -453,3 +453,41 @@ class TestSurfaceReport:
         assert report.trace is not None and report.trace.converged
         assert report.hausdorff is not None
         assert report.hausdorff.geometry == "sphere"
+
+
+class TestSingleRouteEstimator:
+    """A surface call answers along one density route; any other estimator
+    is refused before the pass draws a chunk."""
+
+    @staticmethod
+    def calls(model):
+        from glset.disintegration import surface_side_plan
+        from glset.surface import ibp_plan
+
+        G = Norm2()
+        return {
+            "handle": lambda est: handle(model, G, 3.0, n=40_000, estimator=est),
+            "surface_side_plan": lambda est: surface_side_plan(
+                model, G, 40_000, 1, ONE, (3.0,), est),
+            "ibp_plan": lambda est: ibp_plan(model, G, [ONE], (1,), (3.0,), 40_000, 1, est),
+            "ibp_battery": lambda est: ibp_battery(model, G, [ONE], (1,), (3.0,), 40_000,
+                                                   1, est),
+            "ibp_residuals": lambda est: ibp_residuals(model, G, ONE, 1, (3.0,), 40_000,
+                                                       1, est),
+            "positivity_scan": lambda est: positivity_scan(model, G, (3.0,), 40_000, 1,
+                                                           est),
+        }
+
+    @pytest.mark.parametrize("estimator", ["cdf", "both", "Divergence"])
+    @pytest.mark.parametrize("entry", ["handle", "surface_side_plan", "ibp_plan",
+                                       "ibp_battery", "ibp_residuals", "positivity_scan"])
+    def test_refused_before_any_chunk(self, iid5, monkeypatch, entry, estimator):
+        from glset import density
+
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(density, "draw_chunk", no_draw)
+        with pytest.raises(ValueError, match="estimator must be divergence or "
+                                             f"mollified, got '{estimator}'"):
+            self.calls(iid5)[entry](estimator)
